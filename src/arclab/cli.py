@@ -3,7 +3,10 @@
 Data rows go to stdout (or to --output PATH); diagnostics go to stderr.
 All numbers are printed with 17 significant digits so identical flags give
 byte-identical output.  Exit codes: 0 success/PASS, 1 FAIL or numerical
-failure, 2 hypothesis-violated/INAPPLICABLE, 3 usage or parse error.
+failure, 2 hypothesis-violated/INAPPLICABLE, 3 usage or parse error.  Usage
+errors include parameters no map or arc can be built from, such as a rho
+beyond the arc cap, and a half-plane map given to a verify check (every
+check probes disc points); both are reported before any quadrature.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 
 from .errors import (
     ArclabError,
+    ConstructionError,
     ParseError,
     PrecisionError,
     TagMismatchError,
@@ -129,8 +133,6 @@ def _radii_value(text):
         radii = tuple(float(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError("radii must be comma-separated numbers")
-    if not radii:
-        raise argparse.ArgumentTypeError("need at least one radius")
     if any(not 0.0 < r < 1.0 for r in radii):
         raise argparse.ArgumentTypeError("radii must lie in (0, 1)")
     if any(n <= p for p, n in zip(radii, radii[1:])):
@@ -236,10 +238,7 @@ def _cmd_length(ns) -> int:
     grid = [ns.rho_max * k / ns.samples for k in range(1, ns.samples + 1)]
     samples = arc_length_profile(f, arc, grid, _TARGETS[ns.target], cfg.quad)
     with _Output(cfg.output_path) as out:
-        if cfg.header:
-            out.line("rho,length")
-        for s in samples:
-            out.line(f"{_fmt(s.rho)},{_fmt(s.length)}")
+        _emit_samples(out, cfg, samples)
     return 0
 
 
@@ -308,43 +307,36 @@ def _emit_report(out, report: VerdictReport) -> int:
     return _STATUS_EXIT[report.status]
 
 
+def _disc_map(ns, text: str):
+    f = _parse_func(text)
+    if f.domain is MetricId.HYPERBOLIC_HALF_PLANE:
+        # every check probes points of the disc
+        raise ValueError(f"verify {ns.which} needs a map of the disc, not {text!r}")
+    return f
+
+
 def _cmd_verify(ns) -> int:
     cfg = _run_config(ns)
     q = cfg.quad
     which = ns.which
+    f = _disc_map(ns, ns.f0 if which == "thm43" else ns.func or ns.default_func)
     if which == "prop21":
-        report = check_area_derivative_bound(
-            _parse_func(ns.func or "z()"), MetricId.EUCLIDEAN, config=q
-        )
+        report = check_area_derivative_bound(f, MetricId.EUCLIDEAN, config=q)
     elif which == "prop22":
-        report = check_area_derivative_bound(
-            _parse_func(ns.func or "scale(0.5+0i)"), MetricId.HYPERBOLIC_DISC, config=q
-        )
+        report = check_area_derivative_bound(f, MetricId.HYPERBOLIC_DISC, config=q)
     elif which == "prop23":
-        report = check_spherical_bound(_parse_func(ns.func or "scale(0.25+0i)"), config=q)
+        report = check_spherical_bound(f, config=q)
     elif which == "keogh":
-        report = check_sqrt_trend(
-            _parse_func(ns.func or "koebe() . scale(0.9+0i)"),
-            MetricId.EUCLIDEAN,
-            require_halving=True,
-            config=q,
-        )
+        report = check_sqrt_trend(f, MetricId.EUCLIDEAN, require_halving=True, config=q)
     elif which == "thm32":
-        report = check_sqrt_trend(
-            _parse_func(ns.func or "scale(0.9+0i)"), MetricId.HYPERBOLIC_DISC, config=q
-        )
+        report = check_sqrt_trend(f, MetricId.HYPERBOLIC_DISC, config=q)
     elif which == "thm33":
-        report = check_sqrt_trend(
-            _parse_func(ns.func or "scale(0.9+0i)"), MetricId.SPHERICAL, config=q
-        )
+        report = check_sqrt_trend(f, MetricId.SPHERICAL, config=q)
     elif which == "thm43":
-        report = check_uniform_char_length_bound(
-            _parse_func(ns.f0), _parse_func(ns.finf), ns.delta, config=q
-        )
+        finf = _disc_map(ns, ns.finf)
+        report = check_uniform_char_length_bound(f, finf, ns.delta, config=q)
     else:  # alpha
-        report = alpha_growth_check(
-            _parse_func(ns.func or "koebe() . scale(0.9+0i)"), ns.alpha, ns.delta
-        )
+        report = alpha_growth_check(f, ns.alpha, ns.delta)
     with _Output(cfg.output_path) as out:
         return _emit_report(out, report)
 
@@ -357,8 +349,6 @@ def _emit_samples(out, cfg, samples):
 
 
 def _cmd_scenario(ns) -> int:
-    from .verifier import GrowthModel, growth_fit
-
     cfg = _run_config(ns)
     which = ns.which
     if which == "annulus":
@@ -451,39 +441,72 @@ def build_parser() -> _Cli:
     p = sub.add_parser("verify", help="run one named inequality/trend check")
     vsub = p.add_subparsers(dest="which", required=True)
 
-    def vcmd(name, description=None, **extra):
+    def vcmd(name, default_func, description, **extra):
         vp = vsub.add_parser(name, description=description)
         vp.add_argument("--func", default=None)
         for flag, kwargs in extra.items():
             vp.add_argument(flag, **kwargs)
         common(vp)
-        vp.set_defaults(handler=_cmd_verify)
-        return vp
+        vp.set_defaults(handler=_cmd_verify, default_func=default_func)
 
-    vcmd("prop21")
-    vcmd("prop22")
-    vcmd("prop23")
+    vcmd(
+        "prop21",
+        "z()",
+        "Euclidean area-derivative bound: 4 pi ||f'(z)||^2 at most the area of f(D) "
+        "on a disc grid. INAPPLICABLE when the area diverges or does not resolve.",
+    )
+    vcmd(
+        "prop22",
+        "scale(0.5+0i)",
+        "Hyperbolic area-derivative bound for a self-map of the disc, on a disc grid. "
+        "INAPPLICABLE when the hyperbolic area diverges or does not resolve.",
+    )
+    vcmd(
+        "prop23",
+        "scale(0.25+0i)",
+        "Spherical derivative norm over sqrt(A_S), stable under grid refinement, "
+        "for a spherical image area A_S below 2 pi. INAPPLICABLE otherwise.",
+    )
     vcmd(
         "keogh",
-        description="Euclidean L(rho)/sqrt(rho) strictly decreasing on rho = "
+        "koebe() . scale(0.9+0i)",
+        "Euclidean L(rho)/sqrt(rho) strictly decreasing on rho = "
         "4, 6, 8, 10, 12 and below half its first value at the end. L never "
         "decreases, so halving needs a grid spanning a factor above 4; on this "
         "grid the check reports FAIL for every map.",
     )
-    vcmd("thm32")
-    vcmd("thm33")
-    vp = vsub.add_parser("thm43")
+    vcmd(
+        "thm32",
+        "scale(0.9+0i)",
+        "Hyperbolic L(rho)/sqrt(rho) strictly decreasing on rho = 4, 6, 8, 10, 12, "
+        "for a self-map of the disc.",
+    )
+    vcmd(
+        "thm33",
+        "scale(0.9+0i)",
+        "Spherical L(rho)/sqrt(rho) strictly decreasing on rho = 4, 6, 8, 10, 12.",
+    )
+    vp = vsub.add_parser(
+        "thm43",
+        description="Spherical derivative and length bounds 2/m and (2/delta) rho for "
+        "f0/finf where m = sqrt(|f0|^2 + |finf|^2) lies in [delta, 1]. "
+        "INAPPLICABLE when m leaves [delta, 1] on the disc grid.",
+    )
     vp.add_argument("--f0", default="const(0.5+0i) * blaschke_disc([0.5+0i])")
     vp.add_argument("--finf", default="const(0.5+0i)")
     vp.add_argument("--delta", type=_positive_float, default=0.35)
     common(vp)
     vp.set_defaults(handler=_cmd_verify)
-    vp = vsub.add_parser("alpha")
-    vp.add_argument("--func", default=None)
-    vp.add_argument("--alpha", type=_positive_float, required=True)
-    vp.add_argument("--delta", type=_positive_float, default=1.0)
-    common(vp)
-    vp.set_defaults(handler=_cmd_verify)
+    vcmd(
+        "alpha",
+        "koebe() . scale(0.9+0i)",
+        "Tail of the area integral weighted by 1/(t - delta)^alpha converging, then "
+        "L(rho)/rho^(alpha/2) decreasing on rho = 8, 10, 12. INAPPLICABLE otherwise.",
+        **{
+            "--alpha": dict(type=_positive_float, required=True),
+            "--delta": dict(type=_positive_float, default=1.0),
+        },
+    )
 
     p = sub.add_parser("scenario", help="run one named growth scenario")
     ssub = p.add_subparsers(dest="which", required=True)
@@ -526,7 +549,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         sys.stderr.write(f"best estimate: {exc.estimate!r}\n")
         return 1
-    except ValueError as exc:
+    except (ValueError, ConstructionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except ArclabError as exc:

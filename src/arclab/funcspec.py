@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from .errors import ConstructionError, ParseError, StructureError
 from .maps import (
@@ -38,7 +38,6 @@ from .maps import (
     ExpMap,
     Identity,
     Koebe,
-    LogMap,
     MapExpr,
     MobiusMap,
     PowerSeries,
@@ -216,25 +215,6 @@ class _Parser:
         return complex(first, 0.0)
 
 
-def _want_complex(value, pos, what) -> complex:
-    if isinstance(value, complex):
-        return value
-    raise ParseError(pos, f"a complex number as {what}", _kind_of(value))
-
-
-def _want_real(value, pos, what) -> float:
-    v = _want_complex(value, pos, what)
-    if v.imag != 0.0:
-        raise ParseError(pos, f"a real number as {what}", "a complex one")
-    return v.real
-
-
-def _want_list(value, pos, what) -> list:
-    if isinstance(value, list):
-        return value
-    raise ParseError(pos, f"a list as {what}", _kind_of(value))
-
-
 def _kind_of(value) -> str:
     if isinstance(value, complex):
         return "a number"
@@ -243,79 +223,100 @@ def _kind_of(value) -> str:
     return "a map expression"
 
 
-def _arity(name_tok, args, n):
-    if len(args) != n:
-        raise ParseError(
-            name_tok.pos,
-            f"{n} argument(s) for {name_tok.text}",
-            f"{len(args)}",
-        )
+@dataclass(frozen=True)
+class _Arg:
+    """One constructor argument of a leaf: the ParseError phrases for it
+    (item: for each entry of a list), a dataclass whose fields each take
+    one call argument (pack), and a predicate on the values that unparse
+    leaves out for the constructor default (optional).
+    """
+
+    what: str
+    item: str = None
+    real: bool = False
+    pack: type = None
+    optional: object = None
+
+    @property
+    def width(self) -> int:
+        return len(fields(self.pack)) if self.pack else 1
+
+    def read(self, values, pos):
+        if self.pack:
+            return self.pack(*(self._number(v, pos, self.what) for v in values))
+        (value,) = values
+        if self.item is None:
+            return self._number(value, pos, self.what)
+        if not isinstance(value, list):
+            raise ParseError(pos, f"a list as {self.what}", _kind_of(value))
+        return tuple(self._number(v, pos, self.item) for v in value)
+
+    def _number(self, value, pos, what):
+        if not isinstance(value, complex):
+            raise ParseError(pos, f"a complex number as {what}", _kind_of(value))
+        if self.real and value.imag != 0.0:
+            raise ParseError(pos, f"a real number as {what}", "a complex one")
+        return value.real if self.real else value
+
+    def show(self, value) -> str:
+        text = _real_text if self.real else _complex_text
+        if self.pack:
+            return ",".join(text(v) for v in astuple(value))
+        if self.item is None:
+            return text(value)
+        return f"[{','.join(text(v) for v in value)}]"
+
+
+def _unit_signs(signs) -> bool:
+    return all(s == 1.0 for s in signs)
+
+
+# The leaf calls of the grammar: name -> (node class, argument kinds).
+# parse builds cls(*arguments) and unparse reads the arguments back from
+# the node's leading dataclass fields; cayley and inv_cayley are named
+# constants, built by a function.
+_LEAVES = {
+    "z": (Identity, ()),
+    "const": (ConstMap, (_Arg("the constant"),)),
+    "scale": (Scale, (_Arg("the factor"),)),
+    "shift": (Shift, (_Arg("the offset"),)),
+    "mobius": (MobiusMap, (_Arg("a coefficient", pack=MobiusTransform),)),
+    "koebe": (Koebe, ()),
+    "exp": (ExpMap, ()),
+    "powerseries": (PowerSeries, (_Arg("the coefficient list", "a coefficient"),)),
+    "blaschke_disc": (BlaschkeDisc, (_Arg("the zero list", "a zero"),)),
+    "blaschke_hp": (BlaschkeHalfPlane, (
+        _Arg("the height list", "a height", real=True),
+        _Arg("the sign list", "a sign", real=True, optional=_unit_signs),
+    )),
+    "cayley": (cayley_map, ()),
+    "inv_cayley": (inv_cayley_map, ()),
+}
+# unparse finds a leaf without arguments by equality, any other by class
+_BARE = {name: make() for name, (make, kinds) in _LEAVES.items() if not kinds}
+_NAMES = {cls: name for name, (cls, kinds) in _LEAVES.items() if kinds}
 
 
 def _build(name_tok, args) -> MapExpr:
     name, pos = name_tok.text, name_tok.pos
+    if name not in _LEAVES:
+        raise ParseError(pos, "a known map name", f"'{name}'")
+    make, kinds = _LEAVES[name]
+    most = sum(k.width for k in kinds)
+    least = most - sum(k.width for k in kinds if k.optional)
+    if not least <= len(args) <= most:
+        count = f"{least} or {most}" if least < most else f"{most}"
+        raise ParseError(pos, f"{count} argument(s) for {name}", f"{len(args)}")
+    values = []
     try:
-        if name == "z":
-            _arity(name_tok, args, 0)
-            return Identity()
-        if name == "const":
-            _arity(name_tok, args, 1)
-            return ConstMap(_want_complex(args[0], pos, "the constant"))
-        if name == "scale":
-            _arity(name_tok, args, 1)
-            return Scale(_want_complex(args[0], pos, "the factor"))
-        if name == "shift":
-            _arity(name_tok, args, 1)
-            return Shift(_want_complex(args[0], pos, "the offset"))
-        if name == "mobius":
-            _arity(name_tok, args, 4)
-            a, b, c, d = (
-                _want_complex(v, pos, "a coefficient") for v in args
-            )
-            return MobiusMap(MobiusTransform(a, b, c, d))
-        if name == "koebe":
-            _arity(name_tok, args, 0)
-            return Koebe()
-        if name == "exp":
-            _arity(name_tok, args, 0)
-            return ExpMap()
-        if name == "powerseries":
-            _arity(name_tok, args, 1)
-            coeffs = _want_list(args[0], pos, "the coefficient list")
-            return PowerSeries(
-                tuple(_want_complex(c, pos, "a coefficient") for c in coeffs)
-            )
-        if name == "blaschke_disc":
-            _arity(name_tok, args, 1)
-            zeros = _want_list(args[0], pos, "the zero list")
-            return BlaschkeDisc(
-                tuple(_want_complex(a, pos, "a zero") for a in zeros)
-            )
-        if name == "blaschke_hp":
-            if len(args) not in (1, 2):
-                raise ParseError(
-                    pos, "1 or 2 argument(s) for blaschke_hp", f"{len(args)}"
-                )
-            heights = tuple(
-                _want_real(y, pos, "a height")
-                for y in _want_list(args[0], pos, "the height list")
-            )
-            signs = None
-            if len(args) == 2:
-                signs = tuple(
-                    _want_real(s, pos, "a sign")
-                    for s in _want_list(args[1], pos, "the sign list")
-                )
-            return BlaschkeHalfPlane(heights, signs)
-        if name == "cayley":
-            _arity(name_tok, args, 0)
-            return cayley_map()
-        if name == "inv_cayley":
-            _arity(name_tok, args, 0)
-            return inv_cayley_map()
+        for kind in kinds:
+            if not args:
+                break  # optional arguments left out
+            values.append(kind.read(args[: kind.width], pos))
+            args = args[kind.width :]
+        return make(*values)
     except ConstructionError as exc:
         raise ParseError(pos, f"valid arguments for {name}", str(exc)) from exc
-    raise ParseError(pos, "a known map name", f"'{name}'")
 
 
 def parse(src: str) -> MapExpr:
@@ -356,75 +357,45 @@ def _complex_text(v: complex) -> str:
     return f"{re_part}{im_sign}{_real_text(abs(v.imag))}i"
 
 
-_PREC_MUL = 1
-_PREC_DOT = 2
-_PREC_ATOM = 3
-
-_CAYLEY_NODE = cayley_map()
-_INV_CAYLEY_NODE = inv_cayley_map()
-
-
-def _node_prec(f: MapExpr) -> int:
-    if isinstance(f, (Product, Quotient)):
-        return _PREC_MUL
-    if isinstance(f, Compose):
-        return _PREC_DOT
-    return _PREC_ATOM
+# operator node class -> (symbol, precedence, left field, right field);
+# composition binds tighter than '*' and '/'
+_OPERATORS = {
+    Product: (" * ", 1, "left", "right"),
+    Quotient: (" / ", 1, "numerator", "denominator"),
+    Compose: (" . ", 2, "outer", "inner"),
+}
 
 
 def _render(f: MapExpr, parent_prec: int, right_side: bool) -> str:
-    prec = _node_prec(f)
-    text = _render_bare(f)
-    if prec < parent_prec or (prec == parent_prec and right_side and prec < _PREC_ATOM):
+    op = _OPERATORS.get(type(f))
+    if op is None:
+        return _render_leaf(f)
+    symbol, prec, left, right = op
+    text = (
+        f"{_render(getattr(f, left), prec, False)}{symbol}"
+        f"{_render(getattr(f, right), prec, True)}"
+    )
+    if prec < parent_prec or (prec == parent_prec and right_side):
         return f"({text})"
     return text
 
 
-def _render_bare(f: MapExpr) -> str:
-    if isinstance(f, Identity):
-        return "z()"
-    if isinstance(f, ConstMap):
-        return f"const({_complex_text(f.value)})"
-    if isinstance(f, Scale):
-        return f"scale({_complex_text(f.factor)})"
-    if isinstance(f, Shift):
-        return f"shift({_complex_text(f.offset)})"
-    if isinstance(f, Koebe):
-        return "koebe()"
-    if isinstance(f, ExpMap):
-        return "exp()"
-    if isinstance(f, LogMap):
-        raise StructureError("the grammar has no logarithm leaf")
-    if isinstance(f, PowerSeries):
-        return f"powerseries([{','.join(_complex_text(c) for c in f.coeffs)}])"
-    if isinstance(f, BlaschkeDisc):
-        return f"blaschke_disc([{','.join(_complex_text(a) for a in f.zeros)}])"
-    if isinstance(f, BlaschkeHalfPlane):
-        heights = ",".join(_real_text(y) for y in f.heights)
-        if all(s == 1.0 for s in f.signs):
-            return f"blaschke_hp([{heights}])"
-        signs = ",".join(_real_text(s) for s in f.signs)
-        return f"blaschke_hp([{heights}],[{signs}])"
-    if isinstance(f, MobiusMap):
-        if f == _CAYLEY_NODE:
-            return "cayley()"
-        if f == _INV_CAYLEY_NODE:
-            return "inv_cayley()"
-        if f.domain is None and f.codomain is None:
-            t = f.transform
-            coeffs = ",".join(_complex_text(v) for v in (t.a, t.b, t.c, t.d))
-            return f"mobius({coeffs})"
-        raise StructureError("a tagged Moebius map has no textual form")
-    if isinstance(f, Product):
-        return f"{_render(f.left, _PREC_MUL, False)} * {_render(f.right, _PREC_MUL, True)}"
-    if isinstance(f, Quotient):
-        return (
-            f"{_render(f.numerator, _PREC_MUL, False)} / "
-            f"{_render(f.denominator, _PREC_MUL, True)}"
-        )
-    if isinstance(f, Compose):
-        return f"{_render(f.outer, _PREC_DOT, False)} . {_render(f.inner, _PREC_DOT, True)}"
-    raise StructureError(f"no textual form for {type(f).__name__}")
+def _render_leaf(f: MapExpr) -> str:
+    for name, node in _BARE.items():
+        if f == node:
+            return f"{name}()"
+    name = _NAMES.get(type(f))
+    if name is None:
+        raise StructureError(f"no textual form for {type(f).__name__}")
+    cls, kinds = _LEAVES[name]
+    if (f.domain, f.codomain) != (cls.domain, cls.codomain):
+        raise StructureError(f"a tagged {name}() node has no textual form")
+    shown = []
+    for kind, field in zip(kinds, fields(f)):
+        value = getattr(f, field.name)
+        if not (kind.optional and kind.optional(value)):
+            shown.append(kind.show(value))
+    return f"{name}({','.join(shown)})"
 
 
 def unparse(f: MapExpr) -> str:

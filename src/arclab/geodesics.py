@@ -133,10 +133,6 @@ def halfplane_arc(rho_max: float, offset: complex = 0j) -> RadialArc:
     return RadialArc(MetricId.HYPERBOLIC_HALF_PLANE, rho_max, offset=offset)
 
 
-def radial_point(arc: RadialArc, t: float) -> complex:
-    return arc.point(t)
-
-
 @dataclass(frozen=True)
 class GrowthSample:
     """One (rho, length) point of a growth curve."""

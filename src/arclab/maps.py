@@ -34,6 +34,7 @@ from .metrics import (
     _abs2,
     cayley,
     is_infinite,
+    mobius_apply,
     mobius_inverse,
 )
 
@@ -109,6 +110,15 @@ class MapExpr:
     def _jet(self, z: complex) -> Jet:
         raise NotImplementedError
 
+    def divisor(self):
+        """(zeros, poles, essential): the zeros and poles of the map in the
+        finite plane, listed with multiplicity, and the sphere points
+        (INFINITY allowed) where the map is not meromorphic.  Nodes
+        without a closed-form divisor raise StructureError."""
+        raise StructureError(
+            f"cannot extract zeros and poles from a {type(self).__name__} node"
+        )
+
 
 def evaluate(f: MapExpr, z) -> Jet:
     """Evaluate the jet of f at a finite point z.
@@ -129,8 +139,13 @@ def evaluate(f: MapExpr, z) -> Jet:
 
 @dataclass(frozen=True)
 class Identity(MapExpr):
+    transform = MobiusTransform(1, 0, 0, 1)
+
     def _jet(self, z):
         return Jet(z, 1.0)
+
+    def divisor(self):
+        return [0j], [], []
 
 
 @dataclass(frozen=True)
@@ -143,6 +158,11 @@ class ConstMap(MapExpr):
     def _jet(self, z):
         return Jet(self.value, 0.0)
 
+    def divisor(self):
+        if self.value == 0:
+            raise StructureError("the zero map has no divisor")
+        return [], [], []
+
 
 @dataclass(frozen=True)
 class Scale(MapExpr):
@@ -154,6 +174,17 @@ class Scale(MapExpr):
     def _jet(self, z):
         return Jet(self.factor * z, self.factor)
 
+    @property
+    def transform(self) -> MobiusTransform:
+        if self.factor == 0:
+            raise StructureError("scale by 0 is not invertible")
+        return MobiusTransform(self.factor, 0, 0, 1)
+
+    def divisor(self):
+        if self.factor == 0:
+            raise StructureError("the zero map has no divisor")
+        return [0j], [], []
+
 
 @dataclass(frozen=True)
 class Shift(MapExpr):
@@ -164,6 +195,15 @@ class Shift(MapExpr):
 
     def _jet(self, z):
         return Jet(z + self.offset, 1.0)
+
+    @property
+    def transform(self) -> MobiusTransform:
+        return MobiusTransform(1, self.offset, 0, 1)
+
+    def divisor(self):
+        # -offset, not the Moebius form -b/a: dividing by 1+0j would flip
+        # the sign of a zero imaginary part, which the manifest prints
+        return [-self.offset], [], []
 
 
 @dataclass(frozen=True)
@@ -186,6 +226,13 @@ class PowerSeries(MapExpr):
             val = val * z + c
         return Jet(val, der)
 
+    def divisor(self):
+        if not any(self.coeffs):
+            raise StructureError("the zero map has no divisor")
+        # np.roots drops the vanishing top coefficients itself
+        roots = np.roots(np.asarray(self.coeffs[::-1], dtype=complex))
+        return [complex(z) for z in roots], [], []
+
 
 @dataclass(frozen=True)
 class MobiusMap(MapExpr):
@@ -202,6 +249,12 @@ class MobiusMap(MapExpr):
             num = t.a * z + t.b
             return Jet(INFINITY, -det / (num * num))
         return Jet((t.a * z + t.b) / den, det / (den * den))
+
+    def divisor(self):
+        t = self.transform
+        zeros = [-t.b / t.a] if t.a != 0 else []
+        poles = [-t.d / t.c] if t.c != 0 else []
+        return zeros, poles, []
 
     def _jet_at_pole(self, chart_derivative: complex) -> Jet:
         # jet of T(g(z)) where g(z) = infinity and 1/g has the given derivative
@@ -225,6 +278,9 @@ class Koebe(MapExpr):
         w = 1.0 - z
         return Jet(z / (w * w), (1.0 + z) / (w * w * w))
 
+    def divisor(self):
+        return [0j], [1.0 + 0j, 1.0 + 0j], []
+
 
 @dataclass(frozen=True)
 class ExpMap(MapExpr):
@@ -234,6 +290,9 @@ class ExpMap(MapExpr):
         except OverflowError:
             raise EvaluationError(f"exp overflow at {z}") from None
         return Jet(w, w)
+
+    def divisor(self):
+        return [], [], [INFINITY]
 
 
 @dataclass(frozen=True)
@@ -315,6 +374,11 @@ class BlaschkeDisc(MapExpr):
             return Jet(1.0, 0.0)
         return _combined_product_jet(*self._factor_jets(z))
 
+    def divisor(self):
+        # a factor with a != 0 has its pole at the reflection 1/conj(a)
+        poles = [1.0 / a.conjugate() for a in self.zeros if a != 0]
+        return list(self.zeros), poles, []
+
 
 @dataclass(frozen=True)
 class BlaschkeHalfPlane(MapExpr):
@@ -382,6 +446,11 @@ class Product(MapExpr):
     def _jet(self, z):
         return _jet_mul(self.left._jet(z), self.right._jet(z))
 
+    def divisor(self):
+        zl, pl, el = self.left.divisor()
+        zr, pr, er = self.right.divisor()
+        return zl + zr, pl + pr, el + er
+
 
 @dataclass(frozen=True)
 class Quotient(MapExpr):
@@ -396,6 +465,11 @@ class Quotient(MapExpr):
 
     def _jet(self, z):
         return _jet_div(self.numerator._jet(z), self.denominator._jet(z))
+
+    def divisor(self):
+        zn, pn, en = self.numerator.divisor()
+        zd, pd, ed = self.denominator.divisor()
+        return zn + pd, pn + zd, en + ed
 
 
 @dataclass(frozen=True)
@@ -427,6 +501,32 @@ class Compose(MapExpr):
         outer = self.outer._jet(inner.value)
         # chain rule holds in either chart of the outer jet
         return Jet(outer.value, outer.derivative * inner.derivative)
+
+    def divisor(self):
+        """The outer divisor pulled back through a Moebius inner map t.
+
+        t sends -d/c to infinity, so the outer map's order at infinity,
+        finite zeros minus finite poles unless it is essential there,
+        lands at -d/c; outer points at t(infinity) pull back to infinity.
+        """
+        t = getattr(self.inner, "transform", None)
+        if t is None:
+            raise StructureError(
+                "zeros and poles can only be pulled back through a Moebius inner map"
+            )
+        zeros, poles, essential = self.outer.divisor()
+        back = mobius_inverse(t)
+
+        def pull(points):
+            return [w for w in (mobius_apply(back, p) for p in points) if not is_infinite(w)]
+
+        order = len(zeros) - len(poles)
+        zeros, poles = pull(zeros), pull(poles)
+        if t.c != 0 and INFINITY not in essential:
+            star = -t.d / t.c
+            zeros += [star] * -order
+            poles += [star] * order
+        return zeros, poles, [mobius_apply(back, p) for p in essential]
 
 
 _CAYLEY = cayley()

@@ -44,31 +44,8 @@ from .geodesics import (
     area_with_bound,
     circle_energy,
 )
-from .maps import (
-    BlaschkeDisc,
-    Compose,
-    ConstMap,
-    ExpMap,
-    Identity,
-    Koebe,
-    MapExpr,
-    MobiusMap,
-    PowerSeries,
-    Product,
-    Quotient,
-    Scale,
-    Shift,
-    evaluate,
-)
-from .metrics import (
-    INFINITY,
-    MetricId,
-    MobiusTransform,
-    chordal,
-    is_infinite,
-    mobius_apply,
-    mobius_inverse,
-)
+from .maps import BlaschkeDisc, MapExpr, evaluate
+from .metrics import INFINITY, MetricId, chordal, is_infinite
 
 _BOUNDARY_GAP = 1e-6
 
@@ -101,6 +78,15 @@ def shimizu_T(f: MapExpr, r: float, config: QuadConfig = None) -> float:
     return val / (4.0 * math.pi)
 
 
+def _check_radii(radii):
+    if not radii:
+        raise DataError("need at least one radius")
+    if any(n <= p for p, n in zip(radii, radii[1:])):
+        raise DataError("radii must be strictly increasing")
+    if any(not 0.0 < x < 1.0 for x in radii):
+        raise DataError("radii must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class CharacteristicCurve:
     radii: tuple
@@ -108,13 +94,7 @@ class CharacteristicCurve:
     T_values: tuple
 
     def __post_init__(self):
-        r = self.radii
-        if not r:
-            raise DataError("need at least one radius")
-        if any(n <= p for p, n in zip(r, r[1:])):
-            raise DataError("radii must be strictly increasing")
-        if any(not 0.0 < x < 1.0 for x in r):
-            raise DataError("radii must lie in (0, 1)")
+        _check_radii(self.radii)
         # quadrature jitter allowance on the monotonicity of S and T
         for vals, label in ((self.S_values, "S"), (self.T_values, "T")):
             if any(v < -1e-12 for v in vals):
@@ -128,12 +108,7 @@ def characteristic_curve(
 ) -> CharacteristicCurve:
     rs = tuple(float(r) for r in radii)
     # cheap grid validation up front; quadrature below is the expensive part
-    if not rs:
-        raise DataError("need at least one radius")
-    if any(n <= p for p, n in zip(rs, rs[1:])):
-        raise DataError("radii must be strictly increasing")
-    if any(not 0.0 < x < 1.0 for x in rs):
-        raise DataError("radii must lie in (0, 1)")
+    _check_radii(rs)
     return CharacteristicCurve(
         rs,
         tuple(shimizu_S(f, r, config) for r in rs),
@@ -141,133 +116,16 @@ def characteristic_curve(
     )
 
 
-def _trimmed_coeffs(coeffs):
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _inf_order(f: MapExpr):
-    """Order of f at infinity: > 0 pole, < 0 zero, 0 finite nonzero,
-    None unknown (essential or out of scope)."""
-    if isinstance(f, (Identity, Scale, Shift)):
-        return 1
-    if isinstance(f, ConstMap):
-        return 0
-    if isinstance(f, PowerSeries):
-        deg = len(_trimmed_coeffs(f.coeffs)) - 1
-        return deg if deg > 0 else 0
-    if isinstance(f, Koebe):
-        return -1
-    if isinstance(f, BlaschkeDisc):
-        return sum(1 for a in f.zeros if a == 0)
-    if isinstance(f, MobiusMap):
-        t = f.transform
-        if t.c == 0:
-            return 1
-        return -1 if t.a == 0 else 0
-    if isinstance(f, Product):
-        lo, ro = _inf_order(f.left), _inf_order(f.right)
-        return None if lo is None or ro is None else lo + ro
-    if isinstance(f, Quotient):
-        no, do = _inf_order(f.numerator), _inf_order(f.denominator)
-        return None if no is None or do is None else no - do
-    return None
-
-
-def _as_transform(inner: MapExpr):
-    if isinstance(inner, Identity):
-        return MobiusTransform(1, 0, 0, 1)
-    if isinstance(inner, Scale):
-        if inner.factor == 0:
-            raise StructureError("scale by 0 is not invertible")
-        return MobiusTransform(inner.factor, 0, 0, 1)
-    if isinstance(inner, Shift):
-        return MobiusTransform(1, inner.offset, 0, 1)
-    if isinstance(inner, MobiusMap):
-        return inner.transform
-    raise StructureError(
-        "zeros and poles can only be pulled back through a Moebius inner map"
-    )
-
-
-def _keep(points):
-    return [p for p in points if not is_infinite(p) and abs(p) <= 1.0 + _BOUNDARY_GAP]
-
-
-def _zeros_poles(f: MapExpr):
-    """Zeros and poles of f in (a slight enlargement of) the closed disc,
-    listed with multiplicity.  Supports the rational / Blaschke-quotient
-    expression shapes; anything else is a structure error."""
-    if isinstance(f, BlaschkeDisc):
-        return list(f.zeros), []
-    if isinstance(f, ConstMap):
-        if f.value == 0:
-            raise StructureError("the zero constant has no quotient decomposition")
-        return [], []
-    if isinstance(f, Identity):
-        return [0j], []
-    if isinstance(f, Scale):
-        if f.factor == 0:
-            raise StructureError("the zero constant has no quotient decomposition")
-        return [0j], []
-    if isinstance(f, Shift):
-        return _keep([-f.offset]), []
-    if isinstance(f, PowerSeries):
-        cs = _trimmed_coeffs(f.coeffs)
-        if not cs:
-            raise StructureError("the zero constant has no quotient decomposition")
-        if len(cs) == 1:
-            return [], []
-        roots = np.roots(np.asarray(cs[::-1], dtype=complex))
-        return _keep(complex(z) for z in roots), []
-    if isinstance(f, Koebe):
-        return [0j], [1.0 + 0j]
-    if isinstance(f, ExpMap):
-        return [], []
-    if isinstance(f, MobiusMap):
-        t = f.transform
-        zeros = _keep([-t.b / t.a]) if t.a != 0 else []
-        poles = _keep([-t.d / t.c]) if t.c != 0 else []
-        return zeros, poles
-    if isinstance(f, Product):
-        zl, pl = _zeros_poles(f.left)
-        zr, pr = _zeros_poles(f.right)
-        return zl + zr, pl + pr
-    if isinstance(f, Quotient):
-        zn, pn = _zeros_poles(f.numerator)
-        zd, pd = _zeros_poles(f.denominator)
-        return zn + pd, pn + zd
-    if isinstance(f, Compose):
-        t = _as_transform(f.inner)
-        zo, po = _zeros_poles(f.outer)
-        tinv = mobius_inverse(t)
-        zeros = _keep(mobius_apply(tinv, a) for a in zo)
-        poles = _keep(mobius_apply(tinv, a) for a in po)
-        if t.c != 0:
-            # the inner map sends -d/c to infinity; account for the outer
-            # map's behaviour there
-            star = -t.d / t.c
-            if abs(star) <= 1.0 + _BOUNDARY_GAP:
-                k = _inf_order(f.outer)
-                if k is None:
-                    raise StructureError(
-                        "inner map reaches infinity inside the disc and the "
-                        "outer map's behaviour there is not rational"
-                    )
-                if k > 0:
-                    poles += [star] * k
-                elif k < 0:
-                    zeros += [star] * (-k)
-        return zeros, poles
-    raise StructureError(
-        f"cannot extract zeros and poles from a {type(f).__name__} node"
-    )
-
-
 def _gated_zeros_poles(f: MapExpr):
-    zeros, poles = _zeros_poles(f)
+    """Zeros and poles of f inside the unit disc, with multiplicity.
+
+    Raises StructureError when f is not meromorphic somewhere on the
+    closed disc, BoundarySingularityError when a zero or pole lies on or
+    near the circle."""
+    zeros, poles, essential = f.divisor()
+    for p in essential:
+        if not is_infinite(p) and abs(p) <= 1.0 + _BOUNDARY_GAP:
+            raise StructureError(f"the map is not meromorphic at {p}")
     for p in zeros + poles:
         if abs(abs(p) - 1.0) < _BOUNDARY_GAP:
             raise BoundarySingularityError(

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DataError, DivergenceError, PrecisionError
+from .errors import DataError, DivergenceError, PrecisionError, ResolutionError
 from .geodesics import (
     AREA_DEFAULT,
     DISC_RHO_MAX,
@@ -422,8 +422,6 @@ def scenario_symmetric_blaschke(
     reach = math.exp(rho_max)
     tail = 2.0 * reach * 2.0 ** (-n_levels) + 2.0 ** (1 - n_levels)
     if tail > 1e-3 or reach > 2.0**n_levels / 2.0:
-        from .errors import ResolutionError
-
         raise ResolutionError(
             f"truncation tail {tail:.2e} not certified on the sampled arc; "
             "raise n_levels or lower rho_max"

@@ -2,7 +2,11 @@ import math
 
 import pytest
 
+from arclab import geodesics
 from arclab.cli import main
+
+
+CHECKS = ("prop21", "prop22", "prop23", "keogh", "thm32", "thm33", "thm43", "alpha")
 
 
 def run(capsys, *argv):
@@ -194,27 +198,34 @@ class TestNevanlinna:
 
 class TestDecompose:
     def test_manifest_and_residuals(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "decompose",
-            "--func",
-            "blaschke_disc([0.5+0i])",
-            "--boundary-samples",
-            "512",
-        )
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "boundary_samples: 512"
-        assert "zeros: 1" in lines
-        assert "poles: 0" in lines
-        tail = [l for l in lines if l.startswith("#")]
-        assert len(tail) == 3
-        residuals = {
-            l.split()[1]: float(l.split()[2]) for l in tail
-        }
-        assert residuals["pythagoras_residual"] < 1e-10
-        assert residuals["quotient_residual"] < 1e-10
-        assert residuals["origin_identity_residual"] < 1e-10
+        for func, zeros, poles in (
+            ("blaschke_disc([0.5+0i])", 1, 0),
+            # zeros and poles that lie outside the disc before the pull-back
+            ("shift(-2+0i) . scale(4+0i)", 1, 0),
+            ("koebe() . shift(0.25+0i)", 1, 2),
+            ("blaschke_disc([0.5+0i]) . scale(3+0i)", 1, 1),
+        ):
+            code, out, _ = run(
+                capsys,
+                "decompose",
+                "--func",
+                func,
+                "--boundary-samples",
+                "512",
+            )
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[0] == "boundary_samples: 512"
+            assert f"zeros: {zeros}" in lines, func
+            assert f"poles: {poles}" in lines, func
+            tail = [l for l in lines if l.startswith("#")]
+            assert len(tail) == 3
+            residuals = {
+                l.split()[1]: float(l.split()[2]) for l in tail
+            }
+            assert residuals["pythagoras_residual"] < 1e-10
+            assert residuals["quotient_residual"] < 1e-10, func
+            assert residuals["origin_identity_residual"] < 1e-10
 
 
 class TestVerify:
@@ -252,6 +263,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "alpha", "--alpha", "2")
         assert code == 0
         assert "# classification = convergent" in out
+
+    def test_every_check_has_a_description(self, capsys):
+        for verb in CHECKS:
+            code, out, _ = run(capsys, "verify", verb, "--help")
+            assert code == 0
+            # argparse puts the description between the usage and the options
+            assert not out.split("\n\n")[1].startswith("options:"), verb
 
 
 class TestScenario:
@@ -313,6 +331,32 @@ class TestErrors:
             "--abs-tol", "-1",
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # beyond the disc arc's rho cap of 35
+            ("length", "--func", "koebe()", "--rho-max", "100"),
+            # every check probes disc points
+            *(
+                ("verify", verb, "--func", "blaschke_hp([1,4])")
+                for verb in CHECKS
+                if verb not in ("thm43", "alpha")
+            ),
+            ("verify", "alpha", "--alpha", "2", "--func", "blaschke_hp([1,4])"),
+            ("verify", "thm43", "--f0", "blaschke_hp([1,4])"),
+        ],
+        ids=lambda argv: "-".join(a for a in argv[:2] if not a.startswith("--")),
+    )
+    def test_bad_input_exits_three_before_quadrature(self, capsys, monkeypatch, argv):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran on a usage error")
+
+        monkeypatch.setattr(geodesics, "adaptive_integrate", no_quadrature)
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "error:" in err
 
     def test_bad_samples_rejected(self, capsys):
         code, _, _ = run(

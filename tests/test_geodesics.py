@@ -22,7 +22,6 @@ from arclab.geodesics import (
     circle_energy,
     disc_arc,
     halfplane_arc,
-    radial_point,
 )
 from arclab.maps import (
     BlaschkeDisc,
@@ -49,10 +48,6 @@ class TestArcs:
         z = arc.point(2.0)
         assert z == pytest.approx(1j * math.tanh(1.0))
 
-    def test_radial_point_matches_arc(self):
-        arc = disc_arc(3.0, 0.7)
-        assert arc.point(1.5) == pytest.approx(radial_point(arc, 1.5))
-
     def test_halfplane_arc_climbs_from_i(self):
         arc = halfplane_arc(4.0)
         assert arc.point(0.0) == pytest.approx(1j)
@@ -76,9 +71,9 @@ class TestArcs:
         with pytest.raises(ConstructionError):
             disc_arc(-1.0)
         with pytest.raises(ValueError):
-            radial_point(disc_arc(2.0), -0.1)
+            disc_arc(2.0).point(-0.1)
         with pytest.raises(ValueError):
-            radial_point(disc_arc(2.0), 2.5)
+            disc_arc(2.0).point(2.5)
 
 
 class TestAdaptiveIntegrate:

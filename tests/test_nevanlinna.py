@@ -214,9 +214,51 @@ class TestDecomposition:
         assert dec.b0_zeros[0] == pytest.approx(0.6 + 0j, abs=1e-9)
 
     def test_exp_has_no_zeros_or_poles(self):
-        f = Compose(ExpMap(), Scale(0.5))
+        # exp(z/(z-3)) is essential only at 3, outside the disc
+        for f in (
+            Compose(ExpMap(), Scale(0.5)),
+            Compose(ExpMap(), MobiusMap(MobiusTransform(1, 0, 1, -3))),
+        ):
+            dec = fatou_decompose(f)
+            assert dec.b0_zeros == () and dec.binf_poles == ()
+
+    @pytest.mark.parametrize(
+        "f, zeros, poles",
+        [
+            # 4z - 2: the outer zero at 2 pulls back to 1/2
+            (Compose(Shift(-2.0), Scale(4.0)), [0.5], []),
+            # Koebe's double pole at 1 pulls back to 3/4, twice
+            (Compose(Koebe(), Shift(0.25)), [-0.25], [0.75, 0.75]),
+            # the Blaschke factor's pole at 2 pulls back to 2/3
+            (Compose(BlaschkeDisc((0.5 + 0j,)), Scale(3.0)), [1 / 6], [2 / 3]),
+        ],
+        ids=["linear", "koebe", "blaschke"],
+    )
+    def test_pullback_finds_points_from_outside_the_disc(self, f, zeros, poles):
         dec = fatou_decompose(f)
-        assert dec.b0_zeros == () and dec.binf_poles == ()
+        assert dec.b0_zeros == pytest.approx(zeros, abs=1e-12)
+        assert dec.binf_poles == pytest.approx(poles, abs=1e-12)
+        worst = 0.0
+        for k in range(64):
+            zeta = cmath.exp(2j * math.pi * (k + 0.3) / 64)
+            worst = max(worst, abs(dec.quotient_at(zeta) - evaluate(f, zeta).value))
+        assert worst <= 1e-10
+        assert origin_identity_T(f) >= 0.0
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            # exp(z/(z-1/2)) is essential at 1/2, inside the disc
+            Compose(ExpMap(), MobiusMap(MobiusTransform(1, 0, 1, -0.5))),
+            ConstMap(0.0),
+            PowerSeries((0.0,)),
+            Scale(0.0),
+        ],
+        ids=["exp-essential-inside", "const-zero", "powerseries-zero", "scale-zero"],
+    )
+    def test_map_without_divisor_rejected(self, f):
+        with pytest.raises(StructureError):
+            fatou_decompose(f)
 
     def test_manifest_lists_zeros_and_fourier_data(self):
         f = BlaschkeDisc((0.5 + 0j,))
