@@ -12,10 +12,8 @@ check probes disc points); both are reported before any quadrature.
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     ArclabError,
@@ -34,11 +32,7 @@ from .geodesics import (
 )
 from .maps import evaluate
 from .metrics import MetricId, deriv_norm
-from .nevanlinna import (
-    characteristic_curve,
-    fatou_decompose,
-    origin_identity_T,
-)
+from .nevanlinna import characteristic_curve, fatou_decompose
 from .verifier import (
     GrowthModel,
     VerdictReport,
@@ -81,24 +75,6 @@ _TARGETS = {
     "H": MetricId.HYPERBOLIC_DISC,
     "S": MetricId.SPHERICAL,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-run settings shared by the subcommands."""
-
-    abs_tol: float
-    rel_tol: float
-    output_path: str = None
-    header: bool = True
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-    @property
-    def quad(self) -> QuadConfig:
-        return QuadConfig(abs_tol=self.abs_tol, rel_tol=self.rel_tol)
 
 
 class _Cli(argparse.ArgumentParser):
@@ -164,13 +140,8 @@ class _Output:
         self.fh.write(text + "\n")
 
 
-def _run_config(ns) -> RunConfig:
-    return RunConfig(
-        abs_tol=ns.abs_tol,
-        rel_tol=ns.rel_tol,
-        output_path=ns.output,
-        header=(ns.header == "on"),
-    )
+def _quad(ns) -> QuadConfig:
+    return QuadConfig(abs_tol=ns.abs_tol, rel_tol=ns.rel_tol)
 
 
 def _norm_or_nan(f, z, target) -> float:
@@ -197,11 +168,10 @@ def _parse_at(text: str) -> complex:
 
 
 def _cmd_eval(ns) -> int:
-    cfg = _run_config(ns)
     f = _parse_func(ns.func)
     z = _parse_at(ns.at)
     jet = evaluate(f, z)
-    with _Output(cfg.output_path) as out:
+    with _Output(ns.output) as out:
         if jet.is_pole:
             out.line("value INFINITY")
             out.line(
@@ -232,33 +202,30 @@ def _arc_for(f, rho_max: float, theta: float):
 
 
 def _cmd_length(ns) -> int:
-    cfg = _run_config(ns)
     f = _parse_func(ns.func)
     arc = _arc_for(f, ns.rho_max, ns.theta)
     grid = [ns.rho_max * k / ns.samples for k in range(1, ns.samples + 1)]
-    samples = arc_length_profile(f, arc, grid, _TARGETS[ns.target], cfg.quad)
-    with _Output(cfg.output_path) as out:
-        _emit_samples(out, cfg, samples)
+    samples = arc_length_profile(f, arc, grid, _TARGETS[ns.target], _quad(ns))
+    with _Output(ns.output) as out:
+        _emit_samples(out, ns, samples)
     return 0
 
 
 def _cmd_area(ns) -> int:
-    cfg = _run_config(ns)
     f = _parse_func(ns.func)
-    value, bound = area_with_bound(f, ns.rho, _TARGETS[ns.target], cfg.quad)
-    with _Output(cfg.output_path) as out:
-        if cfg.header:
+    value, bound = area_with_bound(f, ns.rho, _TARGETS[ns.target], _quad(ns))
+    with _Output(ns.output) as out:
+        if ns.header == "on":
             out.line("area,error_bound")
         out.line(f"{_fmt(value)},{_fmt(bound)}")
     return 0
 
 
 def _cmd_nevanlinna(ns) -> int:
-    cfg = _run_config(ns)
     f = _parse_func(ns.func)
-    curve = characteristic_curve(f, ns.radii, cfg.quad)
-    with _Output(cfg.output_path) as out:
-        if cfg.header:
+    curve = characteristic_curve(f, ns.radii, _quad(ns))
+    with _Output(ns.output) as out:
+        if ns.header == "on":
             out.line("r,S,T")
         for r, s, t in zip(curve.radii, curve.S_values, curve.T_values):
             out.line(f"{_fmt(r)},{_fmt(s)},{_fmt(t)}")
@@ -266,29 +233,10 @@ def _cmd_nevanlinna(ns) -> int:
 
 
 def _cmd_decompose(ns) -> int:
-    cfg = _run_config(ns)
     f = _parse_func(ns.func)
     d = fatou_decompose(f, ns.boundary_samples)
-    m = d.boundary_samples
-
-    pyth = 0.0
-    quot = 0.0
-    for j in range(m):
-        zeta = cmath.exp(2j * cmath.pi * j / m)
-        v0 = d.f0_at(zeta)
-        vinf = d.finf_at(zeta)
-        pyth = max(pyth, abs(abs(v0) ** 2 + abs(vinf) ** 2 - 1.0))
-        jet = evaluate(f, zeta)
-        if jet.is_pole:
-            continue
-        quot = max(quot, abs(d.quotient_at(zeta) - jet.value))
-    t_one = origin_identity_T(f, m)
-    origin_gap = abs(
-        math.exp(-2.0 * t_one)
-        - (abs(d.f0_at(0j)) ** 2 + abs(d.finf_at(0j)) ** 2)
-    )
-
-    with _Output(cfg.output_path) as out:
+    pyth, quot, origin_gap = d.residuals(f)
+    with _Output(ns.output) as out:
         for line in d.to_manifest().splitlines():
             out.line(line)
         out.line(f"# pythagoras_residual {_fmt(pyth)}")
@@ -316,8 +264,7 @@ def _disc_map(ns, text: str):
 
 
 def _cmd_verify(ns) -> int:
-    cfg = _run_config(ns)
-    q = cfg.quad
+    q = _quad(ns)
     which = ns.which
     f = _disc_map(ns, ns.f0 if which == "thm43" else ns.func or ns.default_func)
     if which == "prop21":
@@ -337,22 +284,21 @@ def _cmd_verify(ns) -> int:
         report = check_uniform_char_length_bound(f, finf, ns.delta, config=q)
     else:  # alpha
         report = alpha_growth_check(f, ns.alpha, ns.delta)
-    with _Output(cfg.output_path) as out:
+    with _Output(ns.output) as out:
         return _emit_report(out, report)
 
 
-def _emit_samples(out, cfg, samples):
-    if cfg.header:
+def _emit_samples(out, ns, samples):
+    if ns.header == "on":
         out.line("rho,length")
     for s in samples:
         out.line(f"{_fmt(s.rho)},{_fmt(s.length)}")
 
 
 def _cmd_scenario(ns) -> int:
-    cfg = _run_config(ns)
     which = ns.which
     if which == "annulus":
-        samples = scenario_annulus(ns.R, ns.rho_max, cfg.quad)
+        samples = scenario_annulus(ns.R, ns.rho_max, _quad(ns))
         fit = growth_fit(samples, GrowthModel.POWER_LAW)
         lengths = [s.length for s in samples]
         period_gap = max(
@@ -368,16 +314,16 @@ def _cmd_scenario(ns) -> int:
             (("periodicity_residual", period_gap), ("fit_residual", fit.residual)),
         )
     elif which == "symmetric-blaschke":
-        samples, report = scenario_symmetric_blaschke(ns.N, ns.rho_max, cfg.quad)
+        samples, report = scenario_symmetric_blaschke(ns.N, ns.rho_max, _quad(ns))
         fit = growth_fit(samples, GrowthModel.POWER_LAW)
     else:  # blaschke-quotient
-        samples, report = scenario_blaschke_quotient(ns.n_max, cfg.quad)
+        samples, report = scenario_blaschke_quotient(ns.n_max, _quad(ns))
         settled = [s for s in samples if s.rho >= 2.0 * math.log(10.0) - 1e-12]
         if len(settled) < 4:
             settled = samples
         fit = growth_fit(settled, GrowthModel.EXPONENTIAL)
-    with _Output(cfg.output_path) as out:
-        _emit_samples(out, cfg, samples)
+    with _Output(ns.output) as out:
+        _emit_samples(out, ns, samples)
         out.line(
             f"# fit model={fit.model.value} exponent={_fmt(fit.exponent)} "
             f"constant={_fmt(fit.constant)} residual={_fmt(fit.residual)}"

@@ -116,12 +116,13 @@ def characteristic_curve(
     )
 
 
-def _gated_zeros_poles(f: MapExpr):
-    """Zeros and poles of f inside the unit disc, with multiplicity.
+def _gate(f: MapExpr):
+    """Zeros and poles of f inside the unit disc, with multiplicity, and
+    the value f(0).
 
     Raises StructureError when f is not meromorphic somewhere on the
     closed disc, BoundarySingularityError when a zero or pole lies on or
-    near the circle."""
+    near the circle, NormalizationError when f(0) is 0 or infinity."""
     zeros, poles, essential = f.divisor()
     for p in essential:
         if not is_infinite(p) and abs(p) <= 1.0 + _BOUNDARY_GAP:
@@ -131,15 +132,36 @@ def _gated_zeros_poles(f: MapExpr):
             raise BoundarySingularityError(
                 f"zero or pole at {p} is too close to the unit circle"
             )
-    return [p for p in zeros if abs(p) < 1.0], [p for p in poles if abs(p) < 1.0]
+    origin = evaluate(f, 0.0)
+    if origin.is_pole or origin.value == 0:
+        raise NormalizationError("f(0) must be neither 0 nor infinity")
+    return (
+        [p for p in zeros if abs(p) < 1.0],
+        [p for p in poles if abs(p) < 1.0],
+        origin.value,
+    )
 
 
-def _boundary_values(f: MapExpr, m: int):
+def _circle(m: int):
+    """The m equispaced sample points exp(2 pi i j / m) of the unit circle."""
+    return [cmath.exp(2j * cmath.pi * j / m) for j in range(m)]
+
+
+def _boundary_values(f: MapExpr, points):
     vals = []
-    for j in range(m):
-        jet = evaluate(f, cmath.exp(2j * cmath.pi * j / m))
+    for zeta in points:
+        jet = evaluate(f, zeta)
         vals.append(INFINITY if jet.is_pole else jet.value)
     return vals
+
+
+def _origin_T(zeros, origin, boundary) -> float:
+    """The origin identity for T(1) from the zeros in the disc, f(0) and
+    the boundary values of f at equispaced circle points."""
+    counting = -math.fsum(math.log(abs(a)) for a in zeros)
+    base = math.log(chordal(origin, 0.0))
+    mean = math.fsum(math.log(chordal(v, 0.0)) for v in boundary) / len(boundary)
+    return counting + base - mean
 
 
 def _tail_ok(coeffs: np.ndarray, m: int) -> bool:
@@ -174,48 +196,62 @@ class Decomposition:
     boundary_samples: int
     quotient_phase: float
 
-    def _blaschke(self, zeros):
-        b = BlaschkeDisc(tuple(zeros))
+    def __post_init__(self):
+        # each side is scale * B(z) * exp(g(z)); its Blaschke node and
+        # polynomial are built once (non-field attributes stay out of
+        # equality and repr).  g(z) = c_0 + 2 sum_{n >= 1} c_n z^n: Re g is
+        # the harmonic extension of the boundary data, Im g its conjugate
+        # with g(0) real
+        for name, points, coeffs, scale in (
+            ("_f0", self.b0_zeros, self.u0_fourier,
+             0.5 * cmath.exp(1j * self.quotient_phase)),
+            ("_finf", self.binf_poles, self.uinf_fourier, 0.5),
+        ):
+            poly = np.array(coeffs, dtype=complex)
+            poly[1:] *= 2.0
+            object.__setattr__(self, name, (scale, BlaschkeDisc(points), poly))
 
-        def at(z):
-            zs = np.atleast_1d(np.asarray(z, dtype=complex))
-            out = np.array([evaluate(b, w).value for w in zs])
-            return out if np.ndim(z) else complex(out[0])
-
-        return at
-
-    def _analytic(self, coeffs):
-        # g(z) = c_0 + 2 sum_{n >= 1} c_n z^n; Re g is the harmonic
-        # extension of the boundary data, Im g its conjugate with g(0) real
-        poly = np.asarray(coeffs, dtype=complex).copy()
-        poly[1:] *= 2.0
-
-        def at(z):
-            zs = np.asarray(z, dtype=complex)
-            return np.polynomial.polynomial.polyval(zs, poly)
-
-        return at
+    @staticmethod
+    def _side(side, z):
+        scale, b, poly = side
+        zs = np.asarray(z, dtype=complex)
+        if zs.ndim:
+            bz = np.array([evaluate(b, w).value for w in zs.flat], dtype=complex)
+            bz = bz.reshape(zs.shape)
+        else:
+            bz = evaluate(b, zs).value
+        vals = scale * bz * np.exp(np.polynomial.polynomial.polyval(zs, poly))
+        return vals if zs.ndim else complex(vals)
 
     def f0_at(self, z):
-        rot = cmath.exp(1j * self.quotient_phase)
-        vals = (
-            0.5
-            * rot
-            * self._blaschke(self.b0_zeros)(z)
-            * np.exp(self._analytic(self.u0_fourier)(z))
-        )
-        return vals if np.ndim(z) else complex(vals)
+        """f0 at a point or, elementwise, at an array of points."""
+        return self._side(self._f0, z)
 
     def finf_at(self, z):
-        vals = (
-            0.5
-            * self._blaschke(self.binf_poles)(z)
-            * np.exp(self._analytic(self.uinf_fourier)(z))
-        )
-        return vals if np.ndim(z) else complex(vals)
+        """finf at a point or, elementwise, at an array of points."""
+        return self._side(self._finf, z)
 
     def quotient_at(self, z):
-        return self.f0_at(z) / self.finf_at(z)
+        """f0/finf at a point or, elementwise, at an array of points."""
+        return self._side(self._f0, z) / self._side(self._finf, z)
+
+    def residuals(self, f: MapExpr):
+        """(pythagoras, quotient, origin) residuals of this decomposition of
+        f on the circle grid of boundary_samples points: the largest gap in
+        |f0|^2 + |finf|^2 = 1, the largest |f0/finf - f| away from the poles
+        of f, and the gap in the origin identity
+        |f0(0)|^2 + |finf(0)|^2 = exp(-2 T(1))."""
+        zeros, _, origin = _gate(f)
+        circle = _circle(self.boundary_samples)
+        w = _boundary_values(f, circle)
+        v0 = self._side(self._f0, circle)
+        vinf = self._side(self._finf, circle)
+        pyth = np.max(np.abs(np.abs(v0) ** 2 + np.abs(vinf) ** 2 - 1.0), initial=0.0)
+        keep = [j for j, v in enumerate(w) if not is_infinite(v)]
+        quot = np.max(np.abs(v0[keep] / vinf[keep] - [w[j] for j in keep]), initial=0.0)
+        lhs = abs(self.f0_at(0j)) ** 2 + abs(self.finf_at(0j)) ** 2
+        origin_gap = abs(math.exp(-2.0 * _origin_T(zeros, origin, w)) - lhs)
+        return float(pyth), float(quot), origin_gap
 
     def to_manifest(self) -> str:
         m = self.boundary_samples
@@ -251,13 +287,10 @@ def fatou_decompose(f: MapExpr, boundary_samples: int = 4096) -> Decomposition:
     m = int(boundary_samples)
     if m < 256 or m & (m - 1):
         raise ValueError("boundary_samples must be a power of two, at least 256")
-    zeros, poles = _gated_zeros_poles(f)
-    origin = evaluate(f, 0.0)
-    if origin.is_pole or origin.value == 0:
-        raise NormalizationError("f(0) must be neither 0 nor infinity")
+    zeros, poles, origin = _gate(f)
 
     while True:
-        w = _boundary_values(f, m)
+        w = _boundary_values(f, _circle(m))
         u0 = np.array([math.log(chordal(v, 0.0)) for v in w])
         uinf = np.array([math.log(chordal(v, INFINITY)) for v in w])
         c0 = np.fft.rfft(u0) / m
@@ -279,7 +312,7 @@ def fatou_decompose(f: MapExpr, boundary_samples: int = 4096) -> Decomposition:
     binf = BlaschkeDisc(tuple(poles))
     f0_raw = 0.5 * evaluate(b0, 0.0).value * cmath.exp(complex(c0[0]))
     finf_0 = 0.5 * evaluate(binf, 0.0).value * cmath.exp(complex(cinf[0]))
-    phase = cmath.phase(origin.value * finf_0 / f0_raw)
+    phase = cmath.phase(origin * finf_0 / f0_raw)
 
     return Decomposition(
         b0_zeros=tuple(zeros),
@@ -298,16 +331,8 @@ def origin_identity_T(f: MapExpr, boundary_samples: int = 4096) -> float:
     m = int(boundary_samples)
     if m < 2:
         raise ValueError("need at least two boundary samples")
-    zeros, _ = _gated_zeros_poles(f)
-    origin = evaluate(f, 0.0)
-    if origin.is_pole or origin.value == 0:
-        raise NormalizationError("f(0) must be neither 0 nor infinity")
-    counting = -math.fsum(math.log(abs(a)) for a in zeros)
-    base = math.log(chordal(origin.value, 0.0))
-    boundary = math.fsum(
-        math.log(chordal(v, 0.0)) for v in _boundary_values(f, m)
-    )
-    return counting + base - boundary / m
+    zeros, _, origin = _gate(f)
+    return _origin_T(zeros, origin, _boundary_values(f, _circle(m)))
 
 
 def uniform_characteristic_delta(f, probe_points, boundary_samples: int = 4096):
@@ -322,26 +347,14 @@ def uniform_characteristic_delta(f, probe_points, boundary_samples: int = 4096):
         raise ValueError("need at least one probe point")
     if isinstance(f, MapExpr):
         dec = fatou_decompose(f, boundary_samples)
-        f0 = dec.f0_at
-        finf = dec.finf_at
+        a, b = np.abs(dec.f0_at(pts)), np.abs(dec.finf_at(pts))
     else:
-        g0, ginf = f
 
-        def _finite_value(g, z):
-            jet = evaluate(g, z)
-            if jet.is_pole:
+        def moduli(g):
+            jets = [evaluate(g, z) for z in pts]
+            if any(jet.is_pole for jet in jets):
                 raise DataError("pair members must be analytic at the probes")
-            return jet.value
+            return [abs(jet.value) for jet in jets]
 
-        def f0(z):
-            return _finite_value(g0, z)
-
-        def finf(z):
-            return _finite_value(ginf, z)
-
-    best = math.inf
-    for z in pts:
-        a = abs(f0(z))
-        b = abs(finf(z))
-        best = min(best, math.hypot(a, b))
-    return best
+        a, b = (moduli(g) for g in f)
+    return min(math.hypot(x, y) for x, y in zip(a, b))

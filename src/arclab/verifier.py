@@ -419,6 +419,8 @@ def scenario_symmetric_blaschke(
     ln2 = math.log(2.0)
     if rho_max < 4 * ln2:
         raise ValueError("rho_max too small to fit four samples")
+    # the arc caps rho_max, so exp(rho_max) below cannot overflow
+    arc = halfplane_arc(rho_max)
     reach = math.exp(rho_max)
     tail = 2.0 * reach * 2.0 ** (-n_levels) + 2.0 ** (1 - n_levels)
     if tail > 1e-3 or reach > 2.0**n_levels / 2.0:
@@ -431,9 +433,7 @@ def scenario_symmetric_blaschke(
         tuple(2.0**n for n in ns), tuple(-1.0 if n < 0 else 1.0 for n in ns)
     )
     grid = [j * ln2 for j in range(1, int(rho_max / ln2) + 1)]
-    samples = arc_length_profile(
-        product, halfplane_arc(rho_max), grid, MetricId.SPHERICAL, config
-    )
+    samples = arc_length_profile(product, arc, grid, MetricId.SPHERICAL, config)
 
     sym_dev = symmetry_check(product, 64)
     real_dev = max(

@@ -3,7 +3,9 @@ import math
 import pytest
 
 from arclab import geodesics
-from arclab.cli import main
+from arclab.cli import _fmt, main
+from arclab.funcspec import parse
+from arclab.nevanlinna import fatou_decompose
 
 
 CHECKS = ("prop21", "prop22", "prop23", "keogh", "thm32", "thm33", "thm43", "alpha")
@@ -226,6 +228,9 @@ class TestDecompose:
             assert residuals["pythagoras_residual"] < 1e-10
             assert residuals["quotient_residual"] < 1e-10, func
             assert residuals["origin_identity_residual"] < 1e-10
+            f = parse(func)
+            expect = fatou_decompose(f, 512).residuals(f)
+            assert [l.split()[2] for l in tail] == [_fmt(r) for r in expect]
 
 
 class TestVerify:
@@ -337,6 +342,8 @@ class TestErrors:
         [
             # beyond the disc arc's rho cap of 35
             ("length", "--func", "koebe()", "--rho-max", "100"),
+            # beyond the half-plane arc's rho cap of 700
+            ("scenario", "symmetric-blaschke", "--rho-max", "800"),
             # every check probes disc points
             *(
                 ("verify", verb, "--func", "blaschke_hp([1,4])")

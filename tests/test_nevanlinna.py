@@ -260,6 +260,32 @@ class TestDecomposition:
         with pytest.raises(StructureError):
             fatou_decompose(f)
 
+    def test_array_evaluation_keeps_shape(self):
+        f = Quotient(BlaschkeDisc((0.3 + 0.2j, -0.5j)), BlaschkeDisc((0.6 - 0.1j,)))
+        dec = fatou_decompose(f, 512)
+        radii = np.array([1.0, 0.9, 0.5, 0.1])[:, None]
+        zs = radii * np.exp(2j * np.pi * (np.arange(16) + 0.3) / 16)
+        for at in (dec.f0_at, dec.finf_at, dec.quotient_at):
+            got = at(zs)
+            assert got.shape == (4, 16)
+            for z, v in zip(zs.flat, got.flat):
+                assert abs(v - at(z)) <= 1e-15 * abs(at(z))
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            BlaschkeDisc((0.5 + 0j,)),
+            Compose(Shift(-2.0), Scale(4.0)),
+            Compose(Koebe(), Shift(0.25)),
+            Compose(BlaschkeDisc((0.5 + 0j,)), Scale(3.0)),
+        ],
+        ids=["blaschke", "linear", "koebe", "blaschke-scaled"],
+    )
+    def test_residuals_at_default_samples(self, f):
+        dec = fatou_decompose(f)
+        assert dec.boundary_samples == 4096
+        assert all(r <= 1e-10 for r in dec.residuals(f))
+
     def test_manifest_lists_zeros_and_fourier_data(self):
         f = BlaschkeDisc((0.5 + 0j,))
         dec = fatou_decompose(f)
