@@ -18,6 +18,7 @@ import sys
 from .errors import (
     ArclabError,
     ConstructionError,
+    DataError,
     ParseError,
     PrecisionError,
     TagMismatchError,
@@ -32,16 +33,15 @@ from .geodesics import (
 )
 from .maps import evaluate
 from .metrics import MetricId, deriv_norm
-from .nevanlinna import characteristic_curve, fatou_decompose
+from .nevanlinna import _check_radii, characteristic_curve, fatou_decompose
 from .verifier import (
-    GrowthModel,
     VerdictReport,
     alpha_growth_check,
+    annulus_report,
     check_area_derivative_bound,
     check_spherical_bound,
     check_sqrt_trend,
     check_uniform_char_length_bound,
-    growth_fit,
     scenario_annulus,
     scenario_blaschke_quotient,
     scenario_symmetric_blaschke,
@@ -107,12 +107,11 @@ def _samples_value(text):
 def _radii_value(text):
     try:
         radii = tuple(float(p) for p in text.split(","))
+        _check_radii(radii)
     except ValueError:
         raise argparse.ArgumentTypeError("radii must be comma-separated numbers")
-    if any(not 0.0 < r < 1.0 for r in radii):
-        raise argparse.ArgumentTypeError("radii must lie in (0, 1)")
-    if any(n <= p for p, n in zip(radii, radii[1:])):
-        raise argparse.ArgumentTypeError("radii must be strictly increasing")
+    except DataError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     return radii
 
 
@@ -151,25 +150,18 @@ def _norm_or_nan(f, z, target) -> float:
         return math.nan
 
 
-def _parse_func(text: str):
+def _parsed(text: str, parser=parse):
+    """parser(text); a ParseError carries the text for the caret display."""
     try:
-        return parse(text)
-    except ParseError as exc:
-        exc.source_text = text
-        raise
-
-
-def _parse_at(text: str) -> complex:
-    try:
-        return parse_complex(text)
+        return parser(text)
     except ParseError as exc:
         exc.source_text = text
         raise
 
 
 def _cmd_eval(ns) -> int:
-    f = _parse_func(ns.func)
-    z = _parse_at(ns.at)
+    f = _parsed(ns.func)
+    z = _parsed(ns.at, parse_complex)
     jet = evaluate(f, z)
     with _Output(ns.output) as out:
         if jet.is_pole:
@@ -182,15 +174,8 @@ def _cmd_eval(ns) -> int:
             out.line(
                 f"derivative {_fmt(jet.derivative.real)} {_fmt(jet.derivative.imag)}"
             )
-        out.line(f"norm_euclidean {_fmt(_norm_or_nan(f, z, MetricId.EUCLIDEAN))}")
-        out.line(
-            f"norm_hyperbolic_disc {_fmt(_norm_or_nan(f, z, MetricId.HYPERBOLIC_DISC))}"
-        )
-        out.line(
-            "norm_hyperbolic_half_plane "
-            f"{_fmt(_norm_or_nan(f, z, MetricId.HYPERBOLIC_HALF_PLANE))}"
-        )
-        out.line(f"norm_spherical {_fmt(_norm_or_nan(f, z, MetricId.SPHERICAL))}")
+        for m in MetricId:
+            out.line(f"norm_{m.value} {_fmt(_norm_or_nan(f, z, m))}")
     return 0
 
 
@@ -202,7 +187,7 @@ def _arc_for(f, rho_max: float, theta: float):
 
 
 def _cmd_length(ns) -> int:
-    f = _parse_func(ns.func)
+    f = _parsed(ns.func)
     arc = _arc_for(f, ns.rho_max, ns.theta)
     grid = [ns.rho_max * k / ns.samples for k in range(1, ns.samples + 1)]
     samples = arc_length_profile(f, arc, grid, _TARGETS[ns.target], _quad(ns))
@@ -212,7 +197,7 @@ def _cmd_length(ns) -> int:
 
 
 def _cmd_area(ns) -> int:
-    f = _parse_func(ns.func)
+    f = _parsed(ns.func)
     value, bound = area_with_bound(f, ns.rho, _TARGETS[ns.target], _quad(ns))
     with _Output(ns.output) as out:
         if ns.header == "on":
@@ -222,7 +207,7 @@ def _cmd_area(ns) -> int:
 
 
 def _cmd_nevanlinna(ns) -> int:
-    f = _parse_func(ns.func)
+    f = _parsed(ns.func)
     curve = characteristic_curve(f, ns.radii, _quad(ns))
     with _Output(ns.output) as out:
         if ns.header == "on":
@@ -233,7 +218,7 @@ def _cmd_nevanlinna(ns) -> int:
 
 
 def _cmd_decompose(ns) -> int:
-    f = _parse_func(ns.func)
+    f = _parsed(ns.func)
     d = fatou_decompose(f, ns.boundary_samples)
     pyth, quot, origin_gap = d.residuals(f)
     with _Output(ns.output) as out:
@@ -256,7 +241,7 @@ def _emit_report(out, report: VerdictReport) -> int:
 
 
 def _disc_map(ns, text: str):
-    f = _parse_func(text)
+    f = _parsed(text)
     if f.domain is MetricId.HYPERBOLIC_HALF_PLANE:
         # every check probes points of the disc
         raise ValueError(f"verify {ns.which} needs a map of the disc, not {text!r}")
@@ -264,26 +249,7 @@ def _disc_map(ns, text: str):
 
 
 def _cmd_verify(ns) -> int:
-    q = _quad(ns)
-    which = ns.which
-    f = _disc_map(ns, ns.f0 if which == "thm43" else ns.func or ns.default_func)
-    if which == "prop21":
-        report = check_area_derivative_bound(f, MetricId.EUCLIDEAN, config=q)
-    elif which == "prop22":
-        report = check_area_derivative_bound(f, MetricId.HYPERBOLIC_DISC, config=q)
-    elif which == "prop23":
-        report = check_spherical_bound(f, config=q)
-    elif which == "keogh":
-        report = check_sqrt_trend(f, MetricId.EUCLIDEAN, require_halving=True, config=q)
-    elif which == "thm32":
-        report = check_sqrt_trend(f, MetricId.HYPERBOLIC_DISC, config=q)
-    elif which == "thm33":
-        report = check_sqrt_trend(f, MetricId.SPHERICAL, config=q)
-    elif which == "thm43":
-        finf = _disc_map(ns, ns.finf)
-        report = check_uniform_char_length_bound(f, finf, ns.delta, config=q)
-    else:  # alpha
-        report = alpha_growth_check(f, ns.alpha, ns.delta)
+    report = ns.check(_disc_map(ns, ns.func), ns)
     with _Output(ns.output) as out:
         return _emit_report(out, report)
 
@@ -296,32 +262,14 @@ def _emit_samples(out, ns, samples):
 
 
 def _cmd_scenario(ns) -> int:
-    which = ns.which
-    if which == "annulus":
+    if ns.which == "annulus":
         samples = scenario_annulus(ns.R, ns.rho_max, _quad(ns))
-        fit = growth_fit(samples, GrowthModel.POWER_LAW)
-        lengths = [s.length for s in samples]
-        period_gap = max(
-            abs(lengths[k + 2] - lengths[k] - lengths[1])
-            for k in range(len(lengths) - 2)
-        )
-        ok = 0.95 <= fit.exponent <= 1.05 and period_gap < 1e-8
-        report = VerdictReport(
-            "annulus_linear_growth",
-            "PASS" if ok else "FAIL",
-            fit.exponent,
-            ns.R,
-            (("periodicity_residual", period_gap), ("fit_residual", fit.residual)),
-        )
-    elif which == "symmetric-blaschke":
+        report = annulus_report(samples, ns.R)
+    elif ns.which == "symmetric-blaschke":
         samples, report = scenario_symmetric_blaschke(ns.N, ns.rho_max, _quad(ns))
-        fit = growth_fit(samples, GrowthModel.POWER_LAW)
     else:  # blaschke-quotient
         samples, report = scenario_blaschke_quotient(ns.n_max, _quad(ns))
-        settled = [s for s in samples if s.rho >= 2.0 * math.log(10.0) - 1e-12]
-        if len(settled) < 4:
-            settled = samples
-        fit = growth_fit(settled, GrowthModel.EXPONENTIAL)
+    fit = report.fit
     with _Output(ns.output) as out:
         _emit_samples(out, ns, samples)
         out.line(
@@ -341,16 +289,19 @@ def build_parser() -> _Cli:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--abs-tol", type=_positive_float, default=1e-9)
-        p.add_argument("--rel-tol", type=_positive_float, default=1e-9)
+    def common(p, tolerances=True, header=True):
+        # only the flags the subcommand's handler reads
+        if tolerances:
+            p.add_argument("--abs-tol", type=_positive_float, default=1e-9)
+            p.add_argument("--rel-tol", type=_positive_float, default=1e-9)
         p.add_argument("--output", default=None, metavar="PATH")
-        p.add_argument("--header", choices=("on", "off"), default="on")
+        if header:
+            p.add_argument("--header", choices=("on", "off"), default="on")
 
     p = sub.add_parser("eval", help="value, derivative, and derivative norms at a point")
     p.add_argument("--func", required=True)
     p.add_argument("--at", required=True, metavar="Z")
-    common(p)
+    common(p, tolerances=False, header=False)
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("length", help="image arc length profile along a radial arc")
@@ -381,40 +332,55 @@ def build_parser() -> _Cli:
     )
     p.add_argument("--func", required=True)
     p.add_argument("--boundary-samples", type=int, default=4096)
-    common(p)
+    common(p, tolerances=False, header=False)
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("verify", help="run one named inequality/trend check")
     vsub = p.add_subparsers(dest="which", required=True)
 
-    def vcmd(name, default_func, description, **extra):
+    def vcmd(
+        name, check, default_func, description, map_flag="--func", tolerances=True,
+        **extra,
+    ):
+        """Declare one check: check(f, ns) -> VerdictReport runs it on the
+        disc map given by map_flag (default_func when omitted)."""
         vp = vsub.add_parser(name, description=description)
-        vp.add_argument("--func", default=None)
+        vp.add_argument(
+            map_flag, dest="func", default=default_func, metavar=map_flag[2:].upper()
+        )
         for flag, kwargs in extra.items():
             vp.add_argument(flag, **kwargs)
-        common(vp)
-        vp.set_defaults(handler=_cmd_verify, default_func=default_func)
+        common(vp, tolerances=tolerances, header=False)
+        vp.set_defaults(handler=_cmd_verify, check=check)
 
     vcmd(
         "prop21",
+        lambda f, ns: check_area_derivative_bound(f, MetricId.EUCLIDEAN, config=_quad(ns)),
         "z()",
         "Euclidean area-derivative bound: 4 pi ||f'(z)||^2 at most the area of f(D) "
         "on a disc grid. INAPPLICABLE when the area diverges or does not resolve.",
     )
     vcmd(
         "prop22",
+        lambda f, ns: check_area_derivative_bound(
+            f, MetricId.HYPERBOLIC_DISC, config=_quad(ns)
+        ),
         "scale(0.5+0i)",
         "Hyperbolic area-derivative bound for a self-map of the disc, on a disc grid. "
         "INAPPLICABLE when the hyperbolic area diverges or does not resolve.",
     )
     vcmd(
         "prop23",
+        lambda f, ns: check_spherical_bound(f, config=_quad(ns)),
         "scale(0.25+0i)",
         "Spherical derivative norm over sqrt(A_S), stable under grid refinement, "
         "for a spherical image area A_S below 2 pi. INAPPLICABLE otherwise.",
     )
     vcmd(
         "keogh",
+        lambda f, ns: check_sqrt_trend(
+            f, MetricId.EUCLIDEAN, require_halving=True, config=_quad(ns)
+        ),
         "koebe() . scale(0.9+0i)",
         "Euclidean L(rho)/sqrt(rho) strictly decreasing on rho = "
         "4, 6, 8, 10, 12 and below half its first value at the end. L never "
@@ -423,31 +389,40 @@ def build_parser() -> _Cli:
     )
     vcmd(
         "thm32",
+        lambda f, ns: check_sqrt_trend(f, MetricId.HYPERBOLIC_DISC, config=_quad(ns)),
         "scale(0.9+0i)",
         "Hyperbolic L(rho)/sqrt(rho) strictly decreasing on rho = 4, 6, 8, 10, 12, "
         "for a self-map of the disc.",
     )
     vcmd(
         "thm33",
+        lambda f, ns: check_sqrt_trend(f, MetricId.SPHERICAL, config=_quad(ns)),
         "scale(0.9+0i)",
         "Spherical L(rho)/sqrt(rho) strictly decreasing on rho = 4, 6, 8, 10, 12.",
     )
-    vp = vsub.add_parser(
+    vcmd(
         "thm43",
-        description="Spherical derivative and length bounds 2/m and (2/delta) rho for "
+        lambda f0, ns: check_uniform_char_length_bound(
+            f0, _disc_map(ns, ns.finf), ns.delta, config=_quad(ns)
+        ),
+        "const(0.5+0i) * blaschke_disc([0.5+0i])",
+        "Spherical derivative and length bounds 2/m and (2/delta) rho for "
         "f0/finf where m = sqrt(|f0|^2 + |finf|^2) lies in [delta, 1]. "
         "INAPPLICABLE when m leaves [delta, 1] on the disc grid.",
+        map_flag="--f0",
+        **{
+            "--finf": dict(default="const(0.5+0i)"),
+            "--delta": dict(type=_positive_float, default=0.35),
+        },
     )
-    vp.add_argument("--f0", default="const(0.5+0i) * blaschke_disc([0.5+0i])")
-    vp.add_argument("--finf", default="const(0.5+0i)")
-    vp.add_argument("--delta", type=_positive_float, default=0.35)
-    common(vp)
-    vp.set_defaults(handler=_cmd_verify)
     vcmd(
         "alpha",
+        # alpha_growth_check picks its own area tolerances
+        lambda f, ns: alpha_growth_check(f, ns.alpha, ns.delta),
         "koebe() . scale(0.9+0i)",
         "Tail of the area integral weighted by 1/(t - delta)^alpha converging, then "
         "L(rho)/rho^(alpha/2) decreasing on rho = 8, 10, 12. INAPPLICABLE otherwise.",
+        tolerances=False,
         **{
             "--alpha": dict(type=_positive_float, required=True),
             "--delta": dict(type=_positive_float, default=1.0),

@@ -52,6 +52,8 @@ class VerdictReport:
     worst_ratio: float
     witness: object = None
     details: tuple = ()
+    # the GrowthFit a scenario verdict was judged on; not part of to_line()
+    fit: object = None
 
     def __post_init__(self):
         if self.status not in ("PASS", "FAIL", "INAPPLICABLE"):
@@ -132,6 +134,18 @@ def default_probe_grid(
     return pts
 
 
+def _whole_disc_area(name, label, f, target, config):
+    """(area of f(D), None), or (None, an INAPPLICABLE report) when that
+    area diverges or does not resolve: then no verdict either way."""
+    try:
+        return area_with_bound(f, math.inf, target, config)[0], None
+    except DivergenceError:
+        reason = (("reason", f"{label} diverges"),)
+    except PrecisionError as exc:
+        reason = (("reason", f"{label} did not resolve"), ("estimate", exc.estimate))
+    return None, VerdictReport(name, "INAPPLICABLE", math.nan, None, reason)
+
+
 def check_area_derivative_bound(
     f: MapExpr,
     target: MetricId,
@@ -143,25 +157,9 @@ def check_area_derivative_bound(
         raise ValueError("bound applies to Euclidean or hyperbolic disc targets")
     name = f"area_derivative_bound[{target.name.lower()}]"
     pts = grid if grid is not None else default_probe_grid()
-    try:
-        total_area, _ = area_with_bound(f, math.inf, target, config)
-    except DivergenceError:
-        return VerdictReport(
-            name,
-            "INAPPLICABLE",
-            math.nan,
-            None,
-            (("reason", "image area diverges"),),
-        )
-    except PrecisionError as exc:
-        # cannot certify a finite area, so no verdict either way
-        return VerdictReport(
-            name,
-            "INAPPLICABLE",
-            math.nan,
-            None,
-            (("reason", "image area did not resolve"), ("estimate", exc.estimate)),
-        )
+    total_area, inapplicable = _whole_disc_area(name, "image area", f, target, config)
+    if inapplicable:
+        return inapplicable
     worst = -math.inf
     witness = None
     for z in pts:
@@ -225,20 +223,9 @@ def check_spherical_bound(
     explicit, so the check reports the empirical constant and requires it
     to be stable under grid refinement."""
     name = "small_spherical_area_bound"
-    try:
-        a_s, _ = area_with_bound(f, math.inf, MetricId.SPHERICAL, config)
-    except DivergenceError:
-        return VerdictReport(
-            name, "INAPPLICABLE", math.nan, None, (("reason", "A_S diverges"),)
-        )
-    except PrecisionError as exc:
-        return VerdictReport(
-            name,
-            "INAPPLICABLE",
-            math.nan,
-            None,
-            (("reason", "A_S did not resolve"), ("estimate", exc.estimate)),
-        )
+    a_s, inapplicable = _whole_disc_area(name, "A_S", f, MetricId.SPHERICAL, config)
+    if inapplicable:
+        return inapplicable
     if a_s >= 2.0 * math.pi:
         return VerdictReport(
             name,
@@ -387,7 +374,7 @@ def scenario_annulus(R: float, rho_max: float = 40.0, config: QuadConfig = None)
     """Universal cover of the round annulus with radii 1/R and R, as a map
     of the upper half-plane sending the imaginary axis to the unit circle
     with constant spherical speed.  Returns spherical length samples at
-    half-period multiples."""
+    half-period multiples; annulus_report gives their verdict."""
     if R <= 1.0:
         raise ValueError("R must exceed 1")
     beta = 2.0 * math.log(R) / math.pi
@@ -408,14 +395,39 @@ def scenario_annulus(R: float, rho_max: float = 40.0, config: QuadConfig = None)
     )
 
 
+def annulus_report(samples, R: float) -> VerdictReport:
+    """Verdict on scenario_annulus samples: the power-law exponent lies in
+    [0.95, 1.05], and the lengths are exactly periodic, i.e. each full
+    period (two samples on) adds the length of the first one, to 1e-8."""
+    fit = growth_fit(samples, GrowthModel.POWER_LAW)
+    lengths = [s.length for s in fit.samples]
+    period_gap = max(
+        abs(lengths[k + 2] - lengths[k] - lengths[1])
+        for k in range(len(lengths) - 2)
+    )
+    ok = 0.95 <= fit.exponent <= 1.05 and period_gap < 1e-8
+    return VerdictReport(
+        "annulus_linear_growth",
+        "PASS" if ok else "FAIL",
+        fit.exponent,
+        R,
+        (("periodicity_residual", period_gap), ("fit_residual", fit.residual)),
+        fit,
+    )
+
+
 def scenario_symmetric_blaschke(
     n_levels: int = 40, rho_max: float = 18.0, config: QuadConfig = None
 ):
     """Half-plane Blaschke product with zeros at 2^n i for |n| <= n_levels,
     alternating signs on the n < 0 factors; hyperbolically evenly spaced
-    zeros make the image length grow linearly.  Returns (samples, report)."""
+    zeros make the image length grow linearly.  Returns (samples, report),
+    report.fit being the power-law fit of all samples."""
     if n_levels < 8:
         raise ValueError("need at least 8 levels each way")
+    if n_levels > 1023:
+        # 2.0**n_levels, the top zero's height, must be a finite double
+        raise ValueError("at most 1023 levels each way")
     ln2 = math.log(2.0)
     if rho_max < 4 * ln2:
         raise ValueError("rho_max too small to fit four samples")
@@ -452,6 +464,7 @@ def scenario_symmetric_blaschke(
             ("fit_residual", fit.residual),
             ("tail_bound", tail),
         ),
+        fit,
     )
     return samples, report
 
@@ -463,7 +476,9 @@ def scenario_blaschke_quotient(n_max: int = 40, config: QuadConfig = None):
 
     The truncation keeps enough factors that the dropped ones, paired
     between numerator and denominator, change the quotient by less than
-    16/(3N) <= 1e-3 on the sampled region.  Returns (samples, report)."""
+    16/(3N) <= 1e-3 on the sampled region.  Returns (samples, report),
+    report.fit being the exponential fit of the samples at rho >= 2 log 10
+    (all samples when fewer than four lie there)."""
     if n_max < 10:
         raise ValueError("n_max must be at least 10")
     y_top = float(n_max * n_max)
@@ -516,6 +531,7 @@ def scenario_blaschke_quotient(n_max: int = 40, config: QuadConfig = None):
             ("tail_bound", tail),
             ("kept_factors", n_factors),
         ),
+        fit,
     )
     return samples, report
 

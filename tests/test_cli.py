@@ -2,13 +2,27 @@ import math
 
 import pytest
 
-from arclab import geodesics
+from arclab import cli, geodesics
 from arclab.cli import _fmt, main
 from arclab.funcspec import parse
 from arclab.nevanlinna import fatou_decompose
 
 
 CHECKS = ("prop21", "prop22", "prop23", "keogh", "thm32", "thm33", "thm43", "alpha")
+
+# settable values that no handler reads are not accepted
+REMOVED_FLAGS = (
+    *(
+        (command, "--func", "z()", *extra, flag, value)
+        for command, extra in (("eval", ("--at", "0")), ("decompose", ()))
+        for flag, value in (("--header", "off"), ("--abs-tol", "1e-3"), ("--rel-tol", "1e-3"))
+    ),
+    *(("verify", verb, "--header", "off") for verb in CHECKS if verb != "alpha"),
+    *(
+        ("verify", "alpha", "--alpha", "2", flag, value)
+        for flag, value in (("--header", "off"), ("--abs-tol", "1e-3"), ("--rel-tol", "1e-3"))
+    ),
+)
 
 
 def run(capsys, *argv):
@@ -278,6 +292,34 @@ class TestVerify:
 
 
 class TestScenario:
+    @pytest.mark.parametrize(
+        "argv, library_call",
+        [
+            (("annulus", "--rho-max", "25"), "annulus_report"),
+            (("symmetric-blaschke", "--N", "24", "--rho-max", "8"),
+             "scenario_symmetric_blaschke"),
+            (("blaschke-quotient", "--n-max", "12"), "scenario_blaschke_quotient"),
+        ],
+        ids=("annulus", "symmetric-blaschke", "blaschke-quotient"),
+    )
+    def test_fit_line_is_the_verdicts_fit(self, capsys, monkeypatch, argv, library_call):
+        seen = []
+        call = getattr(cli, library_call)
+
+        def record(*args, **kwargs):
+            seen.append(call(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(cli, library_call, record)
+        _, out, _ = run(capsys, "scenario", *argv)
+        (result,) = seen
+        fit = (result if library_call == "annulus_report" else result[1]).fit
+        fit_lines = [l for l in out.splitlines() if l.startswith("# fit ")]
+        assert fit_lines == [
+            f"# fit model={fit.model.value} exponent={_fmt(fit.exponent)} "
+            f"constant={_fmt(fit.constant)} residual={_fmt(fit.residual)}"
+        ]
+
     def test_annulus_fit_line(self, capsys):
         code, out, _ = run(
             capsys, "scenario", "annulus", "--R", "2.718281828459045",
@@ -344,6 +386,11 @@ class TestErrors:
             ("length", "--func", "koebe()", "--rho-max", "100"),
             # beyond the half-plane arc's rho cap of 700
             ("scenario", "symmetric-blaschke", "--rho-max", "800"),
+            # 2.0**2000 overflows a double
+            pytest.param(
+                ("scenario", "symmetric-blaschke", "--N", "2000"),
+                id="scenario-symmetric-blaschke-N",
+            ),
             # every check probes disc points
             *(
                 ("verify", verb, "--func", "blaschke_hp([1,4])")
@@ -364,6 +411,21 @@ class TestErrors:
         assert code == 3
         assert out == ""
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        REMOVED_FLAGS,
+        ids=lambda argv: "-".join([*argv[: 2 if argv[0] == "verify" else 1], argv[-2][2:]]),
+    )
+    def test_unread_flag_exits_three_before_quadrature(self, capsys, monkeypatch, argv):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran on a usage error")
+
+        monkeypatch.setattr(geodesics, "adaptive_integrate", no_quadrature)
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "unrecognized arguments" in err
 
     def test_bad_samples_rejected(self, capsys):
         code, _, _ = run(

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from arclab.errors import DataError, ResolutionError
+from arclab import verifier
+from arclab.errors import DataError, DivergenceError, PrecisionError, ResolutionError
 from arclab.geodesics import GrowthSample, QuadConfig
 from arclab.maps import (
     BlaschkeDisc,
@@ -19,6 +20,7 @@ from arclab.verifier import (
     GrowthModel,
     VerdictReport,
     alpha_growth_check,
+    annulus_report,
     check_area_derivative_bound,
     check_localized_bound,
     check_spherical_bound,
@@ -121,6 +123,36 @@ class TestAreaDerivativeBound:
     def test_spherical_target_rejected(self):
         with pytest.raises(ValueError):
             check_area_derivative_bound(Identity(), S)
+
+
+@pytest.mark.parametrize(
+    "check, name, label",
+    [
+        (lambda: check_area_derivative_bound(Identity(), E),
+         "area_derivative_bound[euclidean]", "image area"),
+        (lambda: check_area_derivative_bound(Identity(), H),
+         "area_derivative_bound[hyperbolic_disc]", "image area"),
+        (lambda: check_spherical_bound(Identity()), "small_spherical_area_bound", "A_S"),
+    ],
+    ids=("prop21", "prop22", "prop23"),
+)
+def test_whole_disc_area_failures_are_inapplicable(monkeypatch, check, name, label):
+    def diverges(*args):
+        raise DivergenceError("diverges")
+
+    def stalls(*args):
+        raise PrecisionError("stalls", 1.25, 0.5)
+
+    monkeypatch.setattr(verifier, "area_with_bound", diverges)
+    report = check()
+    assert (report.name, report.status, report.witness) == (name, "INAPPLICABLE", None)
+    assert math.isnan(report.worst_ratio)
+    assert report.details == (("reason", f"{label} diverges"),)
+    monkeypatch.setattr(verifier, "area_with_bound", stalls)
+    assert check().details == (
+        ("reason", f"{label} did not resolve"),
+        ("estimate", 1.25),
+    )
 
 
 class TestLocalizedBound:
@@ -228,6 +260,22 @@ class TestScenarios:
         for s in samples:
             assert s.length == pytest.approx(slope * s.rho, rel=1e-9)
 
+    def test_annulus_report_judges_fit_and_periodicity(self):
+        samples = scenario_annulus(math.e, 25.0)
+        report = annulus_report(samples, math.e)
+        assert report.status == "PASS"
+        assert report.name == "annulus_linear_growth"
+        assert report.witness == math.e
+        assert report.fit == growth_fit(samples, GrowthModel.POWER_LAW)
+        assert report.worst_ratio == report.fit.exponent
+        assert dict(report.details)["periodicity_residual"] < 1e-8
+        # one length off by 1e-6 breaks the exact periodicity
+        shifted = list(samples)
+        shifted[3] = GrowthSample(shifted[3].rho, shifted[3].length + 1e-6)
+        broken = annulus_report(shifted, math.e)
+        assert broken.status == "FAIL"
+        assert dict(broken.details)["periodicity_residual"] == pytest.approx(1e-6, abs=1e-12)
+
     def test_annulus_validation(self):
         with pytest.raises(ValueError):
             scenario_annulus(0.9)
@@ -242,7 +290,14 @@ class TestScenarios:
         assert details["symmetry_deviation"] < 1e-10
         assert details["imag_axis_realness_deviation"] < 1e-10
         assert 0.85 <= report.worst_ratio <= 1.15  # fitted exponent
+        assert report.fit == growth_fit(samples, GrowthModel.POWER_LAW)
+        assert report.worst_ratio == report.fit.exponent
         assert all(b.length > a.length for a, b in zip(samples, samples[1:]))
+
+    def test_symmetric_blaschke_levels_beyond_double_range(self):
+        # 2.0**1024 overflows a double
+        with pytest.raises(ValueError):
+            scenario_symmetric_blaschke(1024)
 
     def test_symmetric_blaschke_tail_not_certified(self):
         with pytest.raises(ResolutionError):
@@ -257,6 +312,9 @@ class TestScenarios:
         assert details["kept_factors"] >= 5334
         assert report.name == "blaschke_quotient_exponential_growth"
         assert all(b.length > a.length for a, b in zip(samples, samples[1:]))
+        # fewer than four samples at rho >= 2 log 10, so all of them are fitted
+        assert report.fit == growth_fit(samples, GrowthModel.EXPONENTIAL)
+        assert details["fit_rate"] == report.fit.exponent
 
     def test_blaschke_quotient_validation(self):
         with pytest.raises(ValueError):
