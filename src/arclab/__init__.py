@@ -57,12 +57,10 @@ from .maps import (
     Quotient,
     Scale,
     Shift,
-    boundary_modulus_check,
     cayley_map,
     evaluate,
     inv_cayley_map,
     symmetry_check,
-    truncate_blaschke,
 )
 from .metrics import (
     INFINITY,
@@ -76,7 +74,6 @@ from .metrics import (
     distance,
     is_infinite,
     mobius_apply,
-    mobius_compose,
     mobius_inverse,
     norm_from_jet,
 )

@@ -1,10 +1,14 @@
 """Analytic map expressions with exact derivative propagation.
 
 A map is a small expression tree.  Evaluation returns a jet (value,
-derivative) computed structurally, never by numerical differencing.
-Values live on the Riemann sphere: at a pole the jet switches to the
-chart w -> 1/w and stores the derivative of 1/f there, which is the
-right object for spherical geometry.
+derivative) computed structurally, never by numerical differencing, at a
+whole array of points at once.  Values live on the Riemann sphere: at a
+pole the jet switches to the chart w -> 1/w and stores the derivative of
+1/f there, which is the right object for spherical geometry.
+
+Each node's _jet takes a 1-d complex array of points and returns three
+arrays of the same length: value, derivative and a pole mask.  Where the
+mask is set the value is 0 and the derivative is that of 1/f.
 
 Trees carry optional domain/codomain tags (MetricId) used to sanity-check
 compositions.  Untagged nodes (scale, shift, exp, power series...) are
@@ -13,8 +17,8 @@ polymorphic and adopt the tag demanded by context.
 
 from __future__ import annotations
 
-import cmath
-import warnings
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +42,19 @@ from .metrics import (
     mobius_inverse,
 )
 
-_DISC_CLOSURE_SLACK = 2e-9
+_DISC_RADIUS = math.sqrt(1.0 + 2e-9)  # closed disc plus slack
 _HALF_PLANE_SLACK = 1e-12
+# e^w overflows past this real part; ExpMap switches to the 1/f chart there
+_LOG_MAX = math.log(sys.float_info.max)
+# point-factor elements per block of a Blaschke product's broadcast: a
+# batch of points on a long product keeps its memory small, and blocks
+# larger than this measured slower than one point at a time
+_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
 class Jet:
-    """First-order jet of a map at a point.
+    """First-order jet of a map at one point, as scalar evaluate returns it.
 
     value is a finite complex number or INFINITY.  derivative is the
     derivative of the finite-chart representative; when value is INFINITY
@@ -64,35 +74,47 @@ class Jet:
         return is_infinite(self.value)
 
 
-def _jet_mul(p: Jet, q: Jet) -> Jet:
-    if not p.is_pole and not q.is_pole:
-        return Jet(p.value * q.value, p.derivative * q.value + p.value * q.derivative)
-    if p.is_pole and q.is_pole:
-        # chart of 1/(lr) = (1/l)(1/r): double zero, derivative 0
-        return Jet(INFINITY, 0.0j)
-    pole, fin = (p, q) if p.is_pole else (q, p)
-    if fin.value == 0:
+def _finite(z):
+    """The pole mask of a map with no poles at the points z."""
+    return np.zeros(z.shape, dtype=bool)
+
+
+def _jet_mul(p, q):
+    (pv, pd, pp), (qv, qd, qp) = p, q
+    pole = pp | qp
+    if not pole.any():
+        return pv * qv, pd * qv + pv * qd, pole
+    one = pp ^ qp
+    fin = np.where(pp, qv, pv)  # the finite factor where exactly one is a pole
+    if np.any(one & (fin == 0)):
         raise IndeterminateFormError("product of a pole and a zero")
-    # chart 1/(lr) = (1/l)/r
-    return Jet(INFINITY, pole.derivative / fin.value)
+    # chart 1/(lr) = (1/l)/r at one pole; (1/l)(1/r) has a double zero at two
+    chart = np.where(pp, pd, qd) / np.where(one, fin, 1.0)
+    d = np.where(one, chart, np.where(pole, 0.0, pd * qv + pv * qd))
+    return np.where(pole, 0.0, pv * qv), d, pole
 
 
-def _jet_div(p: Jet, q: Jet) -> Jet:
-    if p.is_pole and q.is_pole:
+def _jet_div(p, q):
+    (pv, pd, pp), (qv, qd, qp) = p, q
+    zero = (qv == 0) & ~pp & ~qp
+    special = pp | qp | zero
+    if not special.any():
+        v = pv / qv
+        return v, (pd - v * qd) / qv, special
+    if np.any(pp & qp):
         raise IndeterminateFormError("quotient of two poles")
-    if p.is_pole:
-        # l/r has a pole; its chart r * (1/l) vanishes there
-        return Jet(INFINITY, q.value * p.derivative)
-    if q.is_pole:
-        # l * (1/r): finite, with value 0
-        return Jet(0.0j, p.value * q.derivative)
-    if q.value == 0:
-        if p.value == 0:
-            raise IndeterminateFormError("structural 0/0")
-        # chart r/l of the resulting pole
-        return Jet(INFINITY, q.derivative / p.value)
-    v = p.value / q.value
-    return Jet(v, (p.derivative - v * q.derivative) / q.value)
+    if np.any(zero & (pv == 0)):
+        raise IndeterminateFormError("structural 0/0")
+    safe = np.where(special, 1.0, qv)
+    v = np.where(special, 0.0, pv / safe)
+    # at a pole of l the chart r * (1/l) vanishes; at a pole of r, l * (1/r)
+    # is finite with value 0; at a zero of r the chart r/l of the new pole
+    d = np.select(
+        [pp, qp, zero],
+        [qv * pd, pv * qd, qd / np.where(zero, pv, 1.0)],
+        (pd - v * qd) / safe,
+    )
+    return v, d, pp | zero
 
 
 def _unify(first, second):
@@ -107,7 +129,7 @@ class MapExpr:
     domain = None
     codomain = None
 
-    def _jet(self, z: complex) -> Jet:
+    def _jet(self, z: np.ndarray):
         raise NotImplementedError
 
     def divisor(self):
@@ -120,21 +142,30 @@ class MapExpr:
         )
 
 
-def evaluate(f: MapExpr, z) -> Jet:
-    """Evaluate the jet of f at a finite point z.
+def evaluate(f: MapExpr, z):
+    """Evaluate the jet of f at a finite point z, or at an array of them.
 
-    The point must lie in the closure of f's tagged domain (boundary
-    sampling is a legitimate use); untagged maps accept any finite z.
+    A scalar z gives a Jet.  An array gives the arrays (value, derivative,
+    pole) of its shape; where pole is set, value is 0 and derivative is
+    that of 1/f.  Points must lie in the closure of f's tagged domain
+    (boundary sampling is a legitimate use); untagged maps accept any
+    finite z.
     """
-    z = complex(z)
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.reshape(-1)
     dom = f.domain
     if dom is MetricId.HYPERBOLIC_DISC:
-        if _abs2(z) > 1.0 + _DISC_CLOSURE_SLACK:
-            raise DomainError(f"{z} is outside the closed unit disc")
+        bad, where = np.abs(flat) > _DISC_RADIUS, "closed unit disc"
     elif dom is MetricId.HYPERBOLIC_HALF_PLANE:
-        if z.imag < -_HALF_PLANE_SLACK:
-            raise DomainError(f"{z} is outside the closed upper half-plane")
-    return f._jet(z)
+        bad, where = flat.imag < -_HALF_PLANE_SLACK, "closed upper half-plane"
+    else:
+        bad = None
+    if bad is not None and bad.any():
+        raise DomainError(f"{complex(flat[bad][0])} is outside the {where}")
+    value, derivative, pole = f._jet(flat)
+    if zs.ndim:
+        return value.reshape(zs.shape), derivative.reshape(zs.shape), pole.reshape(zs.shape)
+    return Jet(INFINITY if pole[0] else value[0], derivative[0])
 
 
 @dataclass(frozen=True)
@@ -142,7 +173,7 @@ class Identity(MapExpr):
     transform = MobiusTransform(1, 0, 0, 1)
 
     def _jet(self, z):
-        return Jet(z, 1.0)
+        return z, np.ones_like(z), _finite(z)
 
     def divisor(self):
         return [0j], [], []
@@ -156,7 +187,7 @@ class ConstMap(MapExpr):
         object.__setattr__(self, "value", complex(self.value))
 
     def _jet(self, z):
-        return Jet(self.value, 0.0)
+        return np.full_like(z, self.value), np.zeros_like(z), _finite(z)
 
     def divisor(self):
         if self.value == 0:
@@ -172,7 +203,7 @@ class Scale(MapExpr):
         object.__setattr__(self, "factor", complex(self.factor))
 
     def _jet(self, z):
-        return Jet(self.factor * z, self.factor)
+        return self.factor * z, np.full_like(z, self.factor), _finite(z)
 
     @property
     def transform(self) -> MobiusTransform:
@@ -194,7 +225,7 @@ class Shift(MapExpr):
         object.__setattr__(self, "offset", complex(self.offset))
 
     def _jet(self, z):
-        return Jet(z + self.offset, 1.0)
+        return z + self.offset, np.ones_like(z), _finite(z)
 
     @property
     def transform(self) -> MobiusTransform:
@@ -219,12 +250,12 @@ class PowerSeries(MapExpr):
         object.__setattr__(self, "coeffs", cs)
 
     def _jet(self, z):
-        val = 0.0j
-        der = 0.0j
+        val = np.zeros_like(z)
+        der = np.zeros_like(z)
         for c in reversed(self.coeffs):
             der = der * z + val
             val = val * z + c
-        return Jet(val, der)
+        return val, der, _finite(z)
 
     def divisor(self):
         if not any(self.coeffs):
@@ -242,13 +273,15 @@ class MobiusMap(MapExpr):
 
     def _jet(self, z):
         t = self.transform
+        num = t.a * z + t.b
         den = t.c * z + t.d
-        det = t.determinant
-        if den == 0:
-            # pole: chart (cz+d)/(az+b)
-            num = t.a * z + t.b
-            return Jet(INFINITY, -det / (num * num))
-        return Jet((t.a * z + t.b) / den, det / (den * den))
+        pole = den == 0
+        den[pole] = 1.0
+        value, derivative = num / den, t.determinant / (den * den)
+        # at a pole the chart (cz+d)/(az+b) takes over
+        value[pole] = 0.0
+        derivative[pole] = -t.determinant / (num[pole] * num[pole])
+        return value, derivative, pole
 
     def divisor(self):
         t = self.transform
@@ -256,12 +289,14 @@ class MobiusMap(MapExpr):
         poles = [-t.d / t.c] if t.c != 0 else []
         return zeros, poles, []
 
-    def _jet_at_pole(self, chart_derivative: complex) -> Jet:
+    def _jet_at_pole(self, chart_derivative):
         # jet of T(g(z)) where g(z) = infinity and 1/g has the given derivative
         t = self.transform
+        pole = np.full(chart_derivative.shape, t.c == 0)
         if t.c != 0:
-            return Jet(t.a / t.c, -t.determinant / (t.c * t.c) * chart_derivative)
-        return Jet(INFINITY, t.d / t.a * chart_derivative)
+            value = np.full_like(chart_derivative, t.a / t.c)
+            return value, -t.determinant / (t.c * t.c) * chart_derivative, pole
+        return np.zeros_like(chart_derivative), t.d / t.a * chart_derivative, pole
 
 
 @dataclass(frozen=True)
@@ -272,11 +307,14 @@ class Koebe(MapExpr):
     codomain = MetricId.EUCLIDEAN
 
     def _jet(self, z):
-        if z == 1.0:
-            # chart (1-z)^2 / z has a double zero here
-            return Jet(INFINITY, 0.0)
+        # z = 1 is a pole; its chart (1-z)^2 / z has a double zero there
+        pole = z == 1.0
         w = 1.0 - z
-        return Jet(z / (w * w), (1.0 + z) / (w * w * w))
+        w[pole] = 1.0
+        w2 = w * w
+        value, derivative = z / w2, (1.0 + z) / (w2 * w)
+        value[pole] = derivative[pole] = 0.0
+        return value, derivative, pole
 
     def divisor(self):
         return [0j], [1.0 + 0j, 1.0 + 0j], []
@@ -285,11 +323,10 @@ class Koebe(MapExpr):
 @dataclass(frozen=True)
 class ExpMap(MapExpr):
     def _jet(self, z):
-        try:
-            w = cmath.exp(z)
-        except OverflowError:
-            raise EvaluationError(f"exp overflow at {z}") from None
-        return Jet(w, w)
+        # where e^z overflows, 1/f = e^{-z} with derivative -e^{-z}
+        pole = z.real > _LOG_MAX
+        w = np.exp(np.where(pole, -z, z))
+        return np.where(pole, 0.0, w), np.where(pole, -w, w), pole
 
     def divisor(self):
         return [], [], [INFINITY]
@@ -300,30 +337,59 @@ class LogMap(MapExpr):
     """Principal branch of the logarithm; needed by covering-map scenarios."""
 
     def _jet(self, z):
-        if z == 0:
+        if np.any(z == 0):
             raise EvaluationError("log is singular at 0")
-        return Jet(cmath.log(z), 1.0 / z)
+        return np.log(z), 1.0 / z, _finite(z)
 
 
-def _combined_product_jet(vals: np.ndarray, ders: np.ndarray) -> Jet:
-    """Jet of a finite product from per-factor jets, robust near zeros."""
-    zero = np.flatnonzero(vals == 0)
-    if zero.size >= 2:
-        return Jet(0.0j, 0.0j)
-    if zero.size == 1:
-        k = zero[0]
-        rest = complex(np.prod(np.delete(vals, k)))
-        return Jet(0.0j, complex(ders[k]) * rest)
-    k = int(np.argmin(np.abs(vals)))
-    if abs(vals[k]) < 1e-8:
-        # split off the small factor so the log-derivative sum stays tame
-        rest_vals = np.delete(vals, k)
-        rest = complex(np.prod(rest_vals))
-        s = complex(np.sum(np.delete(ders, k) / rest_vals))
-        vk, dk = complex(vals[k]), complex(ders[k])
-        return Jet(vk * rest, rest * (dk + vk * s))
-    prod = complex(np.prod(vals))
-    return Jet(prod, prod * complex(np.sum(ders / vals)))
+def _combined_product_jet(vals: np.ndarray, ders: np.ndarray):
+    """Jets of finite products from per-factor jets, one product per row,
+    robust near zeros."""
+    rows = np.arange(len(vals))
+    k = np.argmin(np.abs(vals), axis=1)
+    small = np.abs(vals[rows, k]) < 1e-8
+    if not small.any():
+        prod = np.prod(vals, axis=1)
+        return prod, prod * np.sum(ders / vals, axis=1)
+    value, derivative = np.empty_like(vals[:, 0]), np.empty_like(vals[:, 0])
+    value[~small], derivative[~small] = _combined_product_jet(vals[~small], ders[~small])
+    # rows with a factor within 1e-8 of zero split it off, so that the
+    # log-derivative sum stays tame; a second exact zero makes value and
+    # derivative vanish
+    rest_vals, rest_ders, k = vals[small], ders[small], k[small]
+    i = np.arange(len(k))
+    vk, dk = rest_vals[i, k], rest_ders[i, k]
+    rest_vals[i, k], rest_ders[i, k] = 1.0, 0.0
+    double = np.any(rest_vals == 0, axis=1)
+    rest_vals[double] = 1.0
+    rest = np.prod(rest_vals, axis=1)
+    s = np.sum(rest_ders / rest_vals, axis=1)
+    value[small] = np.where(double, 0.0, vk * rest)
+    derivative[small] = np.where(double, 0.0, rest * (dk + vk * s))
+    return value, derivative
+
+
+def _product_jet(z, n, factor_jets):
+    """Jets at the points z of a product of n factors; factor_jets(block)
+    gives the factors' values and derivatives at a column of points, one
+    row per point.  Rows go in blocks of at most _BLOCK elements."""
+    if n == 0:
+        return np.ones_like(z), np.zeros_like(z), _finite(z)
+    value, derivative = np.empty_like(z), np.empty_like(z)
+    step = max(1, _BLOCK // n)
+    for lo in range(0, len(z), step):
+        rows = slice(lo, lo + step)
+        value[rows], derivative[rows] = _combined_product_jet(*factor_jets(z[rows, None]))
+    return value, derivative, _finite(z)
+
+
+def _check_factors(den, block, maybe, what):
+    """Raise at the first point of the column block where a factor's
+    denominator vanishes; only rows where maybe holds can have one."""
+    if maybe.any():
+        hit = np.any(den == 0, axis=1)
+        if hit.any():
+            raise EvaluationError(f"{what} singular at {complex(block[hit][0, 0])}")
 
 
 @dataclass(frozen=True)
@@ -363,16 +429,14 @@ class BlaschkeDisc(MapExpr):
 
     def _factor_jets(self, z):
         den = 1.0 - self._conj_a * z
-        if np.any(den == 0):
-            raise EvaluationError(f"Blaschke factor singular at {z}")
+        # the singular points 1/conj(a) lie outside the unit disc
+        _check_factors(den, z, np.abs(z) > 1.0, "Blaschke factor")
         vals = self._norm * (self._a - z) / den
         ders = self._norm_sq_drop / (den * den)
         return vals, ders
 
     def _jet(self, z):
-        if not self.zeros:
-            return Jet(1.0, 0.0)
-        return _combined_product_jet(*self._factor_jets(z))
+        return _product_jet(z, len(self._a), self._factor_jets)
 
     def divisor(self):
         # a factor with a != 0 has its pole at the reflection 1/conj(a)
@@ -413,19 +477,29 @@ class BlaschkeHalfPlane(MapExpr):
                 raise ConstructionError("signs must be +1 or -1")
         object.__setattr__(self, "heights", ys)
         object.__setattr__(self, "signs", signs)
-        iy = 1j * np.asarray(ys, dtype=float)
-        s = np.asarray(signs, dtype=float)
-        object.__setattr__(self, "_iy", iy)
+        # complex, so that products with them need no cast
+        s = np.asarray(signs, dtype=complex)
+        object.__setattr__(self, "_iy", 1j * np.asarray(ys, dtype=float))
         object.__setattr__(self, "_s", s)
-        object.__setattr__(self, "_minus_2iy_s", -2.0 * iy * s)
+        object.__setattr__(self, "_minus_2s", -2.0 * s)
+
+    def _factor_jets(self, z):
+        den = self._iy + z
+        # the singular points -iy lie below the real axis
+        _check_factors(den, z, z.imag < 0, "half-plane Blaschke factor")
+        # in place, so that a long product allocates three arrays per block
+        inv = np.reciprocal(den, out=den)
+        vals = self._iy - z
+        vals *= inv
+        vals *= self._s
+        # -2 s iy / den^2, grouped so that huge heights never overflow
+        ders = self._iy * inv
+        ders *= inv
+        ders *= self._minus_2s
+        return vals, ders
 
     def _jet(self, z):
-        den = self._iy + z
-        if np.any(den == 0):
-            raise EvaluationError(f"half-plane Blaschke factor singular at {z}")
-        vals = self._s * (self._iy - z) / den
-        ders = self._minus_2iy_s / (den * den)
-        return _combined_product_jet(vals, ders)
+        return _product_jet(z, len(self._iy), self._factor_jets)
 
 
 @dataclass(frozen=True)
@@ -491,16 +565,29 @@ class Compose(MapExpr):
         object.__setattr__(self, "codomain", self.outer.codomain)
 
     def _jet(self, z):
-        inner = self.inner._jet(z)
-        if inner.is_pole:
-            if isinstance(self.outer, MobiusMap):
-                return self.outer._jet_at_pole(inner.derivative)
+        iv, idr, ip = self.inner._jet(z)
+        through = ip.any()
+        if through and not isinstance(self.outer, MobiusMap):
             raise EvaluationError(
                 "composition through infinity needs a Moebius outer map"
             )
-        outer = self.outer._jet(inner.value)
+        ov, od, op = self.outer._jet(iv)
         # chain rule holds in either chart of the outer jet
-        return Jet(outer.value, outer.derivative * inner.derivative)
+        with np.errstate(over="ignore", invalid="ignore"):
+            chained = od * idr
+        lost = ~np.isfinite(chained)
+        if lost.any():
+            # the chained derivative overflowed: where |f| > 1 the point goes
+            # to the 1/f chart, whose derivative -f'/f^2 is representable
+            lost &= np.abs(ov) > 1.0
+            big = np.where(lost, ov, 1.0)
+            chained = np.where(lost, -(od / big) / big * idr, chained)
+            ov, op = np.where(lost, 0.0, ov), op | lost
+        od = chained
+        if through:
+            pv, pd, pp = self.outer._jet_at_pole(idr)
+            ov, od, op = np.where(ip, pv, ov), np.where(ip, pd, od), np.where(ip, pp, op)
+        return ov, od, op
 
     def divisor(self):
         """The outer divisor pulled back through a Moebius inner map t.
@@ -550,19 +637,6 @@ def inv_cayley_map() -> MobiusMap:
     )
 
 
-def boundary_modulus_check(b: MapExpr, samples: int = 256) -> float:
-    """Max deviation of |b| from 1 over uniform samples of the unit circle."""
-    if not isinstance(b, BlaschkeDisc):
-        raise StructureError("boundary modulus check applies to disc Blaschke products")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    worst = 0.0
-    for j in range(samples):
-        zeta = cmath.exp(2j * cmath.pi * j / samples)
-        worst = max(worst, abs(abs(evaluate(b, zeta).value) - 1.0))
-    return worst
-
-
 def symmetry_check(f: MapExpr, samples=64) -> float:
     """Max deviation of f(-conj(z)) from conj(f(z)) over half-plane points.
 
@@ -574,85 +648,10 @@ def symmetry_check(f: MapExpr, samples=64) -> float:
         pts = [complex(x, y) for y in ys for x in xs][:samples]
     else:
         pts = [complex(z) for z in samples]
-    worst = 0.0
-    for z in pts:
-        left = evaluate(f, -z.conjugate())
-        right = evaluate(f, z)
-        if left.is_pole and right.is_pole:
-            continue
-        if left.is_pole or right.is_pole:
-            return float("inf")
-        worst = max(worst, abs(left.value - right.value.conjugate()))
-    return worst
-
-
-def _height_chunk(rule, start, stop):
-    # prefer a vectorised rule; fall back to scalar calls
-    n = np.arange(start, stop, dtype=float)
-    with np.errstate(over="ignore"):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                ys = np.asarray(rule(n), dtype=float)
-            if ys.shape != n.shape:
-                raise TypeError
-        except Exception:
-            ys = np.array([float(rule(int(k))) for k in range(start, stop)])
-    if np.any(ys <= 0):
-        raise ConstructionError("heights must be positive reals")
-    return ys
-
-
-def truncate_blaschke(heights, n_terms: int, radius: float):
-    """Truncate a half-plane Blaschke product to its first n_terms factors.
-
-    heights is a finite sequence or a callable n -> y_n (n = 1, 2, ...).
-    Returns (product, tail_bound) where tail_bound = sum_{n > N} 2 R / y_n
-    bounds |1 - factor| summed over the dropped factors on {|z| <= R} in
-    the closed half-plane; R must not exceed y_{N+1} / 2.
-
-    Raises ConstructionError when the partial sums of 1/y_n look divergent
-    (heuristic over the first 10^4 terms of a callable rule).
-    """
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-
-    if callable(heights):
-        ys = _height_chunk(heights, 1, n_terms + 1)
-        probe = _height_chunk(heights, 1, 10_001)
-        head = np.sum(1.0 / probe[:1000])
-        tail = np.sum(1.0 / probe[1000:])
-        if tail >= 0.25 * head:
-            raise ConstructionError(
-                "sum of 1/y_n is not converging over the first 10^4 terms"
-            )
-        y_next = _height_chunk(heights, n_terms + 1, n_terms + 2)[0]
-        if radius > y_next / 2.0:
-            raise ConstructionError(
-                f"radius {radius} exceeds y_(N+1)/2 = {y_next / 2.0}; bound not certified"
-            )
-        total = 0.0
-        chunk = 100_000
-        start = n_terms + 1
-        for _ in range(20):
-            ys_c = _height_chunk(heights, start, start + chunk)
-            part = float(np.sum(2.0 * radius / ys_c))
-            total += part
-            start += chunk
-            if part < 1e-10 * max(total, 1e-300):
-                break
-        return BlaschkeHalfPlane(tuple(ys)), total
-
-    ys_all = [float(y) for y in heights]
-    if any(y <= 0 for y in ys_all):
-        raise ConstructionError("heights must be positive reals")
-    if n_terms >= len(ys_all):
-        return BlaschkeHalfPlane(tuple(ys_all)), 0.0
-    kept, dropped = ys_all[:n_terms], ys_all[n_terms:]
-    if radius > dropped[0] / 2.0:
-        raise ConstructionError(
-            f"radius {radius} exceeds y_(N+1)/2 = {dropped[0] / 2.0}; bound not certified"
-        )
-    return BlaschkeHalfPlane(tuple(kept)), float(np.sum(2.0 * radius / np.asarray(dropped)))
+    z = np.array(pts, dtype=complex)
+    left, _, left_pole = evaluate(f, -z.conj())
+    right, _, right_pole = evaluate(f, z)
+    if np.any(left_pole != right_pole):
+        return float("inf")
+    gap = np.abs(left - right.conj())[~left_pole]
+    return float(np.max(gap, initial=0.0))

@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import ConstructionError, DomainError, RangeError
 
 
@@ -62,31 +64,38 @@ def _abs2(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
 
 
-def density(metric: MetricId, z) -> float:
-    """Conformal density lambda(z) of the metric at z.
+def density(metric: MetricId, z):
+    """Conformal density lambda(z) of the metric at z, or elementwise at an
+    array of points.
 
-    Raises DomainError outside the metric's domain.  For the sphere,
-    density(INFINITY) = 0: the finite-chart density decays like 2/|z|^2.
+    Raises DomainError outside the metric's domain, naming the first such
+    point.  For the sphere, density(INFINITY) = 0: the finite-chart
+    density decays like 2/|z|^2.
     """
-    if metric is MetricId.SPHERICAL:
-        if is_infinite(z):
-            return 0.0
-        return 2.0 / (1.0 + _abs2(z))
     if is_infinite(z):
+        if metric is MetricId.SPHERICAL:
+            return 0.0
         raise DomainError(f"infinity is not a point of {metric.value}")
-    z = complex(z)
-    if metric is MetricId.EUCLIDEAN:
-        return 1.0
-    if metric is MetricId.HYPERBOLIC_DISC:
-        r2 = _abs2(z)
-        if r2 >= 1.0:
-            raise DomainError(f"{z} is not inside the unit disc")
-        return 2.0 / (1.0 - r2)
-    if metric is MetricId.HYPERBOLIC_HALF_PLANE:
-        if z.imag <= 0.0:
-            raise DomainError(f"{z} is not in the upper half-plane")
-        return 1.0 / z.imag
-    raise ValueError(f"unknown metric {metric!r}")
+    zs = np.asarray(z, dtype=complex)
+    with np.errstate(over="ignore"):  # |z|^2 of a huge point is inf
+        r2 = _abs2(zs)
+    if metric is MetricId.SPHERICAL:
+        lam = 2.0 / (1.0 + r2)
+    elif metric is MetricId.EUCLIDEAN:
+        lam = np.ones(zs.shape)
+    elif metric is MetricId.HYPERBOLIC_DISC:
+        bad = r2 >= 1.0
+        if bad.any():
+            raise DomainError(f"{complex(zs[bad][0])} is not inside the unit disc")
+        lam = 2.0 / (1.0 - r2)
+    elif metric is MetricId.HYPERBOLIC_HALF_PLANE:
+        bad = zs.imag <= 0.0
+        if bad.any():
+            raise DomainError(f"{complex(zs[bad][0])} is not in the upper half-plane")
+        lam = 1.0 / zs.imag
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    return lam if zs.ndim else float(lam)
 
 
 def chordal(w, wp) -> float:
@@ -149,45 +158,47 @@ def distance(metric: MetricId, z1, z2) -> float:
     return math.log1p(u) - math.log1p(-u)
 
 
-def norm_from_jet(jet, z: complex, source: MetricId, target: MetricId) -> float:
-    """||f'(z)||_{source->target} from an evaluated jet of f at z.
+def norm_from_jet(jet, z, source: MetricId, target: MetricId):
+    """||f'(z)||_{source->target} from f's jet at z, as evaluate returns
+    it: a Jet at one point, or the arrays (value, derivative, pole) at an
+    array z, which give an array of norms.
 
-    The jet carries (value, derivative); when the value is INFINITY the
-    derivative is that of 1/f, which is exactly what the spherical chart
-    at infinity needs.  Raises RangeError when the value escapes the
-    target domain, DomainError when z escapes the source domain.
+    Where f has a pole the derivative is that of 1/f, which is exactly
+    what the spherical chart at infinity needs.  Raises RangeError when a
+    value escapes the target domain, DomainError when a point escapes the
+    source domain; each names the first such point.
     """
+    one = not isinstance(jet, tuple)
+    if one:
+        jet, z = ([0j if jet.is_pole else jet.value], [jet.derivative], [jet.is_pole]), [z]
+    value, derivative, pole = (np.asarray(a) for a in jet)
+    z = np.asarray(z, dtype=complex)
     lam_a = density(source, z)
+    d = np.abs(derivative)
     if target is MetricId.SPHERICAL:
-        d = abs(jet.derivative)
-        if jet.is_pole:
-            return 2.0 * d / lam_a
-        v2 = _abs2(jet.value)
-        if v2 <= 1.0:
-            return 2.0 * d / ((1.0 + v2) * lam_a)
-        # same quantity rearranged so |value|^2 never overflows
-        av = abs(jet.value)
-        return 2.0 * (d / av) / ((av + 1.0 / av) * lam_a)
-    if jet.is_pole:
-        raise RangeError(f"map has a pole at {z}; target {target.value} excludes it")
-    w = jet.value
-    if target is MetricId.EUCLIDEAN:
-        lam_b = 1.0
-    elif target is MetricId.HYPERBOLIC_DISC:
-        if _abs2(w) >= 1.0:
-            raise RangeError(f"value {w} is not inside the unit disc")
-        lam_b = 2.0 / (1.0 - _abs2(w))
-    elif target is MetricId.HYPERBOLIC_HALF_PLANE:
-        if w.imag <= 0.0:
-            raise RangeError(f"value {w} is not in the upper half-plane")
-        lam_b = 1.0 / w.imag
+        # 2|f'| / (1 + |f|^2), taken through 1/f where |f| > 1 so that
+        # nothing overflows; a pole holds value 0 and the derivative of
+        # 1/f, for which this is the chart's formula
+        av = np.abs(value)
+        inv = 1.0 / np.maximum(av, 1.0)
+        small = np.minimum(av, 1.0)
+        n = 2.0 * (d * inv * inv) / ((inv * inv + small * small) * lam_a)
     else:
-        raise ValueError(f"unknown metric {target!r}")
-    return abs(jet.derivative) * lam_b / lam_a
+        if pole.any():
+            raise RangeError(
+                f"map has a pole at {complex(z[pole][0])}; target {target.value} excludes it"
+            )
+        try:
+            lam_b = density(target, value)
+        except DomainError as exc:
+            raise RangeError(f"value {exc}") from None
+        n = d * lam_b / lam_a
+    return float(n[0]) if one else n
 
 
-def deriv_norm(f, z, target: MetricId) -> float:
-    """Norm of the derivative of the map expression f at z toward target.
+def deriv_norm(f, z, target: MetricId):
+    """Norm of the derivative of the map expression f at z toward target,
+    or elementwise at an array of points.
 
     The source metric is f's domain tag; untagged expressions default to
     the hyperbolic disc.
@@ -195,8 +206,7 @@ def deriv_norm(f, z, target: MetricId) -> float:
     from .maps import evaluate  # local import: metrics <-> maps cycle
 
     source = f.domain or MetricId.HYPERBOLIC_DISC
-    jet = evaluate(f, z)
-    return norm_from_jet(jet, complex(z), source, target)
+    return norm_from_jet(evaluate(f, z), z, source, target)
 
 
 @dataclass(frozen=True)
@@ -230,16 +240,6 @@ def mobius_apply(t: MobiusTransform, w):
     if den == 0:
         return INFINITY
     return (t.a * w + t.b) / den
-
-
-def mobius_compose(first: MobiusTransform, second: MobiusTransform) -> MobiusTransform:
-    """Transform acting as first(second(z)): the matrix product."""
-    return MobiusTransform(
-        first.a * second.a + first.b * second.c,
-        first.a * second.b + first.b * second.d,
-        first.c * second.a + first.d * second.c,
-        first.c * second.b + first.d * second.d,
-    )
 
 
 def mobius_inverse(t: MobiusTransform) -> MobiusTransform:

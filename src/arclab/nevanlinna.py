@@ -45,7 +45,7 @@ from .geodesics import (
     circle_energy,
 )
 from .maps import BlaschkeDisc, MapExpr, evaluate
-from .metrics import INFINITY, MetricId, chordal, is_infinite
+from .metrics import MetricId, _abs2, chordal, is_infinite
 
 _BOUNDARY_GAP = 1e-6
 
@@ -70,9 +70,12 @@ def shimizu_T(f: MapExpr, r: float, config: QuadConfig = None) -> float:
     g = _as_disc_map(f)
     log_r = math.log(r)
 
-    def integrand(v):
-        q = circle_energy(g, v, MetricId.SPHERICAL, rel_tol=0.01 * cfg.rel_tol)
-        return math.sinh(v) * q * (log_r - math.log(math.tanh(v / 2.0)))
+    def integrand(vs):
+        q = [
+            circle_energy(g, v, MetricId.SPHERICAL, rel_tol=0.01 * cfg.rel_tol)
+            for v in vs.tolist()
+        ]
+        return np.sinh(vs) * q * (log_r - np.log(np.tanh(vs / 2.0)))
 
     val, _ = adaptive_integrate(integrand, 0.0, rho, cfg)
     return val / (4.0 * math.pi)
@@ -144,24 +147,29 @@ def _gate(f: MapExpr):
 
 def _circle(m: int):
     """The m equispaced sample points exp(2 pi i j / m) of the unit circle."""
-    return [cmath.exp(2j * cmath.pi * j / m) for j in range(m)]
+    return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-def _boundary_values(f: MapExpr, points):
-    vals = []
-    for zeta in points:
-        jet = evaluate(f, zeta)
-        vals.append(INFINITY if jet.is_pole else jet.value)
-    return vals
+def _log_chordal(jets):
+    """log k(f, 0) and log k(f, infinity) from f's jets at an array of
+    points, as evaluate gives them.  Values off the closed unit disc go
+    through w -> 1/w, under which the chordal distance is invariant, so
+    nothing overflows; a pole is the point 1/0 of that chart."""
+    value, _, pole = jets
+    big = np.abs(value) > 1.0
+    u = np.where(big, 1.0 / np.where(big, value, 1.0), value)
+    big |= pole
+    root = np.sqrt(1.0 + _abs2(u))
+    near, far = 2.0 * np.abs(u) / root, 2.0 / root
+    return np.log(np.where(big, far, near)), np.log(np.where(big, near, far))
 
 
-def _origin_T(zeros, origin, boundary) -> float:
+def _origin_T(zeros, origin, u0) -> float:
     """The origin identity for T(1) from the zeros in the disc, f(0) and
-    the boundary values of f at equispaced circle points."""
+    log k(f, 0) at equispaced circle points."""
     counting = -math.fsum(math.log(abs(a)) for a in zeros)
     base = math.log(chordal(origin, 0.0))
-    mean = math.fsum(math.log(chordal(v, 0.0)) for v in boundary) / len(boundary)
-    return counting + base - mean
+    return counting + base - math.fsum(u0) / len(u0)
 
 
 def _tail_ok(coeffs: np.ndarray, m: int) -> bool:
@@ -215,11 +223,7 @@ class Decomposition:
     def _side(side, z):
         scale, b, poly = side
         zs = np.asarray(z, dtype=complex)
-        if zs.ndim:
-            bz = np.array([evaluate(b, w).value for w in zs.flat], dtype=complex)
-            bz = bz.reshape(zs.shape)
-        else:
-            bz = evaluate(b, zs).value
+        bz = evaluate(b, zs.reshape(-1))[0].reshape(zs.shape)
         vals = scale * bz * np.exp(np.polynomial.polynomial.polyval(zs, poly))
         return vals if zs.ndim else complex(vals)
 
@@ -243,14 +247,15 @@ class Decomposition:
         |f0(0)|^2 + |finf(0)|^2 = exp(-2 T(1))."""
         zeros, _, origin = _gate(f)
         circle = _circle(self.boundary_samples)
-        w = _boundary_values(f, circle)
+        w, _, pole = jets = evaluate(f, circle)
         v0 = self._side(self._f0, circle)
         vinf = self._side(self._finf, circle)
         pyth = np.max(np.abs(np.abs(v0) ** 2 + np.abs(vinf) ** 2 - 1.0), initial=0.0)
-        keep = [j for j, v in enumerate(w) if not is_infinite(v)]
-        quot = np.max(np.abs(v0[keep] / vinf[keep] - [w[j] for j in keep]), initial=0.0)
+        keep = ~pole
+        quot = np.max(np.abs(v0[keep] / vinf[keep] - w[keep]), initial=0.0)
         lhs = abs(self.f0_at(0j)) ** 2 + abs(self.finf_at(0j)) ** 2
-        origin_gap = abs(math.exp(-2.0 * _origin_T(zeros, origin, w)) - lhs)
+        u0, _ = _log_chordal(jets)
+        origin_gap = abs(math.exp(-2.0 * _origin_T(zeros, origin, u0)) - lhs)
         return float(pyth), float(quot), origin_gap
 
     def to_manifest(self) -> str:
@@ -290,9 +295,7 @@ def fatou_decompose(f: MapExpr, boundary_samples: int = 4096) -> Decomposition:
     zeros, poles, origin = _gate(f)
 
     while True:
-        w = _boundary_values(f, _circle(m))
-        u0 = np.array([math.log(chordal(v, 0.0)) for v in w])
-        uinf = np.array([math.log(chordal(v, INFINITY)) for v in w])
+        u0, uinf = _log_chordal(evaluate(f, _circle(m)))
         c0 = np.fft.rfft(u0) / m
         cinf = np.fft.rfft(uinf) / m
         if _tail_ok(c0, m) and _tail_ok(cinf, m):
@@ -332,7 +335,8 @@ def origin_identity_T(f: MapExpr, boundary_samples: int = 4096) -> float:
     if m < 2:
         raise ValueError("need at least two boundary samples")
     zeros, _, origin = _gate(f)
-    return _origin_T(zeros, origin, _boundary_values(f, _circle(m)))
+    u0, _ = _log_chordal(evaluate(f, _circle(m)))
+    return _origin_T(zeros, origin, u0)
 
 
 def uniform_characteristic_delta(f, probe_points, boundary_samples: int = 4096):
@@ -342,19 +346,14 @@ def uniform_characteristic_delta(f, probe_points, boundary_samples: int = 4096):
     MapExpr handed to fatou_decompose first.  A positive floor certifies
     uniformly bounded characteristic at the probed resolution.
     """
-    pts = [complex(p) for p in probe_points]
-    if not pts:
+    pts = np.array([complex(p) for p in probe_points])
+    if not pts.size:
         raise ValueError("need at least one probe point")
     if isinstance(f, MapExpr):
         dec = fatou_decompose(f, boundary_samples)
-        a, b = np.abs(dec.f0_at(pts)), np.abs(dec.finf_at(pts))
+        a, b = dec.f0_at(pts), dec.finf_at(pts)
     else:
-
-        def moduli(g):
-            jets = [evaluate(g, z) for z in pts]
-            if any(jet.is_pole for jet in jets):
-                raise DataError("pair members must be analytic at the probes")
-            return [abs(jet.value) for jet in jets]
-
-        a, b = (moduli(g) for g in f)
-    return min(math.hypot(x, y) for x, y in zip(a, b))
+        (a, _, a_pole), (b, _, b_pole) = (evaluate(g, pts) for g in f)
+        if np.any(a_pole | b_pole):
+            raise DataError("pair members must be analytic at the probes")
+    return float(np.min(np.hypot(np.abs(a), np.abs(b))))

@@ -156,17 +156,14 @@ def check_area_derivative_bound(
     if target not in (MetricId.EUCLIDEAN, MetricId.HYPERBOLIC_DISC):
         raise ValueError("bound applies to Euclidean or hyperbolic disc targets")
     name = f"area_derivative_bound[{target.name.lower()}]"
-    pts = grid if grid is not None else default_probe_grid()
+    pts = list(grid) if grid is not None else default_probe_grid()
     total_area, inapplicable = _whole_disc_area(name, "image area", f, target, config)
     if inapplicable:
         return inapplicable
-    worst = -math.inf
-    witness = None
-    for z in pts:
-        n = deriv_norm(f, z, target)
-        ratio = 4.0 * math.pi * n * n / total_area
-        if ratio > worst:
-            worst, witness = ratio, z
+    n = deriv_norm(f, np.asarray(pts, dtype=complex), target)
+    ratios = 4.0 * math.pi * n * n / total_area
+    k = int(np.argmax(ratios))  # the first of equal ratios wins
+    worst, witness = float(ratios[k]), pts[k]
     status = "PASS" if worst <= 1.0 + _RATIO_TOL else "FAIL"
     return VerdictReport(name, status, worst, witness, (("area", total_area),))
 
@@ -238,12 +235,10 @@ def check_spherical_bound(
         return VerdictReport(name, "PASS", 0.0, None, (("A_S", 0.0),))
 
     def empirical(points):
-        best, at = -math.inf, None
-        for z in points:
-            c = deriv_norm(f, z, MetricId.SPHERICAL) / math.sqrt(a_s)
-            if c > best:
-                best, at = c, z
-        return best, at
+        points = list(points)
+        c = deriv_norm(f, np.asarray(points, dtype=complex), MetricId.SPHERICAL)
+        k = int(np.argmax(c))  # the first of equal constants wins
+        return float(c[k]) / math.sqrt(a_s), points[k]
 
     coarse = grid if grid is not None else default_probe_grid()
     c1, _ = empirical(coarse)
@@ -448,9 +443,8 @@ def scenario_symmetric_blaschke(
     samples = arc_length_profile(product, arc, grid, MetricId.SPHERICAL, config)
 
     sym_dev = symmetry_check(product, 64)
-    real_dev = max(
-        abs(evaluate(product, 1j * math.exp(rho)).value.imag) for rho in grid
-    )
+    axis_values, _, _ = evaluate(product, 1j * np.exp(grid))
+    real_dev = float(np.max(np.abs(axis_values.imag)))
     fit = growth_fit(samples, GrowthModel.POWER_LAW)
     ok = sym_dev < 1e-10 and real_dev < 1e-10 and 0.85 <= fit.exponent <= 1.15
     report = VerdictReport(
@@ -488,13 +482,10 @@ def scenario_blaschke_quotient(n_max: int = 40, config: QuadConfig = None):
     product = BlaschkeHalfPlane(tuple(float(n * n) for n in range(1, n_factors + 1)))
     f = Quotient(Compose(product, Shift(1.0)), Compose(product, Shift(-1.0)))
 
-    modulus_dev = 0.0
-    for y in np.geomspace(1.0, y_top, 100):
-        jet = evaluate(f, 1j * float(y))
-        if jet.is_pole:
-            modulus_dev = math.inf
-            break
-        modulus_dev = max(modulus_dev, abs(abs(jet.value) - 1.0))
+    axis_values, _, axis_poles = evaluate(f, 1j * np.geomspace(1.0, y_top, 100))
+    modulus_dev = (
+        math.inf if axis_poles.any() else float(np.max(np.abs(np.abs(axis_values) - 1.0)))
+    )
 
     rho_top = 2.0 * math.log(n_max)
     grid = [2.0 * math.log(n) for n in range(2, n_max + 1)]
@@ -555,39 +546,36 @@ def check_uniform_char_length_bound(
     if delta <= 0:
         raise ValueError("delta must be positive")
     name = "quotient_pair_length_bound"
-    pts = grid if grid is not None else default_probe_grid()
+    pts = list(grid) if grid is not None else default_probe_grid()
     f = Quotient(f0, finf)
 
-    worst = -math.inf
-    witness = None
-    route_gap = 0.0
-    for z in pts:
-        j0 = evaluate(f0, z)
-        jinf = evaluate(finf, z)
-        if j0.is_pole or jinf.is_pole:
+    zs = np.asarray(pts, dtype=complex)
+    v0, d0, pole0 = evaluate(f0, zs)
+    vinf, dinf, pole_inf = evaluate(finf, zs)
+    m2 = np.abs(v0) ** 2 + np.abs(vinf) ** 2
+    m = np.sqrt(m2)
+    # in grid order, a pole raises and an off-range point answers
+    stop = (pole0 | pole_inf) | (m < delta) | (m > 1.0 + _RATIO_TOL)
+    if stop.any():
+        k = int(np.argmax(stop))
+        if pole0[k] or pole_inf[k]:
             raise DataError("pair members must be analytic on the grid")
-        m2 = abs(j0.value) ** 2 + abs(jinf.value) ** 2
-        m = math.sqrt(m2)
-        if m < delta or m > 1.0 + _RATIO_TOL:
-            return VerdictReport(
-                name,
-                "INAPPLICABLE",
-                m / delta,
-                z,
-                (("reason", "hypothesis violated: sqrt(|f0|^2+|finf|^2) off range"),),
-            )
-        one_minus = 1.0 - abs(z) ** 2
-        n_s = deriv_norm(f, z, MetricId.SPHERICAL)
-        pair_route = (
-            abs(j0.derivative * jinf.value - j0.value * jinf.derivative)
-            * one_minus
-            / m2
+        return VerdictReport(
+            name,
+            "INAPPLICABLE",
+            float(m[k]) / delta,
+            pts[k],
+            (("reason", "hypothesis violated: sqrt(|f0|^2+|finf|^2) off range"),),
         )
-        route_gap = max(route_gap, abs(n_s - pair_route) / max(n_s, 1e-300))
-        step = math.hypot(abs(j0.derivative), abs(jinf.derivative)) * one_minus
-        for ratio in (n_s * m / 2.0, step / 2.0, n_s * delta / 2.0):
-            if ratio > worst:
-                worst, witness = ratio, z
+    one_minus = 1.0 - np.abs(zs) ** 2
+    n_s = deriv_norm(f, zs, MetricId.SPHERICAL)
+    pair_route = np.abs(d0 * vinf - v0 * dinf) * one_minus / m2
+    route_gap = float(np.max(np.abs(n_s - pair_route) / np.maximum(n_s, 1e-300)))
+    step = np.hypot(np.abs(d0), np.abs(dinf)) * one_minus
+    # per point, in order: n_s m / 2, step / 2, n_s delta / 2
+    ratios = np.stack((n_s * m / 2.0, step / 2.0, n_s * delta / 2.0), axis=1).ravel()
+    k = int(np.argmax(ratios))
+    worst, witness = float(ratios[k]), pts[k // 3]
 
     arc_list = arcs if arcs is not None else [
         disc_arc(10.0, k * math.pi / 4.0) for k in range(8)

@@ -162,6 +162,35 @@ class TestLength:
         assert len(out.splitlines()) == 4
 
 
+def exp_koebe_length(rho):
+    """Spherical length of exp(koebe(.)) along [0, rho] of the positive
+    radius: the image runs along the real axis from 1 to e^k, k = k(tanh(rho/2))."""
+    w = math.tanh(rho / 2)
+    return math.pi / 2 - 2 * math.atan(math.exp(-w / (1 - w) ** 2))
+
+
+@pytest.mark.parametrize("rho_max", ["5", "6"])
+def test_exp_past_overflow_has_spherical_length(capsys, rho_max):
+    code, out, err = run(
+        capsys, "length", "--func", "exp() . koebe()", "--target", "S",
+        "--rho-max", rho_max,
+    )
+    assert (code, err) == (0, "")
+    rows = [tuple(map(float, l.split(","))) for l in out.splitlines()[1:]]
+    for pieces, (rho, length) in enumerate(rows, start=1):
+        exact = exp_koebe_length(rho)
+        assert abs(length - exact) <= pieces * 1e-9 * (1 + exact)
+
+
+def test_exp_past_overflow_rejects_euclidean_target(capsys):
+    code, _, err = run(
+        capsys, "length", "--func", "exp() . koebe()", "--target", "E",
+        "--rho-max", "5",
+    )
+    assert code == 1
+    assert "map has a pole" in err and "target euclidean excludes it" in err
+
+
 class TestArea:
     def test_identity_euclidean(self, capsys):
         code, out, _ = run(
@@ -340,6 +369,16 @@ class TestScenario:
             "--rho-max", "8",
         )
         assert code == 0
+        assert "symmetric_blaschke_linear_growth | PASS |" in out
+
+    @pytest.mark.parametrize("levels", ["512", "600", "1023"])
+    def test_symmetric_blaschke_top_levels(self, capsys, levels):
+        # heights up to 2^1023: no factor derivative may overflow
+        code, out, err = run(
+            capsys, "scenario", "symmetric-blaschke", "--N", levels,
+            "--rho-max", "8",
+        )
+        assert (code, err) == (0, "")
         assert "symmetric_blaschke_linear_growth | PASS |" in out
 
 

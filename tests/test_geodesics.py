@@ -86,18 +86,18 @@ class TestAdaptiveIntegrate:
         # integrand blows up at t=0 but the integral converges;
         # endpoints are never sampled, so deep bisection resolves it
         deep = QuadConfig(abs_tol=1e-9, rel_tol=1e-9, max_depth=60, max_segments=40000)
-        val, _ = adaptive_integrate(lambda t: 1.0 / math.sqrt(t), 0.0, 1.0, deep)
+        val, _ = adaptive_integrate(lambda t: 1.0 / np.sqrt(t), 0.0, 1.0, deep)
         assert val == pytest.approx(2.0, abs=1e-8)
 
     def test_split_points_isolate_kink(self):
-        f = lambda t: abs(t - 0.5)
+        f = lambda t: np.abs(t - 0.5)
         val, err = adaptive_integrate(f, 0.0, 1.0, CFG, split_points=(0.5,))
         assert val == pytest.approx(0.25, abs=1e-13)
 
     def test_precision_error_carries_estimate(self):
         tight = QuadConfig(abs_tol=1e-15, rel_tol=1e-15, max_depth=3, max_segments=8)
         with pytest.raises(PrecisionError) as exc_info:
-            adaptive_integrate(lambda t: 1.0 / math.sqrt(abs(t - 0.3) + 1e-9), 0.0, 1.0, tight)
+            adaptive_integrate(lambda t: 1.0 / np.sqrt(np.abs(t - 0.3) + 1e-9), 0.0, 1.0, tight)
         err = exc_info.value
         # exact value is 2(sqrt(0.7) + sqrt(0.3)) up to the 1e-9 shift
         assert err.estimate == pytest.approx(2 * (math.sqrt(0.7) + math.sqrt(0.3)), rel=0.2)
@@ -105,7 +105,7 @@ class TestAdaptiveIntegrate:
 
     def test_non_finite_integrand_rejected(self):
         with pytest.raises(EvaluationError):
-            adaptive_integrate(lambda t: math.nan, 0.0, 1.0, CFG)
+            adaptive_integrate(lambda t: np.full_like(t, np.nan), 0.0, 1.0, CFG)
 
 
 class TestArcLength:

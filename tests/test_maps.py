@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from arclab.errors import (
@@ -9,6 +10,7 @@ from arclab.errors import (
     DomainError,
     EvaluationError,
     IndeterminateFormError,
+    RangeError,
     StructureError,
     TagMismatchError,
 )
@@ -29,16 +31,14 @@ from arclab.maps import (
     Quotient,
     Scale,
     Shift,
-    boundary_modulus_check,
     cayley_map,
     evaluate,
     inv_cayley_map,
     symmetry_check,
-    truncate_blaschke,
     _jet_div,
     _jet_mul,
 )
-from arclab.metrics import INFINITY, MetricId, MobiusTransform
+from arclab.metrics import INFINITY, MetricId, MobiusTransform, norm_from_jet
 
 H = MetricId.HYPERBOLIC_DISC
 HP = MetricId.HYPERBOLIC_HALF_PLANE
@@ -54,44 +54,67 @@ def fd_derivative(f: MapExpr, z: complex, h: float = 1e-6) -> complex:
     ) / (4 * h)
 
 
+def batch(*jets):
+    """(value, derivative, pole) arrays holding the given scalar jets."""
+    return (
+        np.array([0j if j.is_pole else j.value for j in jets]),
+        np.array([complex(j.derivative) for j in jets]),
+        np.array([j.is_pole for j in jets]),
+    )
+
+
+def unbatch(arrays):
+    """The scalar jets held in (value, derivative, pole) arrays."""
+    value, derivative, pole = arrays
+    return [Jet(INFINITY if p else v, d) for v, d, p in zip(value, derivative, pole)]
+
+
+def mul(p, q):
+    return unbatch(_jet_mul(batch(p), batch(q)))[0]
+
+
+def div(p, q):
+    return unbatch(_jet_div(batch(p), batch(q)))[0]
+
+
 class TestJetArithmetic:
     def test_mul_finite(self):
-        got = _jet_mul(Jet(2 + 0j, 3 + 0j), Jet(5 + 0j, 7 + 0j))
+        got = mul(Jet(2 + 0j, 3 + 0j), Jet(5 + 0j, 7 + 0j))
         assert got.value == 10 and got.derivative == 2 * 7 + 3 * 5
 
     def test_mul_pole_times_finite(self):
-        got = _jet_mul(Jet(INFINITY, 0.5 + 0j), Jet(4 + 0j, 1 + 0j))
+        got = mul(Jet(INFINITY, 0.5 + 0j), Jet(4 + 0j, 1 + 0j))
         assert got.is_pole
         assert got.derivative == pytest.approx(0.5 / 4)
 
     def test_mul_pole_times_pole(self):
-        got = _jet_mul(Jet(INFINITY, 2 + 0j), Jet(INFINITY, 3 + 0j))
+        got = mul(Jet(INFINITY, 2 + 0j), Jet(INFINITY, 3 + 0j))
         assert got.is_pole and got.derivative == 0
 
     def test_mul_pole_times_zero_indeterminate(self):
         with pytest.raises(IndeterminateFormError):
-            _jet_mul(Jet(INFINITY, 1 + 0j), Jet(0j, 1 + 0j))
+            mul(Jet(INFINITY, 1 + 0j), Jet(0j, 1 + 0j))
 
     def test_div_finite(self):
-        got = _jet_div(Jet(6 + 0j, 1 + 0j), Jet(2 + 0j, 0j))
+        got = div(Jet(6 + 0j, 1 + 0j), Jet(2 + 0j, 0j))
         assert got.value == 3 and got.derivative == pytest.approx(0.5)
 
     def test_div_by_zero_gives_pole(self):
-        got = _jet_div(Jet(1 + 0j, 0j), Jet(0j, 2 + 0j))
+        got = div(Jet(1 + 0j, 0j), Jet(0j, 2 + 0j))
         assert got.is_pole
         # chart derivative of 1/f: (q/p)' = q' / p at the zero
         assert got.derivative == pytest.approx(2.0)
 
     def test_div_zero_over_zero_indeterminate(self):
         with pytest.raises(IndeterminateFormError):
-            _jet_div(Jet(0j, 1 + 0j), Jet(0j, 1 + 0j))
+            div(Jet(0j, 1 + 0j), Jet(0j, 1 + 0j))
 
     def test_div_pole_over_pole_indeterminate(self):
         with pytest.raises(IndeterminateFormError):
-            _jet_div(Jet(INFINITY, 1 + 0j), Jet(INFINITY, 1 + 0j))
+            div(Jet(INFINITY, 1 + 0j), Jet(INFINITY, 1 + 0j))
 
     def test_div_finite_over_pole_is_zero(self):
-        got = _jet_div(Jet(3 + 0j, 1 + 0j), Jet(INFINITY, 2 + 0j))
+        got = div(Jet(3 + 0j, 1 + 0j), Jet(INFINITY, 2 + 0j))
         assert got.value == 0
         assert got.derivative == pytest.approx(6.0)
 
@@ -121,9 +144,29 @@ class TestLeaves:
         assert jet.derivative.real == pytest.approx(3.7900874635568516, rel=1e-14)
 
     def test_exp_overflow(self):
+        # past log(max float) e^z overflows: the jet is the 1/f chart,
+        # e^{-z} with derivative -e^{-z}, which the spherical norm accepts
         f = ExpMap()
-        with pytest.raises(EvaluationError):
-            evaluate(f, 1e9 + 0j)
+        assert evaluate(f, 709 + 0j).value == pytest.approx(math.exp(709), rel=1e-15)
+        jet = evaluate(f, 710 + 1j)
+        assert jet.is_pole
+        assert jet.derivative == pytest.approx(-cmath.exp(-710 - 1j), rel=1e-15)
+        far = evaluate(f, 1e9 + 0j)
+        assert far.is_pole and far.derivative == 0
+        assert norm_from_jet(jet, 0j, H, MetricId.SPHERICAL) == pytest.approx(
+            abs(jet.derivative)
+        )
+        with pytest.raises(RangeError):
+            norm_from_jet(jet, 0j, H, E)
+
+    def test_exp_chain_overflow_goes_to_chart(self):
+        # koebe(z) = 705: e^705 is finite but e^705 koebe'(z) is not
+        c = 705.0
+        z = ((2 * c + 1) - math.sqrt(4 * c + 1)) / (2 * c)
+        jet = evaluate(Compose(ExpMap(), Koebe()), z + 0j)
+        assert jet.is_pole
+        koebe_derivative = (1 + z) / (1 - z) ** 3
+        assert jet.derivative == pytest.approx(-math.exp(-c) * koebe_derivative, rel=1e-9)
 
     def test_log_principal_branch(self):
         jet = evaluate(LogMap(), -1 + 0j)
@@ -251,6 +294,89 @@ class TestProductsAndQuotients:
         assert jet.value == 0 and jet.derivative == 0
 
 
+def inv(center):
+    """1/(z - center): a Moebius map with its pole at center."""
+    return MobiusMap(MobiusTransform(0, 1, 1, -center))
+
+
+# each batch mixes poles, exact zeros, points within 1e-8 of a Blaschke
+# zero and ordinary points
+BATCH_CASES = {
+    "product": (
+        Product(BlaschkeDisc((0.5 + 0j, -0.3j)), inv(0.2)),
+        [0.2 + 0j, 0.5 + 0j, 0.5 + 5e-9 + 0j, 0.1 + 0.3j, -0.3j, -0.4 + 0.2j],
+    ),
+    "product-two-poles": (
+        Product(inv(0.2), inv(0.2)),
+        [0.1 + 0.3j, 0.2 + 0j, -0.5j],
+    ),
+    "quotient-pole-over": (
+        Quotient(inv(0.2), BlaschkeDisc((0.5 + 0j, -0.3j))),
+        [0.2 + 0j, 0.5 + 0j, 0.5 + 5e-9 + 0j, 0.1 + 0.3j, -0.3j, -0.4 + 0.2j],
+    ),
+    "quotient-over-pole": (
+        Quotient(BlaschkeDisc((0.5 + 0j, -0.3j)), inv(0.2)),
+        [0.2 + 0j, 0.5 + 0j, -0.3j + 1e-9j, 0.1 + 0.3j, -0.4 + 0.2j],
+    ),
+    "compose-through-pole": (
+        Compose(MobiusMap(MobiusTransform(2, 1, 1, 3)), inv(0.2)),
+        [0.1 + 0.3j, 0.2 + 0j, -0.4 + 0.2j, 0.2 + 1e-9j],
+    ),
+    "compose-pole-to-pole": (
+        Compose(MobiusMap(MobiusTransform(2, 1, 0, 1)), Koebe()),
+        [1.0 + 0j, 0.3 + 0.1j, 0j, 0.99 + 0j],
+    ),
+    "compose-blaschke-zero": (
+        Compose(inv(0.0), BlaschkeDisc((0.5 + 0j, -0.3j))),
+        [0.5 + 0j, 0.5 + 5e-9 + 0j, 0.1 + 0.3j, -0.3j],
+    ),
+    "blaschke-disc": (
+        BlaschkeDisc((0.5 + 0j, 0.5 + 0j, -0.3j, 0j)),
+        [0.5 + 0j, -0.3j, -0.3j + 1e-9, 0j, 3e-9j, 0.2 + 0.6j, cmath.exp(0.4j)],
+    ),
+    "blaschke-half-plane": (
+        BlaschkeHalfPlane((1.0, 4.0, 4.0), (1.0, -1.0, 1.0)),
+        [1j, 4j, 1j + 1e-9j, 4j + 2e-9, 0.5 + 2j, 3.0 + 0j, -2.0 + 0.1j],
+    ),
+    # 5 000 factors: the batch crosses several blocks of the broadcast
+    "blaschke-half-plane-long": (
+        BlaschkeHalfPlane(tuple(float(k * k) for k in range(1, 5001))),
+        [1j, 4j + 3e-9j] + [complex(x, 1.0 + abs(x)) for x in np.linspace(-30, 30, 17)],
+    ),
+}
+
+
+class TestBatchMasks:
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_each_element_matches_one_point(self, case):
+        # the masks and exact zeros agree exactly; numpy may round a batch
+        # and a single point differently in the last bit
+        f, points = BATCH_CASES[case]
+        got = unbatch(evaluate(f, np.array(points)))
+        for z, jet in zip(points, got):
+            one = evaluate(f, z)
+            assert jet.is_pole == one.is_pole, z
+            if not one.is_pole:
+                assert jet.value == pytest.approx(one.value, rel=1e-15, abs=0), z
+            assert jet.derivative == pytest.approx(one.derivative, rel=1e-15, abs=0), z
+
+    @pytest.mark.parametrize("f, bad", [
+        (Product(inv(0.5), BlaschkeDisc((0.5 + 0j,))), 0.5 + 0j),
+        (Quotient(BlaschkeDisc((0.5 + 0j,)), BlaschkeDisc((0.5 + 0j, 0.1j))), 0.5 + 0j),
+        (Quotient(inv(0.2), inv(0.2)), 0.2 + 0j),
+    ], ids=["pole-times-zero", "zero-over-zero", "pole-over-pole"])
+    def test_any_indeterminate_element_raises(self, f, bad):
+        for points in ([bad, 0.1 + 0.3j, -0.4j], [0.1 + 0.3j, -0.4j, bad]):
+            with pytest.raises(IndeterminateFormError):
+                evaluate(f, np.array(points))
+
+    def test_shape_is_kept(self):
+        z = np.array([[0.1, 0.2j], [0.5, -0.3 + 0.1j]])
+        value, derivative, pole = evaluate(BlaschkeDisc((0.5 + 0j,)), z)
+        assert value.shape == derivative.shape == pole.shape == (2, 2)
+        assert value[1, 0] == 0 and value[0, 1] == evaluate(BlaschkeDisc((0.5 + 0j,)), 0.2j).value
+
+
 class TestBlaschke:
     def test_disc_zero_on_circle_rejected(self):
         with pytest.raises(ConstructionError):
@@ -263,11 +389,9 @@ class TestBlaschke:
 
     def test_disc_modulus_on_circle(self):
         b = BlaschkeDisc((0.5 + 0j, 0.1 + 0.7j))
-        assert boundary_modulus_check(b, 128) < 1e-12
-
-    def test_boundary_check_wants_blaschke(self):
-        with pytest.raises(StructureError):
-            boundary_modulus_check(Koebe())
+        value, _, pole = evaluate(b, np.exp(2j * np.pi * np.arange(128) / 128))
+        assert not pole.any()
+        assert np.max(np.abs(np.abs(value) - 1.0)) < 1e-12
 
     def test_half_plane_validation(self):
         with pytest.raises(ConstructionError):
@@ -292,32 +416,6 @@ class TestBlaschke:
     def test_symmetry_check_flags_asymmetric(self):
         f = Compose(BlaschkeHalfPlane((1.0,)), Shift(0.5 + 0j))
         assert symmetry_check(f, 32) > 1e-3
-
-
-class TestTruncateBlaschke:
-    def test_geometric_tail_exact(self):
-        _, tail = truncate_blaschke(lambda n: 2.0**n, 30, 1.0)
-        assert tail == pytest.approx(2.0**-29, rel=1e-9)
-
-    def test_square_heights_tail(self):
-        b, tail = truncate_blaschke(lambda n: float(n * n), 100, 10.0)
-        assert isinstance(b, BlaschkeHalfPlane) and len(b.heights) == 100
-        # sum_{n>100} 20/n^2 = 20 * (pi^2/6 - sum_{1..100}) ~ 0.19900
-        assert tail == pytest.approx(0.19900333, abs=2e-5)
-
-    def test_divergent_heights_rejected(self):
-        with pytest.raises(ConstructionError):
-            truncate_blaschke(lambda n: float(n), 50, 1.0)
-
-    def test_radius_beyond_next_height_rejected(self):
-        with pytest.raises(ConstructionError):
-            truncate_blaschke(lambda n: float(n * n), 3, 100.0)
-
-    def test_sequence_input(self):
-        heights = [1.0, 4.0, 9.0, 16.0, 25.0]
-        b, tail = truncate_blaschke(heights, 3, 1.0)
-        assert b.heights == (1.0, 4.0, 9.0)
-        assert tail == pytest.approx(2.0 / 16.0 + 2.0 / 25.0)
 
 
 class TestStructuralEquality:

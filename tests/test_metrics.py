@@ -18,7 +18,6 @@ from arclab.metrics import (
     distance,
     is_infinite,
     mobius_apply,
-    mobius_compose,
     mobius_inverse,
     norm_from_jet,
 )
@@ -168,15 +167,6 @@ class TestMobius:
         t = MobiusTransform(1, 0, 1, -2)  # z/(z-2)
         assert is_infinite(mobius_apply(t, 2 + 0j))
         assert mobius_apply(t, INFINITY) == pytest.approx(1 + 0j)
-
-    def test_compose_matches_pointwise(self):
-        t1 = MobiusTransform(1, 1j, 0, 1)
-        t2 = MobiusTransform(2, 0, 1, 3)
-        comp = mobius_compose(t1, t2)
-        for z in (0.1 + 0.2j, 1 - 1j):
-            assert mobius_apply(comp, z) == pytest.approx(
-                mobius_apply(t1, mobius_apply(t2, z))
-            )
 
     def test_cayley_maps_half_plane_to_disc(self):
         c = cayley()

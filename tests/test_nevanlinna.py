@@ -79,7 +79,7 @@ class TestShimizuT:
         fast = shimizu_T(f, r, CFG)
         coarse = QuadConfig(abs_tol=1e-7, rel_tol=1e-7, max_depth=30, max_segments=4000)
         slow, _ = adaptive_integrate(
-            lambda t: shimizu_S(f, t, coarse) / t, 1e-6, r, coarse
+            lambda ts: np.array([shimizu_S(f, t, coarse) / t for t in ts]), 1e-6, r, coarse
         )
         assert fast == pytest.approx(slow, abs=1e-5)
 
