@@ -189,7 +189,8 @@ def _arc_for(f, rho_max: float, theta: float):
 def _cmd_length(ns) -> int:
     f = _parsed(ns.func)
     arc = _arc_for(f, ns.rho_max, ns.theta)
-    grid = [ns.rho_max * k / ns.samples for k in range(1, ns.samples + 1)]
+    # the last point is rho_max itself: rho_max * n / n can round above it
+    grid = [ns.rho_max * k / ns.samples for k in range(1, ns.samples)] + [ns.rho_max]
     samples = arc_length_profile(f, arc, grid, _TARGETS[ns.target], _quad(ns))
     with _Output(ns.output) as out:
         _emit_samples(out, ns, samples)

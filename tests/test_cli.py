@@ -90,6 +90,15 @@ class TestLength:
         for rho, length in rows:
             assert length == pytest.approx(rho, rel=1e-9)
 
+    def test_grid_ends_at_rho_max(self, capsys):
+        # 3.95 * 3 / 3 rounds to 3.9500000000000006, past the arc's end
+        code, out, _ = run(
+            capsys, "length", "--func", "koebe()", "--rho-max", "3.95", "--samples", "3"
+        )
+        assert code == 0
+        last = out.splitlines()[-1].split(",")
+        assert float(last[0]) == 3.95
+
     def test_header_off(self, capsys):
         _, out, _ = run(
             capsys,

@@ -271,6 +271,40 @@ class TestDecomposition:
             for z, v in zip(zs.flat, got.flat):
                 assert abs(v - at(z)) <= 1e-15 * abs(at(z))
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 2048])
+    def test_side_matches_mpmath_power_series(self, n):
+        # f0 = exp(c_0 + 2 sum_{k >= 1} c_k z^k) / 2 when there are no zeros
+        # and no phase; the reference sums the series at 40 digits.  The 41
+        # distinct points (0, circle, r <= 0.99) are tiled to 328, so the batch
+        # spans several of the kernel's row blocks and ends inside one
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(n)
+        coeffs = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / (2.0 + np.arange(n))
+        dec = Decomposition((), (), tuple(complex(c) for c in coeffs), (0j,), 256, 0.0)
+        angles = 2.0 * np.pi * rng.random(40)
+        radii = np.concatenate([np.ones(20), 0.99 * np.sqrt(rng.random(20))])
+        distinct = np.concatenate([[0j], radii * np.exp(1j * angles)])
+        with mpmath.workdps(40):
+            cs = [mpmath.mpc(c.real, c.imag) for c in coeffs]
+            ref = []
+            for z in distinct:
+                w, acc = mpmath.mpc(z.real, z.imag), mpmath.mpc(0)
+                for c in reversed(cs[1:]):
+                    acc = (acc + c) * w
+                ref.append(complex(mpmath.exp(cs[0] + 2 * acc) / 2))
+        batch = np.tile(distinct, 8)
+        want = np.tile(ref, 8)
+        grid = dec.f0_at(batch[:64].reshape(4, 16))
+        assert grid.shape == (4, 16)
+        scalars = [dec.f0_at(complex(z)) for z in distinct]
+        assert all(isinstance(v, complex) for v in scalars)
+        for got, expect in (
+            (dec.f0_at(batch), want),
+            (grid, want[:64].reshape(4, 16)),
+            (np.array(scalars), np.array(ref)),
+        ):
+            assert np.max(np.abs(got - expect) / np.abs(expect)) <= 1e-14
+
     @pytest.mark.parametrize(
         "f",
         [
