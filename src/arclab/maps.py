@@ -50,6 +50,8 @@ _LOG_MAX = math.log(sys.float_info.max)
 # batch of points on a long product keeps its memory small, and blocks
 # larger than this measured slower than one point at a time
 _BLOCK = 1 << 12
+# error of the truncated far-field series of a half-plane product's log
+_FAR_TOL = 2.0**-56
 
 
 @dataclass(frozen=True)
@@ -444,6 +446,60 @@ class BlaschkeDisc(MapExpr):
         return list(self.zeros), poles, []
 
 
+def _far_terms(n):
+    """Odd terms K of the far-field series of n factors: with |w| <= 1/2
+    the dropped ones sum to at most 2n 2^-(2K+1) / ((2K+1) 3/4)."""
+    k = 1
+    while 2.0 * n * 2.0 ** -(2 * k + 1) / (0.75 * (2 * k + 1)) > _FAR_TOL:
+        k += 1
+    return k
+
+
+def _mirror(y, level):
+    """How many of the sorted heights y lie under 2^(level - 54): below
+    2^-53 |z| at every point past the level, |z| > 2^(level - 1)."""
+    return np.searchsorted(y, np.ldexp(1.0, np.subtract(level, 54)))
+
+
+def _far_field(y, s, terms, top):
+    """Far-field tables of a half-plane product with heights y sorted
+    ascending and signs s, one per dyadic level 2^l, l = floor(log2 y_n),
+    up to the level 2^top.
+
+    Table j covers the far set of its level l, the factors with
+    y_n >= 2^l.  In w = -iz/2^l their log is -2 sum_{k odd} q_k w^k / k,
+    with the power sums q_k = sum (2^l/y_n)^k, and their signs multiply
+    to sign.  Returns (reach, tables): a point with |z| <= reach[j] =
+    2^(l-1) has |w| <= 1/2 and may use tables[j] = (near, mirror, sign,
+    step, coef): near factors lie below the level, the first mirror of them
+    below 2^-53 |z|, step = -i/2^l and coef = (-2 q_k / k, q_k).
+    tables[len(reach)] is None: no far set."""
+    mant, level = np.frexp(y)
+    level -= 1
+    starts = np.flatnonzero(np.diff(level, prepend=level[0] - 1))
+    starts = starts[level[starts] <= top]
+    lev = level[starts]
+    # 2^l/y per factor against its own level, or against the top level
+    # for the factors above it, which the top table sums as one block
+    ratio = np.ldexp(0.5 / mant, np.minimum(top - level, 0))
+    ratio_sq = ratio * ratio
+    q = np.empty((len(lev), terms))
+    for k in range(terms):  # term by term, so that the build needs O(n) memory
+        q[:, k] = np.add.reduceat(ratio, starts)
+        ratio *= ratio_sq
+    odd = np.arange(1, 2 * terms, 2)
+    # suffix sums: a level's far set is its own block plus the next level's
+    # far set, rescaled by 2^(l - l') exactly
+    for j in range(len(lev) - 2, -1, -1):
+        q[j] += np.ldexp(q[j + 1], -odd * (lev[j + 1] - lev[j]))
+    flips = np.cumsum((s < 0)[::-1])[::-1][starts] % 2
+    coef = np.stack((-2.0 * q / odd, q), axis=1)
+    # a point that uses table j lies past the level of table j - 1
+    mirror = [0, *_mirror(y, lev[:-1]).tolist()]
+    tables = zip(starts.tolist(), mirror, 1.0 - 2.0 * flips, -1j * np.ldexp(1.0, -lev), coef)
+    return np.ldexp(1.0, lev - 1), [*tables, None]
+
+
 @dataclass(frozen=True)
 class BlaschkeHalfPlane(MapExpr):
     """Blaschke-type product for the upper half-plane with zeros i*y_n:
@@ -452,6 +508,14 @@ class BlaschkeHalfPlane(MapExpr):
 
     The signs make doubly infinite height families (e.g. 2^n for n < 0)
     converge after truncation; they default to +1.
+
+    At a point z the factors with y_n >= 2^l, for the first dyadic level
+    2^l >= 2|z| that holds a height, are far: their product is sign *
+    exp of one odd power series in w = -iz/2^l, |w| <= 1/2, truncated at
+    an error below 2^-56 in the log (a multipole expansion, after Greengard
+    and Rokhlin, J. Comput. Phys. 73, 1987).  The factors below stay
+    explicit.  Where the far set has no more factors than the series' degree,
+    every factor is explicit: the direct product.
     """
 
     heights: tuple
@@ -477,29 +541,89 @@ class BlaschkeHalfPlane(MapExpr):
                 raise ConstructionError("signs must be +1 or -1")
         object.__setattr__(self, "heights", ys)
         object.__setattr__(self, "signs", signs)
+        # sorted by height, so that the factors below a level are a prefix
+        y, s = np.array(ys), np.array(signs)
+        order = np.argsort(y, kind="stable")
+        y, s = y[order], s[order]
         # complex, so that products with them need no cast
-        s = np.asarray(signs, dtype=complex)
-        object.__setattr__(self, "_iy", 1j * np.asarray(ys, dtype=float))
-        object.__setattr__(self, "_s", s)
-        object.__setattr__(self, "_minus_2s", -2.0 * s)
+        object.__setattr__(self, "_iy", 1j * y)
+        object.__setattr__(self, "_s", s.astype(complex))
+        object.__setattr__(self, "_minus_2s", -2.0 * self._s)
+        # the top level with a table is that of the height with 2K - 1
+        # heights above it: its far set outnumbers the series' degree
+        terms = _far_terms(len(ys))
+        rank = len(ys) - 2 * terms
+        top = math.frexp(y[rank])[1] - 1 if rank >= 0 else None
+        object.__setattr__(self, "_far_terms", terms)
+        object.__setattr__(self, "_top", top)
+        object.__setattr__(self, "_reach", -1.0 if top is None else math.ldexp(1.0, top - 1))
+        object.__setattr__(self, "_tables", None)
+        # past the top level every factor is near
+        mirror = 0 if top is None else int(_mirror(y, top))
+        object.__setattr__(self, "_direct", (len(ys), mirror))
 
-    def _factor_jets(self, z):
-        den = self._iy + z
+    def _factor_jets(self, m, p, z):
+        iy = self._iy[:m]
+        den = iy + z
         # the singular points -iy lie below the real axis
         _check_factors(den, z, z.imag < 0, "half-plane Blaschke factor")
         # in place, so that a long product allocates three arrays per block
         inv = np.reciprocal(den, out=den)
-        vals = self._iy - z
+        vals = iy - z
         vals *= inv
-        vals *= self._s
+        ders = iy * inv
+        if p:
+            # the first p heights lie below 2^-53 |z|, where (iy - z)/den
+            # repeats one rounding error factor after factor, while
+            # 2 iy/den - 1 is -1 to within |2 iy/den|
+            np.multiply(ders[:, :p], 2.0, out=vals[:, :p])
+            vals[:, :p] -= 1.0
+        vals *= self._s[:m]
         # -2 s iy / den^2, grouped so that huge heights never overflow
-        ders = self._iy * inv
         ders *= inv
-        ders *= self._minus_2s
+        ders *= self._minus_2s[:m]
         return vals, ders
 
+    def _split_jet(self, z, table):
+        """Jets at the points z: the factors below the table's level
+        explicitly, times its series for the rest; None takes every factor
+        explicitly."""
+        m, p = self._direct if table is None else table[:2]
+        value, derivative, _ = _product_jet(z, m, lambda block: self._factor_jets(m, p, block))
+        if table is None:
+            return value, derivative
+        _, _, sign, step, coef = table
+        w = z * step
+        # w^0, w^2, ... row by row, so that a point rounds alike alone and in
+        # a batch; from w^0, since w^1 / w would be 0/0 at z = 0
+        powers = np.empty((len(z), coef.shape[1]), dtype=complex)
+        powers[:, 0] = 1.0
+        powers[:, 1:] = (w * w)[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+        log, dlog = (powers[:, None, :] * coef).sum(axis=2).T
+        far = sign * np.exp(w * log)
+        dlog *= -2.0 * step
+        return value * far, (derivative + value * dlog) * far
+
     def _jet(self, z):
-        return _product_jet(z, len(self._iy), self._factor_jets)
+        az = np.abs(z)
+        if az.min(initial=math.inf) > self._reach:
+            return (*self._split_jet(z, None), _finite(z))
+        if self._tables is None:
+            # built for the first batch that reaches them, so that a product
+            # only evaluated above its top level never pays for them
+            tables = _far_field(self._iy.imag, self._s.real, self._far_terms, self._top)
+            object.__setattr__(self, "_tables", tables)
+        reach, tables = self._tables
+        level = np.searchsorted(reach, az)
+        groups = np.flatnonzero(np.bincount(level))
+        if len(groups) == 1:
+            return (*self._split_jet(z, tables[groups[0]]), _finite(z))
+        value, derivative = np.empty_like(z), np.empty_like(z)
+        for j in groups:
+            rows = np.flatnonzero(level == j)
+            value[rows], derivative[rows] = self._split_jet(z[rows], tables[j])
+        return value, derivative, _finite(z)
 
 
 @dataclass(frozen=True)

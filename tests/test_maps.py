@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -299,6 +301,8 @@ def inv(center):
     return MobiusMap(MobiusTransform(0, 1, 1, -center))
 
 
+LONG_HALF_PLANE = BlaschkeHalfPlane(tuple(float(k * k) for k in range(1, 5001)))
+
 # each batch mixes poles, exact zeros, points within 1e-8 of a Blaschke
 # zero and ordinary points
 BATCH_CASES = {
@@ -338,10 +342,19 @@ BATCH_CASES = {
         BlaschkeHalfPlane((1.0, 4.0, 4.0), (1.0, -1.0, 1.0)),
         [1j, 4j, 1j + 1e-9j, 4j + 2e-9, 0.5 + 2j, 3.0 + 0j, -2.0 + 0.1j],
     ),
-    # 5 000 factors: the batch crosses several blocks of the broadcast
+    # 5 000 factors: the points past every height take the direct product,
+    # whose broadcast splits their rows into several blocks
     "blaschke-half-plane-long": (
-        BlaschkeHalfPlane(tuple(float(k * k) for k in range(1, 5001))),
-        [1j, 4j + 3e-9j] + [complex(x, 1.0 + abs(x)) for x in np.linspace(-30, 30, 17)],
+        LONG_HALF_PLANE,
+        [1j, 4j + 3e-9j, 3e7j, 5e7 + 1j, -4e7 + 2e7j]
+        + [complex(x, 1.0 + abs(x)) for x in np.linspace(-30, 30, 17)],
+    ),
+    # points on both sides of dyadic level boundaries, an exact zero, z = 0
+    # and the real axis: one batch over several far-field levels
+    "blaschke-half-plane-levels": (
+        LONG_HALF_PLANE,
+        [0j, 0.3 + 0j, -7.0 + 0j, 0.5j, 1.0 + 1.5j, 64j, 8j, 8j * (1 + 2**-52), 0.6 + 0.8j,
+         4096j, 4096.000001j, 3000 + 1e4j, 2.0**22 * (0.6 + 0.8j), 1e6 + 0j],
     ),
 }
 
@@ -416,6 +429,103 @@ class TestBlaschke:
     def test_symmetry_check_flags_asymmetric(self):
         f = Compose(BlaschkeHalfPlane((1.0,)), Shift(0.5 + 0j))
         assert symmetry_check(f, 32) > 1e-3
+
+
+def _signed_powers(n_levels):
+    """The symmetric scenario's heights 2^n, |n| <= n_levels, and signs."""
+    ns = range(-n_levels, n_levels + 1)
+    return tuple(2.0**n for n in ns), tuple(-1.0 if n < 0 else 1.0 for n in ns)
+
+
+def _level_boundaries(heights, levels=None):
+    """Points just inside and just outside |z| = 2^(l-1) for the dyadic
+    levels l = floor(log2 y) of the heights (or the given levels), on the
+    imaginary axis and on a ray off it."""
+    levels = sorted({math.frexp(y)[1] - 1 for y in heights}) if levels is None else levels
+    return [
+        r * (1.0 + side) * u
+        for r in (math.ldexp(1.0, l - 1) for l in levels)
+        for side in (-1e-9, 1e-9)
+        for u in (1j, -0.6 + 0.8j)
+    ]
+
+
+SQUARES = tuple(float(k * k) for k in range(1, 151))
+# each family with its points: z = 0, the real axis, both sides of level
+# boundaries (the far-field tables' reaches among them) and points past
+# every height, where no factor is far
+FAR_FIELD_CASES = {
+    "squares-150": (
+        SQUARES,
+        None,
+        [0j, 0.3 + 0j, -7.0 + 0j, 1000.0 + 0j, -2.0**8 + 0j, 3.0 + 5e-4j, 7e4j, 4.5e4 + 1.0j]
+        + _level_boundaries(SQUARES),
+    ),
+    "signed-powers-41": (
+        *_signed_powers(41),
+        [0j, 1e-9j, 3e-7 + 1e-6j, 2.0**-30 * (1 + 1j), 0.4 + 0.05j, 5.0 + 0j, 1j * math.exp(9),
+         3e13j]
+        + _level_boundaries(_signed_powers(41)[0], [-41, -30, -18, -17, -16, 0, 41]),
+    ),
+    # the scenario's largest family, heights 2^-1023 to 2^1023; |z| past the
+    # top height would overflow a factor's reciprocal, so the direct product
+    # is reached just past the top table's level, 962
+    "signed-powers-1023": (
+        *_signed_powers(1023),
+        [1e-300j, 1.3 + 20j, 1j * math.exp(9), 2.0**600 + 0j] + _level_boundaries((), [962]),
+    ),
+}
+
+
+class TestHalfPlaneFarField:
+    """BlaschkeHalfPlane against a 40-digit product, factor by factor."""
+
+    @pytest.mark.parametrize("case", FAR_FIELD_CASES)
+    def test_matches_mpmath_product(self, case):
+        mpmath = pytest.importorskip("mpmath")
+        heights, signs, points = FAR_FIELD_CASES[case]
+        f = BlaschkeHalfPlane(heights, signs)
+        value, derivative, _ = evaluate(f, np.array(points))
+        signs = signs or (1.0,) * len(heights)
+        with mpmath.workdps(40):
+            ys = [mpmath.mpf(y) for y in heights]
+            for z, v, d in zip(points, value, derivative):
+                w = mpmath.mpc(z.real, z.imag)
+                ref, log_der = mpmath.mpf(1), mpmath.mpc(0)
+                for y, s in zip(ys, signs):
+                    iy = mpmath.mpc(0, y)
+                    ref *= s * (iy - w) / (iy + w)
+                    log_der += 2 * iy / (y * y + w * w)
+                ref_der = ref * log_der
+                assert abs(mpmath.mpc(v) - ref) <= 1e-13 * abs(ref), z
+                assert abs(mpmath.mpc(d) - ref_der) <= 1e-13 * abs(ref_der), z
+
+    @pytest.mark.parametrize("n", [20, 400])
+    def test_zero_has_value_0_and_exact_derivative(self, n):
+        # |z| = y_n is never below y_n / 2, so factor n stays explicit
+        product = BlaschkeHalfPlane(tuple(float(k * k) for k in range(1, 401)))
+        y = n * n
+        rest = Fraction(1)
+        for k in range(1, 401):
+            if k != n:
+                rest *= Fraction(k * k - y, k * k + y)
+        # B'(iy_n) = i / (2 y_n) * prod_{m != n} (y_m - y_n) / (y_m + y_n)
+        exact = 1j * float(rest) / (2 * y)
+        for points in ([y * 1j], [0.5j, y * 1j, 3e5 + 1j]):
+            value, derivative, _ = evaluate(product, np.array(points))
+            i = points.index(y * 1j)
+            assert value[i] == 0
+            assert derivative[i] == pytest.approx(exact, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("n", [20, 400])
+    def test_point_below_a_zero_raises_naming_it(self, n):
+        product = BlaschkeHalfPlane(tuple(float(k * k) for k in range(1, 401)))
+        # the shift takes z = 0 of the closed half-plane to -i y_n
+        f = Compose(product, Shift(complex(0.0, -n * n)))
+        bad = str(complex(0.0, -n * n))
+        for points in ([0j], [1j, 0j, 2.0 + 3j]):
+            with pytest.raises(EvaluationError, match=f"singular at {re.escape(bad)}"):
+                evaluate(f, np.array(points))
 
 
 class TestStructuralEquality:
