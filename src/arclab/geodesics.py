@@ -74,8 +74,8 @@ _GAUSS[1::2] = _WG + _WG[-2::-1]
 # parameters are capped where the parametrisation is still faithful.
 DISC_RHO_MAX = 35.0
 HALF_PLANE_RHO_MAX = 700.0
-# circle_energy takes a panel set in batches of at most this many points,
-# which bounds the memory of its last doublings
+# a circle-energy doubling goes to evaluate in batches of at most this many
+# points, which bounds the memory of the last doublings of many radii
 _CHUNK = 2048
 
 
@@ -279,6 +279,62 @@ def arc_length_profile(
     return samples
 
 
+def _panel_sums(f, r, k, panels, target):
+    """Sums of |f'|^2 (disc -> target) over the points r_i e^{2 pi i k / panels},
+    a list with one per radius r_i; each evaluate takes at most _CHUNK
+    points, splitting the radii and, past _CHUNK panels, the angles too."""
+    unit = np.exp(2j * np.pi * k / panels)
+    rows = max(1, _CHUNK // len(unit))
+    sums = []
+    for lo in range(0, len(r), rows):
+        block = 0.0
+        for col in range(0, len(unit), _CHUNK):
+            z = r[lo : lo + rows, None] * unit[col : col + _CHUNK]
+            n = norm_from_jet(evaluate(f, z), z, MetricId.HYPERBOLIC_DISC, target)
+            block = block + np.einsum("ij,ij->i", n, n)
+        sums += block.tolist()
+    return sums
+
+
+def _circle_energies(f, ts, target, rel_tol=1e-10, max_panels=1 << 14):
+    """circle_energy at every radius of the 1-d array ts, as an array.
+
+    The radii double their panel sets together: each doubling evaluates the
+    new points of every radius that has not settled yet in one batch.  A
+    radius settles, and drops out, when its mean moves by at most
+    max(1e-13, rel_tol |mean|).  The PrecisionError for radii that never
+    settle names the first of them in the order of ts.
+    """
+    if (ts < 0).any():
+        raise ValueError("radius must be non-negative")
+    r = np.tanh(ts / 2.0)
+    panels = 32
+    acc = _panel_sums(f, r, np.arange(panels), panels, target)
+    mean = [a / panels for a in acc]
+    gap = [math.inf] * len(acc)
+    live = list(range(len(acc)))
+    while live and panels < max_panels:
+        doubled = 2 * panels
+        sums = _panel_sums(f, r[live], np.arange(1, doubled, 2), doubled, target)
+        unsettled = []
+        for i, s in zip(live, sums):
+            acc[i] += s
+            new_mean = acc[i] / doubled
+            gap[i] = abs(new_mean - mean[i])
+            mean[i] = new_mean
+            if not gap[i] <= max(1e-13, rel_tol * abs(new_mean)):
+                unsettled.append(i)
+        panels, live = doubled, unsettled
+    if live:
+        first = live[0]
+        raise PrecisionError(
+            f"circle energy did not settle at t = {ts[first]}",
+            estimate=2.0 * math.pi * mean[first],
+            error_bound=2.0 * math.pi * gap[first],
+        )
+    return 2.0 * math.pi * np.array(mean)
+
+
 def circle_energy(
     f: MapExpr,
     t: float,
@@ -291,37 +347,8 @@ def circle_energy(
     refinements agree.  Left-point sums of a periodic analytic integrand
     converge spectrally, so doubling is cheap.
     """
-    if t < 0:
-        raise ValueError("radius must be non-negative")
-    r = math.tanh(t / 2.0)
-    source = MetricId.HYPERBOLIC_DISC
-
-    def panel_sum(k, panels):
-        # sum of |f'|^2 at the points r e^{2 pi i k / panels}
-        total = 0.0
-        for lo in range(0, len(k), _CHUNK):
-            z = r * np.exp(2j * np.pi * k[lo : lo + _CHUNK] / panels)
-            n = norm_from_jet(evaluate(f, z), z, source, target)
-            total += float(n @ n)
-        return total
-
-    panels = 32
-    acc = panel_sum(np.arange(panels), panels)
-    mean = acc / panels
-    gap = math.inf
-    while panels < max_panels:
-        doubled = 2 * panels
-        acc += panel_sum(np.arange(1, doubled, 2), doubled)
-        new_mean = acc / doubled
-        gap = abs(new_mean - mean)
-        panels, mean = doubled, new_mean
-        if gap <= max(1e-13, rel_tol * abs(new_mean)):
-            return 2.0 * math.pi * mean
-    raise PrecisionError(
-        f"circle energy did not settle at t = {t}",
-        estimate=2.0 * math.pi * mean,
-        error_bound=2.0 * math.pi * gap,
-    )
+    ts = np.array([t], dtype=float)
+    return _circle_energies(f, ts, target, rel_tol, max_panels)[0].item()
 
 
 def _as_disc_map(f: MapExpr) -> MapExpr:
@@ -349,7 +376,7 @@ def area_with_bound(
 
     def radial(ts):
         rel_tol = 0.01 * cfg.rel_tol
-        return np.sinh(ts) * [circle_energy(g, t, target, rel_tol) for t in ts.tolist()]
+        return np.sinh(ts) * _circle_energies(g, ts, target, rel_tol)
 
     if not math.isinf(rho):
         if not 0.0 < rho <= DISC_RHO_MAX:

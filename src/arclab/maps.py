@@ -516,6 +516,9 @@ class BlaschkeHalfPlane(MapExpr):
     and Rokhlin, J. Comput. Phys. 73, 1987).  The factors below stay
     explicit.  Where the far set has no more factors than the series' degree,
     every factor is explicit: the direct product.
+
+    Heights near 2^-1024 make |B'| pass the largest double near z = 0;
+    there the jet raises EvaluationError.
     """
 
     heights: tuple
@@ -545,10 +548,17 @@ class BlaschkeHalfPlane(MapExpr):
         y, s = np.array(ys), np.array(signs)
         order = np.argsort(y, kind="stable")
         y, s = y[order], s[order]
-        # complex, so that products with them need no cast
-        object.__setattr__(self, "_iy", 1j * y)
+        object.__setattr__(self, "_y", y)
+        # complex, so that products with them need no cast; the factors are
+        # formed from iy/2 and z/2, so that iy + z and its reciprocal stay
+        # finite up to the largest double
+        object.__setattr__(self, "_half_iy", 0.5j * y)
         object.__setattr__(self, "_s", s.astype(complex))
-        object.__setattr__(self, "_minus_2s", -2.0 * self._s)
+        object.__setattr__(self, "_minus_s", -self._s)
+        # |B'| <= sum 2/y_n on the closed half-plane; where that sum passes
+        # 2^1016 (2^16 here, scaled by 2^-1000 to stay finite) a derivative
+        # may overflow, so the jets are guarded
+        object.__setattr__(self, "_steep", np.sum(np.ldexp(2.0, -1000) / y) > 2.0**16)
         # the top level with a table is that of the height with 2K - 1
         # heights above it: its far set outnumbers the series' degree
         terms = _far_terms(len(ys))
@@ -563,13 +573,14 @@ class BlaschkeHalfPlane(MapExpr):
         object.__setattr__(self, "_direct", (len(ys), mirror))
 
     def _factor_jets(self, m, p, z):
-        iy = self._iy[:m]
-        den = iy + z
+        iy = self._half_iy[:m]
+        half_z = 0.5 * z
+        den = iy + half_z
         # the singular points -iy lie below the real axis
         _check_factors(den, z, z.imag < 0, "half-plane Blaschke factor")
         # in place, so that a long product allocates three arrays per block
         inv = np.reciprocal(den, out=den)
-        vals = iy - z
+        vals = iy - half_z
         vals *= inv
         ders = iy * inv
         if p:
@@ -579,9 +590,10 @@ class BlaschkeHalfPlane(MapExpr):
             np.multiply(ders[:, :p], 2.0, out=vals[:, :p])
             vals[:, :p] -= 1.0
         vals *= self._s[:m]
-        # -2 s iy / den^2, grouped so that huge heights never overflow
+        # -2 s iy / (iy + z)^2 = -s (iy/2) / den^2, grouped so that huge
+        # heights never overflow
         ders *= inv
-        ders *= self._minus_2s[:m]
+        ders *= self._minus_s[:m]
         return vals, ders
 
     def _split_jet(self, z, table):
@@ -605,24 +617,36 @@ class BlaschkeHalfPlane(MapExpr):
         dlog *= -2.0 * step
         return value * far, (derivative + value * dlog) * far
 
-    def _jet(self, z):
+    def _jets(self, z):
         az = np.abs(z)
         if az.min(initial=math.inf) > self._reach:
-            return (*self._split_jet(z, None), _finite(z))
+            return self._split_jet(z, None)
         if self._tables is None:
             # built for the first batch that reaches them, so that a product
             # only evaluated above its top level never pays for them
-            tables = _far_field(self._iy.imag, self._s.real, self._far_terms, self._top)
+            tables = _far_field(self._y, self._s.real, self._far_terms, self._top)
             object.__setattr__(self, "_tables", tables)
         reach, tables = self._tables
         level = np.searchsorted(reach, az)
         groups = np.flatnonzero(np.bincount(level))
         if len(groups) == 1:
-            return (*self._split_jet(z, tables[groups[0]]), _finite(z))
+            return self._split_jet(z, tables[groups[0]])
         value, derivative = np.empty_like(z), np.empty_like(z)
         for j in groups:
             rows = np.flatnonzero(level == j)
             value[rows], derivative[rows] = self._split_jet(z[rows], tables[j])
+        return value, derivative
+
+    def _jet(self, z):
+        if not self._steep:
+            return (*self._jets(z), _finite(z))
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, derivative = self._jets(z)
+        bad = ~(np.isfinite(value) & np.isfinite(derivative))
+        if bad.any():
+            raise EvaluationError(
+                f"half-plane Blaschke derivative overflows at {complex(z[bad][0])}"
+            )
         return value, derivative, _finite(z)
 
 

@@ -40,9 +40,9 @@ from .geodesics import (
     AREA_DEFAULT,
     QuadConfig,
     _as_disc_map,
+    _circle_energies,
     adaptive_integrate,
     area_with_bound,
-    circle_energy,
 )
 from .maps import BlaschkeDisc, MapExpr, evaluate
 from .metrics import MetricId, _abs2, chordal, is_infinite
@@ -75,10 +75,7 @@ def shimizu_T(f: MapExpr, r: float, config: QuadConfig = None) -> float:
     log_r = math.log(r)
 
     def integrand(vs):
-        q = [
-            circle_energy(g, v, MetricId.SPHERICAL, rel_tol=0.01 * cfg.rel_tol)
-            for v in vs.tolist()
-        ]
+        q = _circle_energies(g, vs, MetricId.SPHERICAL, 0.01 * cfg.rel_tol)
         return np.sinh(vs) * q * (log_r - np.log(np.tanh(vs / 2.0)))
 
     val, _ = adaptive_integrate(integrand, 0.0, rho, cfg)

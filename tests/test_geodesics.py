@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import arclab.geodesics as geodesics
 from arclab.errors import (
     ConstructionError,
     DivergenceError,
     EvaluationError,
     PrecisionError,
+    RangeError,
 )
 from arclab.geodesics import (
+    _CHUNK,
     AREA_DEFAULT,
     QuadConfig,
     RadialArc,
@@ -28,11 +31,13 @@ from arclab.maps import (
     Compose,
     Identity,
     Koebe,
+    MobiusMap,
     PowerSeries,
+    Product,
     Scale,
     cayley_map,
 )
-from arclab.metrics import MetricId
+from arclab.metrics import MetricId, MobiusTransform, deriv_norm
 
 H = MetricId.HYPERBOLIC_DISC
 HP = MetricId.HYPERBOLIC_HALF_PLANE
@@ -166,6 +171,161 @@ class TestCircleEnergy:
         expect = 2 * math.pi * (eps * (1 - r * r) / 2) ** 2
         got = circle_energy(Scale(eps), t, E)
         assert got == pytest.approx(expect, rel=1e-12)
+
+
+def _counting_evaluate(monkeypatch):
+    """Wrap the evaluate that circle energies call; returns the list of
+    point counts, one per call."""
+    sizes = []
+    inner = geodesics.evaluate
+
+    def evaluate(f, z):
+        sizes.append(np.size(z))
+        return inner(f, z)
+
+    monkeypatch.setattr(geodesics, "evaluate", evaluate)
+    return sizes
+
+
+def _loop_energy(f, t, target, rel_tol=1e-10):
+    """The scalar doubling loop that circle energies used to run, one
+    radius at a time: the reference for the batched kernel."""
+    r = math.tanh(t / 2)
+
+    def panel_sum(k, panels):
+        z = r * np.exp(2j * np.pi * k / panels)
+        n = deriv_norm(f, z, target)
+        return float(n @ n)
+
+    panels = 32
+    acc = panel_sum(np.arange(panels), panels)
+    mean = acc / panels
+    while True:
+        acc += panel_sum(np.arange(1, 2 * panels, 2), 2 * panels)
+        panels *= 2
+        gap, mean = abs(acc / panels - mean), acc / panels
+        if gap <= max(1e-13, rel_tol * abs(mean)):
+            return 2 * math.pi * mean
+
+
+RADII = np.array([0.05, 0.3, 1.0, 2.0, 3.5, 5.0, 7.0, 9.0, 12.0])
+
+
+class TestCircleEnergiesKernel:
+    """The batched kernel behind circle_energy, area_with_bound and shimizu_T."""
+
+    @pytest.mark.parametrize(
+        "f, target",
+        [
+            (Identity(), E),
+            (Compose(Koebe(), Scale(0.5)), E),
+            (BlaschkeDisc((0.9 + 0j, -0.5 + 0.6j, 0.3j)), E),
+        ],
+        ids=["identity", "koebe-half", "blaschke-3"],
+    )
+    def test_rows_match_one_row_calls(self, f, target, monkeypatch):
+        sizes = _counting_evaluate(monkeypatch)
+        batch = geodesics._circle_energies(f, RADII, target)
+        one_row = []
+        for t in RADII.tolist():
+            start = sum(sizes)
+            one_row.append((circle_energy(f, t, target), sum(sizes) - start))
+        for t, got, (want, _) in zip(RADII.tolist(), batch, one_row):
+            assert got == pytest.approx(want, rel=1e-14, abs=0)
+            # summed in another order than the loop, so only to rounding
+            assert got == pytest.approx(_loop_energy(f, t, target), rel=1e-14, abs=0)
+        if not isinstance(f, Identity):
+            # the rows settle at different doublings
+            assert len({points for _, points in one_row}) > 1
+
+    def test_identity_and_scale_closed_forms(self):
+        # |f'| lambda_E / lambda_H = eps (1 - r^2)/2 on |z| = r, constant
+        r = np.tanh(RADII / 2)
+        for f, eps in ((Identity(), 1.0), (Scale(0.5), 0.5)):
+            expect = 2 * np.pi * (eps * (1 - r * r) / 2) ** 2
+            got = geodesics._circle_energies(f, RADII, E)
+            assert got == pytest.approx(expect, rel=1e-12, abs=0)
+
+    def test_no_evaluate_call_passes_the_chunk(self, monkeypatch):
+        sizes = _counting_evaluate(monkeypatch)
+        # the Koebe energy in E never settles past t = 6.5: every such
+        # row doubles to 8 192 panels, four times the chunk
+        with pytest.raises(PrecisionError):
+            geodesics._circle_energies(Koebe(), np.linspace(5.0, 9.0, 15), E, max_panels=8192)
+        assert max(sizes) == _CHUNK
+        assert sizes[0] == 15 * 32
+
+    def test_unsettled_rows_name_the_first_in_order(self):
+        ts = np.array([1.0, 7.0, 2.0, 8.0])
+        with pytest.raises(PrecisionError, match=r"at t = 7\.0 \(") as batch:
+            geodesics._circle_energies(Koebe(), ts, E)
+        with pytest.raises(PrecisionError) as one_row:
+            circle_energy(Koebe(), 7.0, E)
+        for exc in (batch.value, one_row.value):
+            assert type(exc.estimate) is float and type(exc.error_bound) is float
+            assert "np.float64" not in str(exc)
+        assert batch.value.estimate == pytest.approx(one_row.value.estimate, rel=1e-14)
+        assert batch.value.error_bound > 0
+
+    def test_a_pole_on_one_circle_wins_over_a_stall_on_another(self):
+        # 1/(z - p) has its pole on the first panel point of the circle t = 1;
+        # the circle t = 7 stalls, but only after every doubling, so the
+        # pole's RangeError comes first whatever the order of the radii
+        p = float(np.tanh(0.5))
+        f = Product(Koebe(), MobiusMap(MobiusTransform(0, 1, 1, -p)))
+        for ts in ([7.0, 1.0], [1.0, 7.0]):
+            with pytest.raises(RangeError, match="pole"):
+                geodesics._circle_energies(f, np.array(ts), E)
+
+    def test_negative_radius(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            circle_energy(Identity(), -0.1, E)
+        with pytest.raises(ValueError, match="non-negative"):
+            geodesics._circle_energies(Identity(), np.array([0.5, -1e-9]), E)
+
+
+def _koebe_area(x):
+    """Euclidean area of k(|z| < sqrt(x)), k(z) = z/(1 - z)^2, counting
+    multiplicity: pi sum n^3 x^n."""
+    return math.pi * x * (1 + 4 * x + x * x) / (1 - x) ** 4
+
+
+def _polynomial_area(coeffs, r):
+    return math.pi * math.fsum(n * abs(c) ** 2 * r ** (2 * n) for n, c in enumerate(coeffs))
+
+
+class TestAreaBoundOracles:
+    """area_with_bound's returned bound covers the error against a closed form."""
+
+    @staticmethod
+    def _covers(f, rho, target, exact):
+        value, bound = area_with_bound(f, rho, target)
+        assert bound + 8 * math.ulp(exact) >= abs(value - exact)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_blaschke_euclidean_area_is_n_pi(self, n):
+        zeros = (0.4 + 0.1j, -0.3 + 0.2j, 0.1 - 0.45j, -0.35 - 0.3j)[:n]
+        self._covers(BlaschkeDisc(zeros), math.inf, E, n * math.pi)
+
+    @pytest.mark.parametrize("turn", [0.0, 1.0, 2.5])
+    def test_rotated_koebe_spherical_area_is_4_pi(self, turn):
+        self._covers(Compose(Koebe(), Scale(complex(math.cos(turn), math.sin(turn)))),
+                     math.inf, S, 4 * math.pi)
+
+    @pytest.mark.parametrize("s, rho", [(0.3, 1.0), (0.5, 2.5), (0.8, 4.0)])
+    def test_scaled_koebe_euclidean_area(self, s, rho):
+        x = s * s * math.tanh(rho / 2) ** 2
+        self._covers(Compose(Koebe(), Scale(s)), rho, E, _koebe_area(x))
+
+    @pytest.mark.parametrize(
+        "coeffs, rho",
+        [((0.0, 0.8, 0.2 + 0.1j, 0.05j), 2.0), ((0.1, 0.6, -0.25j, 0.1, 0.05 + 0.05j), math.inf)],
+    )
+    def test_polynomial_area(self, coeffs, rho):
+        r = 1.0 if math.isinf(rho) else math.tanh(rho / 2)
+        exact = _polynomial_area(coeffs, r)
+        assert area_from_coefficients(coeffs, r) == pytest.approx(exact, rel=1e-15)
+        self._covers(PowerSeries(coeffs), rho, E, exact)
 
 
 class TestArea:

@@ -467,12 +467,14 @@ FAR_FIELD_CASES = {
          3e13j]
         + _level_boundaries(_signed_powers(41)[0], [-41, -30, -18, -17, -16, 0, 41]),
     ),
-    # the scenario's largest family, heights 2^-1023 to 2^1023; |z| past the
-    # top height would overflow a factor's reciprocal, so the direct product
-    # is reached just past the top table's level, 962
+    # the scenario's largest family, heights 2^-1023 to 2^1023: the direct
+    # product just past the top table's level, 962, and points where iy + z
+    # or its reciprocal would pass the largest double
     "signed-powers-1023": (
         *_signed_powers(1023),
-        [1e-300j, 1.3 + 20j, 1j * math.exp(9), 2.0**600 + 0j] + _level_boundaries((), [962]),
+        [1e-300j, 1.3 + 20j, 1j * math.exp(9), 2.0**600 + 0j, 1.7e308 + 1j, 1e308j,
+         1.7e308 + 1e308j]
+        + _level_boundaries((), [962]),
     ),
 }
 
@@ -516,6 +518,18 @@ class TestHalfPlaneFarField:
             i = points.index(y * 1j)
             assert value[i] == 0
             assert derivative[i] == pytest.approx(exact, rel=1e-13, abs=0)
+
+    def test_derivative_past_the_largest_double_raises(self):
+        # B'(0) = B(0) sum 2 / (i y_n) holds 2 / 2^-1023 = 2^1024: a typed
+        # error, where the jet would otherwise hold a nan derivative
+        f = BlaschkeHalfPlane(*_signed_powers(1023))
+        for points in ([0j], [1j, 0j, 1.7e308 + 1j]):
+            with pytest.raises(EvaluationError, match=r"derivative overflows at 0j"):
+                evaluate(f, np.array(points))
+        with pytest.raises(EvaluationError, match=r"overflows at 0j"):
+            evaluate(f, 0j)
+        # one height away from overflow the derivative 2i/y is exact
+        assert evaluate(BlaschkeHalfPlane((2.0**-1022,)), 0j).derivative == 2j * 2.0**1022
 
     @pytest.mark.parametrize("n", [20, 400])
     def test_point_below_a_zero_raises_naming_it(self, n):
