@@ -77,6 +77,8 @@ HALF_PLANE_RHO_MAX = 700.0
 # a circle-energy doubling goes to evaluate in batches of at most this many
 # points, which bounds the memory of the last doublings of many radii
 _CHUNK = 2048
+# a circle energy that has not settled at this many panels raises PrecisionError
+_MAX_PANELS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -284,6 +286,15 @@ def _panel_sums(f, r, k, panels, target):
     a list with one per radius r_i; each evaluate takes at most _CHUNK
     points, splitting the radii and, past _CHUNK panels, the angles too."""
     unit = np.exp(2j * np.pi * k / panels)
+    if len(r) == 1:
+        # one radius, as circle_energy asks: 1-d points and a dot product,
+        # which cost numpy less than a one-row block
+        total = 0.0
+        for col in range(0, len(unit), _CHUNK):
+            z = r[0] * unit[col : col + _CHUNK]
+            n = norm_from_jet(evaluate(f, z), z, MetricId.HYPERBOLIC_DISC, target)
+            total += float(n @ n)
+        return [total]
     rows = max(1, _CHUNK // len(unit))
     sums = []
     for lo in range(0, len(r), rows):
@@ -296,7 +307,7 @@ def _panel_sums(f, r, k, panels, target):
     return sums
 
 
-def _circle_energies(f, ts, target, rel_tol=1e-10, max_panels=1 << 14):
+def _circle_energies(f, ts, target, rel_tol, max_panels):
     """circle_energy at every radius of the 1-d array ts, as an array.
 
     The radii double their panel sets together: each doubling evaluates the
@@ -340,7 +351,7 @@ def circle_energy(
     t: float,
     target: MetricId,
     rel_tol: float = 1e-10,
-    max_panels: int = 1 << 14,
+    max_panels: int = _MAX_PANELS,
 ) -> float:
     """Integral over theta of |f'|^2 (disc -> target) on the hyperbolic
     circle of radius t, by doubling left-point panel sums until two
@@ -376,7 +387,7 @@ def area_with_bound(
 
     def radial(ts):
         rel_tol = 0.01 * cfg.rel_tol
-        return np.sinh(ts) * _circle_energies(g, ts, target, rel_tol)
+        return np.sinh(ts) * _circle_energies(g, ts, target, rel_tol, _MAX_PANELS)
 
     if not math.isinf(rho):
         if not 0.0 < rho <= DISC_RHO_MAX:

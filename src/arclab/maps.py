@@ -555,10 +555,6 @@ class BlaschkeHalfPlane(MapExpr):
         object.__setattr__(self, "_half_iy", 0.5j * y)
         object.__setattr__(self, "_s", s.astype(complex))
         object.__setattr__(self, "_minus_s", -self._s)
-        # |B'| <= sum 2/y_n on the closed half-plane; where that sum passes
-        # 2^1016 (2^16 here, scaled by 2^-1000 to stay finite) a derivative
-        # may overflow, so the jets are guarded
-        object.__setattr__(self, "_steep", np.sum(np.ldexp(2.0, -1000) / y) > 2.0**16)
         # the top level with a table is that of the height with 2K - 1
         # heights above it: its far set outnumbers the series' degree
         terms = _far_terms(len(ys))
@@ -599,28 +595,39 @@ class BlaschkeHalfPlane(MapExpr):
     def _split_jet(self, z, table):
         """Jets at the points z: the factors below the table's level
         explicitly, times its series for the rest; None takes every factor
-        explicitly."""
+        explicitly.  Raises EvaluationError where the derivative passes the
+        largest double."""
         m, p = self._direct if table is None else table[:2]
-        value, derivative, _ = _product_jet(z, m, lambda block: self._factor_jets(m, p, block))
-        if table is None:
-            return value, derivative
-        _, _, sign, step, coef = table
-        w = z * step
-        # w^0, w^2, ... row by row, so that a point rounds alike alone and in
-        # a batch; from w^0, since w^1 / w would be 0/0 at z = 0
-        powers = np.empty((len(z), coef.shape[1]), dtype=complex)
-        powers[:, 0] = 1.0
-        powers[:, 1:] = (w * w)[:, None]
-        np.cumprod(powers, axis=1, out=powers)
-        log, dlog = (powers[:, None, :] * coef).sum(axis=2).T
-        far = sign * np.exp(w * log)
-        dlog *= -2.0 * step
-        return value * far, (derivative + value * dlog) * far
+        # heights near 2^-1024 overflow |B'| near z = 0: formed without
+        # warnings, then checked
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, derivative, _ = _product_jet(
+                z, m, lambda block: self._factor_jets(m, p, block)
+            )
+            if table is not None:
+                _, _, sign, step, coef = table
+                w = z * step
+                # w^0, w^2, ... row by row, so that a point rounds alike alone
+                # and in a batch; from w^0, since w^1 / w would be 0/0 at z = 0
+                powers = np.empty((len(z), coef.shape[1]), dtype=complex)
+                powers[:, 0] = 1.0
+                powers[:, 1:] = (w * w)[:, None]
+                np.cumprod(powers, axis=1, out=powers)
+                log, dlog = (powers[:, None, :] * coef).sum(axis=2).T
+                far = sign * np.exp(w * log)
+                dlog *= -2.0 * step
+                value, derivative = value * far, (derivative + value * dlog) * far
+        bad = ~(np.isfinite(value) & np.isfinite(derivative))
+        if bad.any():
+            raise EvaluationError(
+                f"half-plane Blaschke derivative overflows at {complex(z[bad][0])}"
+            )
+        return value, derivative
 
-    def _jets(self, z):
+    def _jet(self, z):
         az = np.abs(z)
         if az.min(initial=math.inf) > self._reach:
-            return self._split_jet(z, None)
+            return (*self._split_jet(z, None), _finite(z))
         if self._tables is None:
             # built for the first batch that reaches them, so that a product
             # only evaluated above its top level never pays for them
@@ -630,23 +637,11 @@ class BlaschkeHalfPlane(MapExpr):
         level = np.searchsorted(reach, az)
         groups = np.flatnonzero(np.bincount(level))
         if len(groups) == 1:
-            return self._split_jet(z, tables[groups[0]])
+            return (*self._split_jet(z, tables[groups[0]]), _finite(z))
         value, derivative = np.empty_like(z), np.empty_like(z)
         for j in groups:
             rows = np.flatnonzero(level == j)
             value[rows], derivative[rows] = self._split_jet(z[rows], tables[j])
-        return value, derivative
-
-    def _jet(self, z):
-        if not self._steep:
-            return (*self._jets(z), _finite(z))
-        with np.errstate(over="ignore", invalid="ignore"):
-            value, derivative = self._jets(z)
-        bad = ~(np.isfinite(value) & np.isfinite(derivative))
-        if bad.any():
-            raise EvaluationError(
-                f"half-plane Blaschke derivative overflows at {complex(z[bad][0])}"
-            )
         return value, derivative, _finite(z)
 
 

@@ -39,6 +39,7 @@ from .errors import (
 from .geodesics import (
     AREA_DEFAULT,
     QuadConfig,
+    _MAX_PANELS,
     _as_disc_map,
     _circle_energies,
     adaptive_integrate,
@@ -75,7 +76,7 @@ def shimizu_T(f: MapExpr, r: float, config: QuadConfig = None) -> float:
     log_r = math.log(r)
 
     def integrand(vs):
-        q = _circle_energies(g, vs, MetricId.SPHERICAL, 0.01 * cfg.rel_tol)
+        q = _circle_energies(g, vs, MetricId.SPHERICAL, 0.01 * cfg.rel_tol, _MAX_PANELS)
         return np.sinh(vs) * q * (log_r - np.log(np.tanh(vs / 2.0)))
 
     val, _ = adaptive_integrate(integrand, 0.0, rho, cfg)

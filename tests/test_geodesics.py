@@ -13,6 +13,7 @@ from arclab.errors import (
 )
 from arclab.geodesics import (
     _CHUNK,
+    _MAX_PANELS,
     AREA_DEFAULT,
     QuadConfig,
     RadialArc,
@@ -225,7 +226,7 @@ class TestCircleEnergiesKernel:
     )
     def test_rows_match_one_row_calls(self, f, target, monkeypatch):
         sizes = _counting_evaluate(monkeypatch)
-        batch = geodesics._circle_energies(f, RADII, target)
+        batch = geodesics._circle_energies(f, RADII, target, 1e-10, _MAX_PANELS)
         one_row = []
         for t in RADII.tolist():
             start = sum(sizes)
@@ -243,7 +244,7 @@ class TestCircleEnergiesKernel:
         r = np.tanh(RADII / 2)
         for f, eps in ((Identity(), 1.0), (Scale(0.5), 0.5)):
             expect = 2 * np.pi * (eps * (1 - r * r) / 2) ** 2
-            got = geodesics._circle_energies(f, RADII, E)
+            got = geodesics._circle_energies(f, RADII, E, 1e-10, _MAX_PANELS)
             assert got == pytest.approx(expect, rel=1e-12, abs=0)
 
     def test_no_evaluate_call_passes_the_chunk(self, monkeypatch):
@@ -251,14 +252,19 @@ class TestCircleEnergiesKernel:
         # the Koebe energy in E never settles past t = 6.5: every such
         # row doubles to 8 192 panels, four times the chunk
         with pytest.raises(PrecisionError):
-            geodesics._circle_energies(Koebe(), np.linspace(5.0, 9.0, 15), E, max_panels=8192)
+            geodesics._circle_energies(Koebe(), np.linspace(5.0, 9.0, 15), E, 1e-10, 8192)
         assert max(sizes) == _CHUNK
         assert sizes[0] == 15 * 32
+        # a lone radius splits its angles by the same cap
+        sizes.clear()
+        with pytest.raises(PrecisionError):
+            circle_energy(Koebe(), 7.0, E, max_panels=8192)
+        assert max(sizes) == _CHUNK
 
     def test_unsettled_rows_name_the_first_in_order(self):
         ts = np.array([1.0, 7.0, 2.0, 8.0])
         with pytest.raises(PrecisionError, match=r"at t = 7\.0 \(") as batch:
-            geodesics._circle_energies(Koebe(), ts, E)
+            geodesics._circle_energies(Koebe(), ts, E, 1e-10, _MAX_PANELS)
         with pytest.raises(PrecisionError) as one_row:
             circle_energy(Koebe(), 7.0, E)
         for exc in (batch.value, one_row.value):
@@ -275,13 +281,15 @@ class TestCircleEnergiesKernel:
         f = Product(Koebe(), MobiusMap(MobiusTransform(0, 1, 1, -p)))
         for ts in ([7.0, 1.0], [1.0, 7.0]):
             with pytest.raises(RangeError, match="pole"):
-                geodesics._circle_energies(f, np.array(ts), E)
+                geodesics._circle_energies(f, np.array(ts), E, 1e-10, _MAX_PANELS)
 
     def test_negative_radius(self):
         with pytest.raises(ValueError, match="non-negative"):
             circle_energy(Identity(), -0.1, E)
         with pytest.raises(ValueError, match="non-negative"):
-            geodesics._circle_energies(Identity(), np.array([0.5, -1e-9]), E)
+            geodesics._circle_energies(
+                Identity(), np.array([0.5, -1e-9]), E, 1e-10, _MAX_PANELS
+            )
 
 
 def _koebe_area(x):
