@@ -32,7 +32,7 @@ from .geodesics import (
     halfplane_arc,
 )
 from .maps import evaluate
-from .metrics import MetricId, deriv_norm
+from .metrics import MetricId, norm_from_jet
 from .nevanlinna import _check_radii, characteristic_curve, fatou_decompose
 from .verifier import (
     VerdictReport,
@@ -143,9 +143,9 @@ def _quad(ns) -> QuadConfig:
     return QuadConfig(abs_tol=ns.abs_tol, rel_tol=ns.rel_tol)
 
 
-def _norm_or_nan(f, z, target) -> float:
+def _norm_or_nan(jet, z, source, target) -> float:
     try:
-        return deriv_norm(f, z, target)
+        return norm_from_jet(jet, z, source, target)
     except ArclabError:
         return math.nan
 
@@ -174,8 +174,10 @@ def _cmd_eval(ns) -> int:
             out.line(
                 f"derivative {_fmt(jet.derivative.real)} {_fmt(jet.derivative.imag)}"
             )
+        # the source metric as deriv_norm takes it
+        source = f.domain or MetricId.HYPERBOLIC_DISC
         for m in MetricId:
-            out.line(f"norm_{m.value} {_fmt(_norm_or_nan(f, z, m))}")
+            out.line(f"norm_{m.value} {_fmt(_norm_or_nan(jet, z, source, m))}")
     return 0
 
 

@@ -69,14 +69,18 @@ _NODES = np.concatenate((-np.array(_XGK), _XGK[-2::-1]))
 _KRONROD = np.concatenate((_WGK, _WGK[-2::-1]))
 _GAUSS = np.zeros(15)
 _GAUSS[1::2] = _WG + _WG[-2::-1]
+# one product with the node values gives both sums of a panel
+_RULES = np.stack((_KRONROD, _GAUSS))
+_HALVES = np.array(((0.5, 0.5), (-0.5, 0.5)))
 
 # tanh(t/2) rounds to 1.0 in doubles a little above t = 37, so disc radial
 # parameters are capped where the parametrisation is still faithful.
 DISC_RHO_MAX = 35.0
 HALF_PLANE_RHO_MAX = 700.0
-# a circle-energy doubling goes to evaluate in batches of at most this many
-# points, which bounds the memory of the last doublings of many radii
+# an integrand call and a circle-energy evaluate take at most this many
+# points, which bounds the memory of a batch of many panels or radii
 _CHUNK = 2048
+_PANELS_PER_CALL = _CHUNK // len(_NODES)
 # a circle energy that has not settled at this many panels raises PrecisionError
 _MAX_PANELS = 1 << 14
 
@@ -119,6 +123,8 @@ class RadialArc:
         object.__setattr__(self, "rho_max", float(self.rho_max))
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "offset", complex(self.offset))
+        if not (math.isfinite(self.theta) and cmath.isfinite(self.offset)):
+            raise ConstructionError("arc theta and offset must be finite")
         if self.domain is MetricId.HYPERBOLIC_DISC:
             cap = DISC_RHO_MAX
         elif self.domain is MetricId.HYPERBOLIC_HALF_PLANE:
@@ -158,15 +164,103 @@ class GrowthSample:
     length: float
 
 
-def _g7k15(g, a: float, b: float):
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    f = g(c + h * _NODES)
-    resk = float(_KRONROD @ f)
-    val = resk * h
-    if not math.isfinite(val):
-        raise EvaluationError(f"integrand is not finite inside [{a}, {b}]")
-    return val, abs(resk - float(_GAUSS @ f)) * abs(h)
+def _g7k15(g, lo, hi):
+    """The G7K15 rule on the panels [lo_i, hi_i]: (values, error estimates)
+    as two lists of floats.  g gets the nodes of whole panels, at most
+    _PANELS_PER_CALL of them per call."""
+    # 0.5 (lo + hi) and 0.5 (hi - lo), each rounded once as 0.5 * (a + b) is
+    ch = _HALVES @ np.array((lo, hi), dtype=float)
+    c, h = ch[0], ch[1]
+    ts = c[:, None] + h[:, None] * _NODES
+    if len(ts) <= _PANELS_PER_CALL:
+        f = g(ts.ravel())
+    else:
+        f = np.concatenate(
+            [g(ts[k : k + _PANELS_PER_CALL].ravel()) for k in range(0, len(ts), _PANELS_PER_CALL)]
+        )
+    sums = _RULES @ np.asarray(f).reshape(ts.shape).T
+    kronrod, gauss = sums[0], sums[1]
+    vals = (kronrod * h).tolist()
+    if not math.isfinite(sum(vals)):
+        for i, v in enumerate(vals):
+            if not math.isfinite(v):
+                raise EvaluationError(f"integrand is not finite inside [{lo[i]}, {hi[i]}]")
+    # hi >= lo, so h needs no abs
+    return vals, (np.abs(kronrod - gauss) * h).tolist()
+
+
+def _integrate(g, pieces, cfg: QuadConfig):
+    """Integrate g over each piece, a sorted list of edges, by global
+    adaptive G7K15; returns [(value, error_bound), ...] in piece order.
+
+    Every piece keeps its own heap of panels, panel counter and budget, and
+    pops its panels in the order a piece integrated alone would.  The pieces
+    refine in lockstep: the first panels of all pieces form one batch, and
+    each round bisects the worst panel of every piece that has not met its
+    tolerance, with both halves of all of them in one batch.  A piece that
+    exhausts its budget stops; once all pieces are done, the first stalled
+    one in order raises PrecisionError with its own estimate.  A non-finite
+    integrand raises EvaluationError at once, whichever piece it is in.
+    """
+    lo = [e for edges in pieces for e in edges[:-1]]
+    hi = [e for edges in pieces for e in edges[1:]]
+    vals, errs = _g7k15(g, lo, hi)
+    heaps, counters, totals, total_errs = [], [], [], []
+    k = 0
+    for edges in pieces:
+        heap = []
+        total = total_err = 0.0
+        for j in range(len(edges) - 1):
+            total += vals[k]
+            total_err += errs[k]
+            heap.append((-errs[k], j, lo[k], hi[k], vals[k], errs[k], 0))
+            k += 1
+        # counters are unique keys, so a heapified list pops as pushes would
+        heapq.heapify(heap)
+        heaps.append(heap)
+        counters.append(len(heap))
+        totals.append(total)
+        total_errs.append(total_err)
+
+    def unsettled(i):
+        return total_errs[i] > max(cfg.abs_tol, cfg.rel_tol * abs(totals[i]))
+
+    stalls = [None] * len(pieces)
+    live = [i for i in range(len(pieces)) if unsettled(i)]
+    while live:
+        popped, lo, hi = [], [], []
+        for i in live:
+            _, _, a, b, val, err, depth = heapq.heappop(heaps[i])
+            if depth >= cfg.max_depth or counters[i] >= cfg.max_segments:
+                stalls[i] = PrecisionError(
+                    f"quadrature stalled on [{a}, {b}]",
+                    estimate=totals[i],
+                    error_bound=total_errs[i],
+                )
+                continue
+            mid = 0.5 * (a + b)
+            popped.append((i, val, err, depth + 1))
+            lo += (a, mid)
+            hi += (mid, b)
+        if not popped:
+            break
+        vals, errs = _g7k15(g, lo, hi)
+        live = []
+        for j, (i, val, err, depth) in enumerate(popped):
+            v1, v2 = vals[2 * j], vals[2 * j + 1]
+            e1, e2 = errs[2 * j], errs[2 * j + 1]
+            totals[i] += v1 + v2 - val
+            total_errs[i] += e1 + e2 - err
+            a, mid, b = lo[2 * j], hi[2 * j], hi[2 * j + 1]
+            heapq.heappush(heaps[i], (-e1, counters[i], a, mid, v1, e1, depth))
+            heapq.heappush(heaps[i], (-e2, counters[i] + 1, mid, b, v2, e2, depth))
+            counters[i] += 2
+            if unsettled(i):
+                live.append(i)
+    for stall in stalls:
+        if stall is not None:
+            raise stall
+    return list(zip(totals, total_errs))
 
 
 def adaptive_integrate(
@@ -179,46 +273,22 @@ def adaptive_integrate(
     """Integrate g over [a, b]; returns (value, error_bound).
 
     g is vectorised: it takes a 1-d array of points and returns the
-    integrand's values there as an array of the same length.  Each G7K15
-    panel calls it once, with its 15 nodes.
+    integrand's values there as an array of the same length.  It gets the
+    15 nodes of one or more G7K15 panels per call, at most _CHUNK points.
+    The split points cut [a, b] into panels that share one heap.
 
     Raises PrecisionError, carrying the best estimate, when the requested
     tolerance cannot be certified within the subdivision budget.
     """
     cfg = config or LENGTH_DEFAULT
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
     if b < a:
         raise ValueError("integration bounds are reversed")
     if b == a:
         return 0.0, 0.0
     edges = sorted({a, b, *(p for p in split_points if a < p < b)})
-    heap = []
-    counter = 0
-    total = 0.0
-    total_err = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        val, err = _g7k15(g, lo, hi)
-        total += val
-        total_err += err
-        heapq.heappush(heap, (-err, counter, lo, hi, val, err, 0))
-        counter += 1
-    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-        _, _, lo, hi, val, err, depth = heapq.heappop(heap)
-        if depth >= cfg.max_depth or counter >= cfg.max_segments:
-            raise PrecisionError(
-                f"quadrature stalled on [{lo}, {hi}]",
-                estimate=total,
-                error_bound=total_err,
-            )
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _g7k15(g, lo, mid)
-        v2, e2 = _g7k15(g, mid, hi)
-        total += v1 + v2 - val
-        total_err += e1 + e2 - err
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1, depth + 1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2, depth + 1))
-        counter += 1
-    return total, total_err
+    return _integrate(g, [edges], cfg)[0]
 
 
 def _check_source(f: MapExpr, arc: RadialArc):
@@ -259,7 +329,10 @@ def arc_length_profile(
     target: MetricId,
     config: QuadConfig = None,
 ):
-    """GrowthSamples of cumulative image length over an increasing rho grid."""
+    """GrowthSamples of cumulative image length over an increasing rho grid.
+
+    The pieces [0, rho_1], [rho_1, rho_2], ... refine in lockstep, so one
+    integrand call serves a round of bisections on all of them."""
     grid = [float(r) for r in rhos]
     if not grid:
         return []
@@ -268,16 +341,13 @@ def arc_length_profile(
     if grid[-1] > arc.rho_max:
         raise ValueError("rho grid exceeds the arc's rho_max")
     _check_source(f, arc)
-    cfg = config or LENGTH_DEFAULT
-    speed = _speed(f, arc, target)
+    pieces = list(zip([0.0, *grid], grid))
+    results = _integrate(_speed(f, arc, target), pieces, config or LENGTH_DEFAULT)
     samples = []
     total = 0.0
-    lo = 0.0
-    for hi in grid:
-        piece, _ = adaptive_integrate(speed, lo, hi, cfg)
+    for hi, (piece, _) in zip(grid, results):
         total += piece
         samples.append(GrowthSample(hi, total))
-        lo = hi
     return samples
 
 

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import pytest
 
-from arclab import cli, geodesics
+from arclab import cli, geodesics, maps
 from arclab.cli import _fmt, main
 from arclab.funcspec import parse
 from arclab.nevanlinna import fatou_decompose
@@ -57,6 +58,23 @@ class TestEval:
         assert lines[1].startswith("chart_derivative ")
         norms = dict(l.split() for l in lines[2:])
         assert float(norms["norm_spherical"]) > 0
+
+    def test_one_evaluation_for_all_metrics(self, capsys, monkeypatch):
+        calls = []
+        evaluate = cli.evaluate
+
+        def counting(f, z):
+            calls.append(z)
+            return evaluate(f, z)
+
+        monkeypatch.setattr(cli, "evaluate", counting)
+        monkeypatch.setattr(maps, "evaluate", counting)
+        code, out, _ = run(capsys, "eval", "--func", "koebe()", "--at", "0+0i")
+        assert code == 0
+        assert len(calls) == 1
+        # a metric that does not apply still prints nan, the others print
+        assert "norm_hyperbolic_half_plane nan" in out.splitlines()
+        assert "norm_spherical 1" in out.splitlines()
 
     def test_seventeen_digit_format(self, capsys):
         _, out, _ = run(
@@ -169,6 +187,27 @@ class TestLength:
         )
         assert code == 0
         assert len(out.splitlines()) == 4
+
+
+    @pytest.mark.parametrize(
+        "func, theta",
+        [("koebe()", "nan"), ("koebe()", "inf"), ("cayley()", "nan"), ("cayley()", "inf")],
+    )
+    def test_non_finite_theta_exits_three_before_quadrature(
+        self, capsys, monkeypatch, func, theta
+    ):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran on a usage error")
+
+        monkeypatch.setattr(geodesics, "_integrate", no_quadrature)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "length", "--func", func, f"--theta={theta}",
+                "--rho-max", "2", "--samples", "3",
+            )
+        assert (code, out) == (3, "")
+        assert "must be finite" in err
 
 
 def exp_koebe_length(rho):
@@ -454,7 +493,7 @@ class TestErrors:
         def no_quadrature(*args, **kwargs):
             raise AssertionError("quadrature ran on a usage error")
 
-        monkeypatch.setattr(geodesics, "adaptive_integrate", no_quadrature)
+        monkeypatch.setattr(geodesics, "_integrate", no_quadrature)
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""
@@ -469,7 +508,7 @@ class TestErrors:
         def no_quadrature(*args, **kwargs):
             raise AssertionError("quadrature ran on a usage error")
 
-        monkeypatch.setattr(geodesics, "adaptive_integrate", no_quadrature)
+        monkeypatch.setattr(geodesics, "_integrate", no_quadrature)
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""

@@ -73,6 +73,15 @@ class TestArcs:
         with pytest.raises(ConstructionError):
             RadialArc(E, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_or_offset_rejected(self, bad):
+        with pytest.raises(ConstructionError, match="finite"):
+            disc_arc(2.0, bad)
+        with pytest.raises(ConstructionError, match="finite"):
+            halfplane_arc(2.0, complex(bad, 0.0))
+        with pytest.raises(ConstructionError, match="finite"):
+            halfplane_arc(2.0, complex(0.5, bad))
+
     def test_negative_rho_rejected(self):
         with pytest.raises(ConstructionError):
             disc_arc(-1.0)
@@ -112,6 +121,145 @@ class TestAdaptiveIntegrate:
     def test_non_finite_integrand_rejected(self):
         with pytest.raises(EvaluationError):
             adaptive_integrate(lambda t: np.full_like(t, np.nan), 0.0, 1.0, CFG)
+
+    @pytest.mark.parametrize(
+        "a, b", [(0.0, math.inf), (0.0, math.nan), (-math.inf, 0.0), (math.nan, 1.0)]
+    )
+    def test_non_finite_bounds_rejected_before_any_call(self, a, b):
+        g, calls = _recording(lambda t: t)
+        with pytest.raises(ValueError, match="finite"):
+            adaptive_integrate(g, a, b, CFG)
+        assert calls == []
+
+
+def _recording(g):
+    """g, and the list of the point arrays it is called with."""
+    calls = []
+
+    def recorded(t):
+        calls.append(np.array(t))
+        return g(t)
+
+    return recorded, calls
+
+
+def _kink(c):
+    return lambda t: 1.0 / np.sqrt(np.abs(t - c) + 1e-9)
+
+
+class TestLockstepKernel:
+    """geodesics._integrate refines several pieces in lockstep."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [lambda t: np.exp(3 * t) * np.cos(7 * t), lambda t: np.sqrt(t), _kink(0.8)],
+        ids=["oscillating", "sqrt-endpoint", "kink"],
+    )
+    def test_pieces_match_sequential_integration(self, g):
+        pieces = [[0.0, 0.25], [0.25, 1.0], [1.0, 1.1], [1.1, 3.0]]
+        lockstep = geodesics._integrate(g, pieces, CFG)
+        points = []
+        for (lo, hi), (value, bound) in zip(pieces, lockstep):
+            recorded, calls = _recording(g)
+            want, _ = adaptive_integrate(recorded, lo, hi, CFG)
+            assert value == pytest.approx(want, rel=1e-14, abs=0)
+            assert bound <= max(CFG.abs_tol, CFG.rel_tol * abs(value))
+            points.append(sum(len(t) for t in calls))
+        # the pieces need different numbers of bisections
+        assert len(set(points)) > 1
+
+    def test_profile_pieces_match_sequential_integration(self):
+        f = Compose(Koebe(), Scale(0.9))
+        arc = disc_arc(6.0)
+        rhos = (0.5, 1.0, 3.0, 3.1, 6.0)
+        samples = arc_length_profile(f, arc, rhos, E, CFG)
+        speed = geodesics._speed(f, arc, E)
+        total, lo = 0.0, 0.0
+        for s in samples:
+            total += adaptive_integrate(speed, lo, s.rho, CFG)[0]
+            assert s.length == pytest.approx(total, rel=1e-14, abs=0)
+            lo = s.rho
+
+    def _speed_calls(self, monkeypatch):
+        calls = []
+        speed = geodesics._speed
+
+        def recording_speed(f, arc, target):
+            g, record = _recording(speed(f, arc, target))
+            calls.append(record)
+            return g
+
+        monkeypatch.setattr(geodesics, "_speed", recording_speed)
+        return calls
+
+    def test_settled_pieces_share_one_call(self, monkeypatch):
+        # the identity has hyperbolic speed 1: every piece settles at once
+        calls = self._speed_calls(monkeypatch)
+        rhos = (0.5, 1.0, 2.5, 4.0)
+        samples = arc_length_profile(Identity(), disc_arc(4.0), rhos, H, CFG)
+        assert [s.length for s in samples] == pytest.approx(rhos, rel=1e-12)
+        [record] = calls
+        assert [len(t) for t in record] == [15 * len(rhos)]
+
+    def test_no_call_passes_the_chunk(self, monkeypatch):
+        calls = self._speed_calls(monkeypatch)
+        rhos = [4.0 * k / 400 for k in range(1, 401)]
+        samples = arc_length_profile(Compose(Koebe(), Scale(0.9)), disc_arc(4.0), rhos, S, CFG)
+        sizes = [len(t) for t in calls[0]]
+        assert max(sizes) <= _CHUNK
+        # the first panels of the 400 pieces alone take three calls
+        assert sum(sizes[:3]) == 15 * 400
+        assert samples[-1].length == pytest.approx(
+            arc_length(Compose(Koebe(), Scale(0.9)), disc_arc(4.0), S, CFG), rel=1e-12
+        )
+
+    def test_first_stalled_piece_in_order_is_raised(self):
+        tight = QuadConfig(abs_tol=1e-14, rel_tol=1e-14, max_depth=4, max_segments=1000)
+        g = lambda t: _kink(0.3)(t) + _kink(2.7)(t)
+        pieces = [[0.0, 0.2], [0.2, 1.0], [1.0, 2.0], [2.0, 3.0]]
+        with pytest.raises(PrecisionError) as alone:
+            adaptive_integrate(g, 0.2, 1.0, tight)
+        recorded, calls = _recording(g)
+        with pytest.raises(PrecisionError) as lockstep:
+            geodesics._integrate(recorded, pieces, tight)
+        exc = lockstep.value
+        assert str(exc) == str(alone.value)
+        assert type(exc.estimate) is float and type(exc.error_bound) is float
+        assert exc.estimate == pytest.approx(alone.value.estimate, rel=1e-14)
+        # the last piece stalls too, and was refined to its own stall
+        last, last_calls = _recording(g)
+        with pytest.raises(PrecisionError):
+            adaptive_integrate(last, 2.0, 3.0, tight)
+        on_last = sum(int(((2.0 < t) & (t < 3.0)).sum()) for t in calls)
+        assert on_last == sum(len(t) for t in last_calls)
+
+    def test_evaluation_error_on_a_later_piece_wins_over_a_stall(self):
+        # the first piece stalls on its first pop, as it would alone; the
+        # second bisects in that round and meets a nan
+        budget = QuadConfig(abs_tol=1e-14, rel_tol=1e-14, max_depth=40, max_segments=4)
+        nan_late = lambda t: np.where((1.3 < t) & (t < 1.35), np.nan, np.abs(t - 1.5))
+        first = [0.0, 0.25, 0.5, 0.75, 1.0]
+        with pytest.raises(PrecisionError):
+            adaptive_integrate(_kink(0.3), 0.0, 1.0, budget, split_points=first[1:-1])
+        g = lambda t: np.where(t < 1.0, _kink(0.3)(t), nan_late(t))
+        with pytest.raises(EvaluationError, match="not finite"):
+            geodesics._integrate(g, [first, [1.0, 2.0]], budget)
+
+    def test_max_segments_counts_per_piece(self):
+        g = _kink(0.5)
+        recorded, calls = _recording(g)
+        adaptive_integrate(recorded, 0.0, 1.0, CFG)
+        panels = sum(len(t) for t in calls) // 15
+        pieces = [[k, k + 1.0] for k in (0.0, 1.0, 2.0)]
+        shifted = lambda t: g(t - np.floor(t))
+        budget = QuadConfig(abs_tol=1e-11, rel_tol=1e-11, max_segments=panels + 1)
+        results = geodesics._integrate(shifted, pieces, budget)
+        assert 3 * panels > budget.max_segments
+        for value, _ in results:
+            assert value == pytest.approx(results[0][0], rel=1e-12)
+        short = QuadConfig(abs_tol=1e-11, rel_tol=1e-11, max_segments=panels - 2)
+        with pytest.raises(PrecisionError):
+            geodesics._integrate(shifted, pieces, short)
 
 
 class TestArcLength:
