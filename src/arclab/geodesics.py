@@ -92,6 +92,7 @@ class QuadConfig:
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
     max_depth: int = 40
+    # the most panels one piece may make, its first panels included
     max_segments: int = 20000
 
     def __post_init__(self):
@@ -193,14 +194,18 @@ def _integrate(g, pieces, cfg: QuadConfig):
     """Integrate g over each piece, a sorted list of edges, by global
     adaptive G7K15; returns [(value, error_bound), ...] in piece order.
 
-    Every piece keeps its own heap of panels, panel counter and budget, and
-    pops its panels in the order a piece integrated alone would.  The pieces
-    refine in lockstep: the first panels of all pieces form one batch, and
-    each round bisects the worst panel of every piece that has not met its
-    tolerance, with both halves of all of them in one batch.  A piece that
-    exhausts its budget stops; once all pieces are done, the first stalled
-    one in order raises PrecisionError with its own estimate.  A non-finite
-    integrand raises EvaluationError at once, whichever piece it is in.
+    Every piece keeps its own heap of panels, panel counter and budget, so
+    it refines exactly as it would alone.  The pieces refine in lockstep:
+    the first panels of all pieces form one batch.  In each round every
+    piece that has not met its tolerance pops its worst panels until the
+    error left in its heap is at most half that tolerance, which leaves the
+    other half to the new halves' errors (scipy's quad_vec batches so, to
+    an eighth, which bisects more panels than needed here).  All popped
+    panels of all pieces are bisected in one batch.  A pop past max_depth
+    or max_segments stalls its piece; once all pieces are done, the first
+    stalled one in order raises PrecisionError with its own estimate.  A
+    non-finite integrand raises EvaluationError at once, whichever piece it
+    is in.
     """
     lo = [e for edges in pieces for e in edges[:-1]]
     hi = [e for edges in pieces for e in edges[1:]]
@@ -222,44 +227,46 @@ def _integrate(g, pieces, cfg: QuadConfig):
         totals.append(total)
         total_errs.append(total_err)
 
-    def unsettled(i):
-        return total_errs[i] > max(cfg.abs_tol, cfg.rel_tol * abs(totals[i]))
+    def tolerance(i):
+        return max(cfg.abs_tol, cfg.rel_tol * abs(totals[i]))
 
     stalls = [None] * len(pieces)
-    live = [i for i in range(len(pieces)) if unsettled(i)]
+    live = [i for i in range(len(pieces)) if total_errs[i] > tolerance(i)]
     while live:
         popped, lo, hi = [], [], []
         for i in live:
-            _, _, a, b, val, err, depth = heapq.heappop(heaps[i])
-            if depth >= cfg.max_depth or counters[i] >= cfg.max_segments:
-                stalls[i] = PrecisionError(
-                    f"quadrature stalled on [{a}, {b}]",
-                    estimate=totals[i],
-                    error_bound=total_errs[i],
-                )
-                continue
-            mid = 0.5 * (a + b)
-            popped.append((i, val, err, depth + 1))
-            lo += (a, mid)
-            hi += (mid, b)
+            heap = heaps[i]
+            left, goal = total_errs[i], tolerance(i) / 2.0
+            while heap and left > goal:
+                _, _, a, b, val, err, depth = heapq.heappop(heap)
+                if depth >= cfg.max_depth or counters[i] + 2 > cfg.max_segments:
+                    stalls[i] = (a, b)
+                    break
+                mid = 0.5 * (a + b)
+                popped.append((i, val, err, depth + 1, counters[i]))
+                lo += (a, mid)
+                hi += (mid, b)
+                counters[i] += 2
+                left -= err
         if not popped:
             break
         vals, errs = _g7k15(g, lo, hi)
-        live = []
-        for j, (i, val, err, depth) in enumerate(popped):
+        for j, (i, val, err, depth, n) in enumerate(popped):
             v1, v2 = vals[2 * j], vals[2 * j + 1]
             e1, e2 = errs[2 * j], errs[2 * j + 1]
             totals[i] += v1 + v2 - val
             total_errs[i] += e1 + e2 - err
             a, mid, b = lo[2 * j], hi[2 * j], hi[2 * j + 1]
-            heapq.heappush(heaps[i], (-e1, counters[i], a, mid, v1, e1, depth))
-            heapq.heappush(heaps[i], (-e2, counters[i] + 1, mid, b, v2, e2, depth))
-            counters[i] += 2
-            if unsettled(i):
-                live.append(i)
-    for stall in stalls:
+            heapq.heappush(heaps[i], (-e1, n, a, mid, v1, e1, depth))
+            heapq.heappush(heaps[i], (-e2, n + 1, mid, b, v2, e2, depth))
+        live = [i for i in live if stalls[i] is None and total_errs[i] > tolerance(i)]
+    for i, stall in enumerate(stalls):
         if stall is not None:
-            raise stall
+            raise PrecisionError(
+                f"quadrature stalled on [{stall[0]}, {stall[1]}]",
+                estimate=totals[i],
+                error_bound=total_errs[i],
+            )
     return list(zip(totals, total_errs))
 
 

@@ -10,6 +10,12 @@ Each node's _jet takes a 1-d complex array of points and returns three
 arrays of the same length: value, derivative and a pole mask.  Where the
 mask is set the value is 0 and the derivative is that of 1/f.
 
+A product or quotient whose operands are compositions with one outer map,
+the same object or an equal one (B(z+1)/B(z-1) for a long Blaschke
+product B), evaluates that outer map once, at the inner values of both
+operands together, and applies the chain rule to each half.  Its jets are
+bitwise those of two separate evaluations, and so are its errors.
+
 Trees carry optional domain/codomain tags (MetricId) used to sanity-check
 compositions.  Untagged nodes (scale, shift, exp, power series...) are
 polymorphic and adopt the tag demanded by context.
@@ -18,8 +24,9 @@ polymorphic and adopt the tag demanded by context.
 from __future__ import annotations
 
 import math
+import pickle
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -381,7 +388,15 @@ def _product_jet(z, n, factor_jets):
     step = max(1, _BLOCK // n)
     for lo in range(0, len(z), step):
         rows = slice(lo, lo + step)
-        value[rows], derivative[rows] = _combined_product_jet(*factor_jets(z[rows, None]))
+        block = z[rows, None]
+        k = len(block)
+        if k * n == 1:
+            # numpy rounds complex products of one element in place or
+            # broadcast without the fused multiply-add of its array loops;
+            # the point taken twice rounds as it does in a batch
+            block = np.repeat(block, 2, axis=0)
+        v, d = _combined_product_jet(*factor_jets(block))
+        value[rows], derivative[rows] = v[:k], d[:k]
     return value, derivative, _finite(z)
 
 
@@ -645,6 +660,41 @@ class BlaschkeHalfPlane(MapExpr):
         return value, derivative, _finite(z)
 
 
+def _shared_outer(left, right):
+    """Whether the operands of a binary node are compositions with one
+    outer map: the same object, or an equal one.  == takes -0.0 for 0.0,
+    which a jet keeps apart, so equal fields must also pickle alike."""
+    if not (isinstance(left, Compose) and isinstance(right, Compose)):
+        return False
+    a, b = left.outer, right.outer
+    if a is b:
+        return True
+    if a != b:
+        return False
+    a_fields, b_fields = ([getattr(m, f.name) for f in fields(m)] for m in (a, b))
+    return pickle.dumps(a_fields) == pickle.dumps(b_fields)
+
+
+def _operand_jets(shared, left, right, z):
+    """The jets of a binary node's operands at the points z.  Where they
+    share an outer map, it is evaluated once, at the inner values of both;
+    the jets are those of two evaluations, and an error is raised by two
+    evaluations, so that it names the point they would."""
+    if shared:
+        try:
+            inner_l, inner_r = left._inner_jet(z), right._inner_jet(z)
+            outer = left.outer._jet(np.concatenate((inner_l[0], inner_r[0])))
+        except EvaluationError:
+            pass
+        else:
+            n = len(z)
+            return (
+                left._chain(inner_l, [a[:n] for a in outer]),
+                right._chain(inner_r, [a[n:] for a in outer]),
+            )
+    return left._jet(z), right._jet(z)
+
+
 @dataclass(frozen=True)
 class Product(MapExpr):
     left: MapExpr
@@ -652,6 +702,7 @@ class Product(MapExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "domain", _unify(self.left.domain, self.right.domain))
+        object.__setattr__(self, "_shared_outer", _shared_outer(self.left, self.right))
         both_disc = (
             self.left.codomain is MetricId.HYPERBOLIC_DISC
             and self.right.codomain is MetricId.HYPERBOLIC_DISC
@@ -661,7 +712,7 @@ class Product(MapExpr):
         )
 
     def _jet(self, z):
-        return _jet_mul(self.left._jet(z), self.right._jet(z))
+        return _jet_mul(*_operand_jets(self._shared_outer, self.left, self.right, z))
 
     def divisor(self):
         zl, pl, el = self.left.divisor()
@@ -678,10 +729,13 @@ class Quotient(MapExpr):
         object.__setattr__(
             self, "domain", _unify(self.numerator.domain, self.denominator.domain)
         )
+        object.__setattr__(
+            self, "_shared_outer", _shared_outer(self.numerator, self.denominator)
+        )
         object.__setattr__(self, "codomain", MetricId.SPHERICAL)
 
     def _jet(self, z):
-        return _jet_div(self.numerator._jet(z), self.denominator._jet(z))
+        return _jet_div(*_operand_jets(self._shared_outer, self.numerator, self.denominator, z))
 
     def divisor(self):
         zn, pn, en = self.numerator.divisor()
@@ -708,13 +762,25 @@ class Compose(MapExpr):
         object.__setattr__(self, "codomain", self.outer.codomain)
 
     def _jet(self, z):
+        inner = self._inner_jet(z)
+        return self._chain(inner, self.outer._jet(inner[0]))
+
+    def _inner_jet(self, z):
+        """The inner jet at the points z, with None for its pole mask
+        where no point is a pole."""
         iv, idr, ip = self.inner._jet(z)
-        through = ip.any()
-        if through and not isinstance(self.outer, MobiusMap):
+        if not ip.any():
+            return iv, idr, None
+        if not isinstance(self.outer, MobiusMap):
             raise EvaluationError(
                 "composition through infinity needs a Moebius outer map"
             )
-        ov, od, op = self.outer._jet(iv)
+        return iv, idr, ip
+
+    def _chain(self, inner, outer):
+        """The jet of outer after inner from _inner_jet and the outer jet at
+        the inner values."""
+        (iv, idr, ip), (ov, od, op) = inner, outer
         # chain rule holds in either chart of the outer jet
         with np.errstate(over="ignore", invalid="ignore"):
             chained = od * idr
@@ -727,7 +793,7 @@ class Compose(MapExpr):
             chained = np.where(lost, -(od / big) / big * idr, chained)
             ov, op = np.where(lost, 0.0, ov), op | lost
         od = chained
-        if through:
+        if ip is not None:
             pv, pd, pp = self.outer._jet_at_pole(idr)
             ov, od, op = np.where(ip, pv, ov), np.where(ip, pd, od), np.where(ip, pp, op)
         return ov, od, op
@@ -792,8 +858,8 @@ def symmetry_check(f: MapExpr, samples=64) -> float:
     else:
         pts = [complex(z) for z in samples]
     z = np.array(pts, dtype=complex)
-    left, _, left_pole = evaluate(f, -z.conj())
-    right, _, right_pole = evaluate(f, z)
+    value, _, pole = evaluate(f, np.concatenate((-z.conj(), z)))
+    (left, right), (left_pole, right_pole) = np.split(value, 2), np.split(pole, 2)
     if np.any(left_pole != right_pole):
         return float("inf")
     gap = np.abs(left - right.conj())[~left_pole]

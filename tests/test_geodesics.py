@@ -245,6 +245,31 @@ class TestLockstepKernel:
         with pytest.raises(EvaluationError, match="not finite"):
             geodesics._integrate(g, [first, [1.0, 2.0]], budget)
 
+    def test_rounds_bisect_the_worst_panels_together(self):
+        # a round pops panels until what is left in the heap is at most
+        # half the tolerance: here it bisects every panel, in 4 calls where
+        # one bisection per round took 7
+        g, calls = _recording(lambda t: np.exp(3 * t) * np.cos(7 * t))
+        value, bound = adaptive_integrate(g, 0.0, 3.0, CFG)
+        exact = (math.exp(9.0) * (3.0 * math.cos(21.0) + 7.0 * math.sin(21.0)) - 3.0) / 58.0
+        assert value == pytest.approx(exact, rel=1e-12, abs=0)
+        assert bound <= CFG.rel_tol * abs(value)
+        assert [len(t) // 15 for t in calls] == [1, 2, 4, 8]
+
+    def test_max_segments_bounds_the_panels_made(self):
+        g, calls = _recording(_kink(0.5))
+        adaptive_integrate(g, 0.0, 1.0, CFG)
+        panels = sum(len(t) for t in calls) // 15
+        exact = QuadConfig(abs_tol=1e-11, rel_tol=1e-11, max_segments=panels)
+        assert adaptive_integrate(_kink(0.5), 0.0, 1.0, exact) == adaptive_integrate(
+            _kink(0.5), 0.0, 1.0, CFG
+        )
+        short = QuadConfig(abs_tol=1e-11, rel_tol=1e-11, max_segments=panels - 1)
+        g, calls = _recording(_kink(0.5))
+        with pytest.raises(PrecisionError):
+            adaptive_integrate(g, 0.0, 1.0, short)
+        assert sum(len(t) for t in calls) // 15 <= panels - 1
+
     def test_max_segments_counts_per_piece(self):
         g = _kink(0.5)
         recorded, calls = _recording(g)

@@ -40,6 +40,8 @@ from arclab.maps import (
     _jet_div,
     _jet_mul,
 )
+import arclab.maps as maps
+from arclab.funcspec import parse
 from arclab.metrics import INFINITY, MetricId, MobiusTransform, norm_from_jet
 
 H = MetricId.HYPERBOLIC_DISC
@@ -302,6 +304,7 @@ def inv(center):
 
 
 LONG_HALF_PLANE = BlaschkeHalfPlane(tuple(float(k * k) for k in range(1, 5001)))
+SQUARES_1000 = BlaschkeHalfPlane(tuple(float(k * k) for k in range(1, 1001)))
 
 # each batch mixes poles, exact zeros, points within 1e-8 of a Blaschke
 # zero and ordinary points
@@ -362,16 +365,25 @@ BATCH_CASES = {
 class TestBatchMasks:
     @pytest.mark.parametrize("case", BATCH_CASES)
     def test_each_element_matches_one_point(self, case):
-        # the masks and exact zeros agree exactly; numpy may round a batch
-        # and a single point differently in the last bit
         f, points = BATCH_CASES[case]
         got = unbatch(evaluate(f, np.array(points)))
         for z, jet in zip(points, got):
-            one = evaluate(f, z)
-            assert jet.is_pole == one.is_pole, z
-            if not one.is_pole:
-                assert jet.value == pytest.approx(one.value, rel=1e-15, abs=0), z
-            assert jet.derivative == pytest.approx(one.derivative, rel=1e-15, abs=0), z
+            assert jet == evaluate(f, z), z
+
+    @pytest.mark.parametrize("f, scale", [
+        (BlaschkeDisc((0.5 + 0.2j,)), 0.25),
+        (BlaschkeHalfPlane((1.0,)), 1.0),
+        (Compose(SQUARES_1000, Shift(1.0)), 1.0),
+    ], ids=["disc-one-zero", "half-plane-one-height", "half-plane-one-near-height"])
+    def test_one_factor_rounds_alike_alone_and_in_a_batch(self, f, scale):
+        # numpy rounds a complex product of one element in place or broadcast
+        # without the fused multiply-add of its array loops
+        rng = np.random.default_rng(2)
+        z = scale * (rng.uniform(-3.0, 3.0, 200) + 1j * rng.uniform(0.1, 3.0, 200))
+        value, derivative, _ = evaluate(f, z)
+        for i, point in enumerate(z):
+            one = evaluate(f, point)
+            assert (one.value, one.derivative) == (value[i], derivative[i]), point
 
     @pytest.mark.parametrize("f, bad", [
         (Product(inv(0.5), BlaschkeDisc((0.5 + 0j,))), 0.5 + 0j),
@@ -388,6 +400,100 @@ class TestBatchMasks:
         value, derivative, pole = evaluate(BlaschkeDisc((0.5 + 0j,)), z)
         assert value.shape == derivative.shape == pole.shape == (2, 2)
         assert value[1, 0] == 0 and value[0, 1] == evaluate(BlaschkeDisc((0.5 + 0j,)), 0.2j).value
+
+
+def _bits(jet):
+    return [a.tobytes() for a in jet]
+
+
+def _axis_quotient(product):
+    return Quotient(Compose(product, Shift(1.0)), Compose(product, Shift(-1.0)))
+
+
+class TestSharedOuter:
+    """A product or quotient of compositions with one outer map evaluates
+    it once, with the jets and errors of two separate evaluations."""
+
+    def test_jets_equal_two_evaluations_bitwise(self):
+        # 301 points, more than _BLOCK // 1000 = 4 rows, from the far-field
+        # tables near the axis to the direct product past every table
+        z = np.geomspace(0.5, 1e6, 301) * (-1.0) ** np.arange(301) + 1j * np.linspace(40, 0.5, 301)
+        f = _axis_quotient(SQUARES_1000)
+        g = Product(f.numerator, f.denominator)
+        assert f._shared_outer and g._shared_outer
+        # and lone points, in the table with one near factor, 1: a numpy
+        # product of one element rounds apart from a batch
+        lone = np.linspace(-0.9, 0.9, 7)[:, None] + 1j * np.linspace(0.6, 1.7, 3)
+        for points in (z, *lone.reshape(-1, 1)):
+            want = _jet_div(f.numerator._jet(points), f.denominator._jet(points))
+            assert _bits(f._jet(points)) == _bits(want)
+            want = _jet_mul(g.left._jet(points), g.right._jet(points))
+            assert _bits(g._jet(points)) == _bits(want)
+        # the points lie in several far-field groups and past all of them
+        levels = np.searchsorted(SQUARES_1000._tables[0], np.abs(z + 1.0))
+        assert len(set(levels)) > 2 and levels.max() == len(SQUARES_1000._tables[0])
+
+    def test_pole_through_a_mobius_outer(self):
+        outer = MobiusMap(MobiusTransform(2, 1, 1, 3))
+        f = Quotient(Compose(outer, inv(0.2)), Compose(outer, inv(-0.3)))
+        # poles of the inner maps, a pole of the outer map, ordinary points
+        z = np.array([0.2 + 0j, -0.3 + 0j, 0.2 - 1 / 3 + 0j, 0.1 + 0.3j, -0.4 + 0.2j])
+        assert f._shared_outer
+        got = f._jet(z)
+        assert got[2].any() and _bits(got) == _bits(
+            _jet_div(f.numerator._jet(z), f.denominator._jet(z))
+        )
+
+    @pytest.mark.parametrize("make", [
+        lambda: _axis_quotient(BlaschkeHalfPlane((1.0, 4.0, 9.0, 16.0))),
+        lambda: parse(
+            "blaschke_hp([1, 4, 9, 16]) . shift(1+0i) / blaschke_hp([1, 4, 9, 16]) . shift(-1+0i)"
+        ),
+    ], ids=["one-object", "parsed"])
+    def test_outer_jet_runs_once(self, make, monkeypatch):
+        f = make()
+        calls = []
+        jet = BlaschkeHalfPlane._jet
+        monkeypatch.setattr(
+            BlaschkeHalfPlane, "_jet", lambda self, z: calls.append(len(z)) or jet(self, z)
+        )
+        evaluate(f, np.array([1j, 2j, 0.5 + 3j]))
+        evaluate(f, 2j)
+        assert calls == [6, 2]
+
+    def test_zeros_of_either_sign_are_not_shared(self):
+        # equal fields, whose zeros differ in sign: the jets keep it
+        plus, minus = Compose(Shift(0j), Scale(-1.0)), Compose(Shift(-0j), Scale(-1.0))
+        z = np.array([0j, 1.0 + 0j])
+        assert Shift(0j) == Shift(-0j)
+        assert _bits(plus._jet(z)) != _bits(minus._jet(z))
+        f = Product(plus, minus)
+        assert not f._shared_outer
+        assert _bits(f._jet(z)) == _bits(_jet_mul(plus._jet(z), minus._jet(z)))
+        assert Product(plus, Compose(Shift(0j), Scale(-1.0)))._shared_outer
+
+    def test_non_mobius_outer_through_infinity_raises(self):
+        f = Quotient(Compose(ExpMap(), inv(0.2)), Compose(ExpMap(), inv(-0.3)))
+        assert f._shared_outer
+        message = "composition through infinity needs a Moebius outer map"
+        for z in (0.2 + 0j, -0.3 + 0j):
+            with pytest.raises(EvaluationError, match=message):
+                evaluate(f, np.array([0.1j, z]))
+
+    def test_error_names_the_point_of_two_evaluations(self):
+        # the numerator meets the zero at 81i and the denominator the one at
+        # 4i at the same point; two evaluations name the numerator's
+        product = BlaschkeHalfPlane(tuple(float(k * k) for k in range(1, 401)))
+        num, den = Compose(product, Shift(-81j)), Compose(product, Shift(-4j))
+        f = Quotient(num, den)
+        assert f._shared_outer
+        z = np.array([1j, 0j])
+        with pytest.raises(EvaluationError) as alone:
+            evaluate(num, z)
+        with pytest.raises(EvaluationError) as shared:
+            evaluate(f, z)
+        assert str(shared.value) == str(alone.value)
+        assert str(complex(0.0, -81.0)) in str(shared.value)
 
 
 class TestBlaschke:
@@ -429,6 +535,26 @@ class TestBlaschke:
     def test_symmetry_check_flags_asymmetric(self):
         f = Compose(BlaschkeHalfPlane((1.0,)), Shift(0.5 + 0j))
         assert symmetry_check(f, 32) > 1e-3
+
+    @pytest.mark.parametrize("n", [1000, 2600, 5334])
+    def test_symmetry_check_is_one_evaluation(self, n, monkeypatch):
+        b = BlaschkeHalfPlane(
+            tuple(float(k * k) for k in range(1, n + 1)),
+            tuple(1.0 if k % 3 else -1.0 for k in range(1, n + 1)),
+        )
+        # the grid of symmetry_check(b, 32)
+        z = np.array([complex(x, y) for y in np.geomspace(0.05, 20.0, 4)
+                      for x in np.linspace(-3.0, 3.0, 8)])
+        left, _, left_pole = evaluate(b, -z.conj())
+        right, _, right_pole = evaluate(b, z)
+        assert not (left_pole.any() or right_pole.any())
+        two_calls = float(np.max(np.abs(left - right.conj())))
+        calls = []
+        one = maps.evaluate
+        monkeypatch.setattr(maps, "evaluate", lambda f, w: calls.append(len(w)) or one(f, w))
+        assert symmetry_check(b, 32) == two_calls
+        assert symmetry_check(b, list(z)) == two_calls
+        assert calls == [64, 64]
 
 
 def _signed_powers(n_levels):
