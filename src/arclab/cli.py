@@ -382,13 +382,13 @@ def build_parser() -> _Cli:
     vcmd(
         "keogh",
         lambda f, ns: check_sqrt_trend(
-            f, MetricId.EUCLIDEAN, require_halving=True, config=_quad(ns)
+            f, MetricId.EUCLIDEAN, (7.0, 14.0, 21.0, 28.0, 35.0),
+            require_halving=True, config=_quad(ns),
         ),
         "koebe() . scale(0.9+0i)",
         "Euclidean L(rho)/sqrt(rho) strictly decreasing on rho = "
-        "4, 6, 8, 10, 12 and below half its first value at the end. L never "
-        "decreases, so halving needs a grid spanning a factor above 4; on this "
-        "grid the check reports FAIL for every map.",
+        "7, 14, 21, 28, 35 and below half its first value at the end. L never "
+        "decreases, so halving needs a last rho above 4 times the first.",
     )
     vcmd(
         "thm32",

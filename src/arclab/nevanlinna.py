@@ -190,19 +190,16 @@ def _tail_ok(coeffs: np.ndarray, m: int) -> bool:
 def _power_series(blocks, z):
     """sum_n c_n z^n at the 1-d points z, with blocks[j, i] = c[K j + i]: one
     matrix product of blocks with the powers z^0..z^(K-1) gives the block
-    sums, and Horner's rule in w = z^K adds them up (Paterson & Stockmeyer,
-    SIAM J. Comput. 2, 1973)."""
+    sums q_j, and one row-wise reduction adds up q_j w^j with the powers of
+    w = z^K (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973)."""
     out = np.empty(z.shape, dtype=complex)
     for lo in range(0, len(z), _ROWS):
         zb = z[lo : lo + _ROWS]
         powers = np.repeat(zb[:, None], _K, axis=1)
         powers[:, 0] = 1.0
         q = blocks @ np.cumprod(powers, axis=1, out=powers).T
-        w = powers[:, -1] * zb
-        acc = q[-1]
-        for qj in q[-2::-1]:
-            acc = acc * w + qj
-        out[lo : lo + _ROWS] = acc
+        w = np.vander(powers[:, -1] * zb, len(blocks), increasing=True)
+        out[lo : lo + _ROWS] = np.einsum("jr,rj->r", q, w)
     return out
 
 
@@ -342,8 +339,8 @@ def fatou_decompose(f: MapExpr, boundary_samples: int = 4096) -> Decomposition:
     return Decomposition(
         b0_zeros=tuple(zeros),
         binf_poles=tuple(poles),
-        u0_fourier=tuple(complex(c) for c in c0),
-        uinf_fourier=tuple(complex(c) for c in cinf),
+        u0_fourier=tuple(c0.tolist()),
+        uinf_fourier=tuple(cinf.tolist()),
         boundary_samples=m,
         quotient_phase=phase,
     )

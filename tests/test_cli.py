@@ -337,9 +337,15 @@ class TestVerify:
             assert code == 0, (verb, out)
 
     def test_keogh_half_power_fails_honestly(self, capsys):
+        # on rho = 7..35 the default map halves its ratio and passes; at 0.99
+        # the ratio falls only 2680.7 -> 1673.4, not by half, and fails
         code, out, _ = run(capsys, "verify", "keogh")
+        assert code == 0
+        assert "| PASS |" in out.splitlines()[0]
+        code, out, _ = run(capsys, "verify", "keogh", "--func", "koebe() . scale(0.99+0i)")
         assert code == 1
         assert "| FAIL |" in out.splitlines()[0]
+        assert "# halved = False" in out.splitlines()
 
     def test_spherical_hypothesis_violation_exits_two(self, capsys):
         code, out, _ = run(capsys, "verify", "prop23", "--func", "koebe()")

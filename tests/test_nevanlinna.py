@@ -30,6 +30,9 @@ from arclab.metrics import INFINITY, MobiusTransform, chordal
 from arclab.nevanlinna import (
     CharacteristicCurve,
     Decomposition,
+    _circle,
+    _log_chordal,
+    _power_series,
     characteristic_curve,
     fatou_decompose,
     origin_identity_T,
@@ -331,6 +334,53 @@ class TestDecomposition:
         assert "poles: 0" in lines
         assert any(line.startswith("u0_fourier:") for line in lines)
         assert any(line.startswith("uinf_fourier:") for line in lines)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            Quotient(BlaschkeDisc((0.3 + 0.2j, -0.5j)), BlaschkeDisc((0.6 - 0.1j,))),
+            Compose(Koebe(), Shift(0.25)),
+        ],
+        ids=["blaschke-quotient", "koebe-shifted"],
+    )
+    def test_fourier_data_is_the_rfft_bit_for_bit(self, f):
+        # the manifest prints these tuples with repr, so they must be Python
+        # complex values equal in every bit to rfft(u)/m without the Nyquist term
+        dec = fatou_decompose(f, 256)
+        m = dec.boundary_samples
+        u0, uinf = _log_chordal(evaluate(f, _circle(m)))
+        for got, u in ((dec.u0_fourier, u0), (dec.uinf_fourier, uinf)):
+            want = (np.fft.rfft(u) / m)[:-1]
+            assert len(got) == len(want) == m // 2
+            assert all(type(c) is complex for c in got)
+            assert [(c.real.hex(), c.imag.hex()) for c in got] == [
+                (float(c.real).hex(), float(c.imag).hex()) for c in want
+            ]
+
+
+class TestPowerSeriesKernel:
+    @pytest.mark.parametrize("count", [1, 64, 65, 130])
+    @pytest.mark.parametrize("nblocks", [1, 2, 32, 33])
+    def test_matches_polyval(self, nblocks, count):
+        # the last block is partly zero padding, as Decomposition pads it; the
+        # points hold 0, circle points and interior points, and the batches of
+        # 65 and 130 cross the kernel's row blocks
+        rng = np.random.default_rng(100 * nblocks + count)
+        n = 64 * nblocks - 5
+        coeffs = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / (1.0 + np.arange(n))
+        blocks = np.pad(coeffs, (0, 5)).reshape(nblocks, 64)
+        angles = 2.0 * np.pi * rng.random(count)
+        radii = np.where(np.arange(count) % 2 == 0, 1.0, rng.random(count))
+        zs = radii * np.exp(1j * angles)
+        batches = [zs, np.array([0j])] if count == 1 else [np.concatenate([[0j], zs[1:]])]
+        for z in batches:
+            want = np.polynomial.polynomial.polyval(z, coeffs)
+            # relative to the sum of the moduli of the terms, the scale of
+            # the rounding error of any summation order
+            scale = np.polynomial.polynomial.polyval(np.abs(z), np.abs(coeffs))
+            got = _power_series(blocks, z)
+            assert got.shape == z.shape
+            assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
 
 class TestUniformDelta:
