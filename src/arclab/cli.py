@@ -12,6 +12,7 @@ check probes disc points); both are reported before any quadrature.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -119,24 +120,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-class _Output:
-    """Data sink: stdout by default, a file when --output is given."""
-
-    def __init__(self, path):
-        self.path = path
-        self.fh = None
-
-    def __enter__(self):
-        self.fh = open(self.path, "w") if self.path else sys.stdout
-        return self
-
-    def __exit__(self, *exc):
-        if self.path and self.fh is not None:
-            self.fh.close()
-        return False
-
-    def line(self, text=""):
-        self.fh.write(text + "\n")
+def _output(path):
+    """The data sink as a context manager: the file at --output PATH, or
+    stdout, which it leaves open.  A file that cannot be opened is a usage
+    error."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot open --output {path!r}: {exc.strerror}") from exc
 
 
 def _quad(ns) -> QuadConfig:
@@ -163,21 +156,22 @@ def _cmd_eval(ns) -> int:
     f = _parsed(ns.func)
     z = _parsed(ns.at, parse_complex)
     jet = evaluate(f, z)
-    with _Output(ns.output) as out:
+    with _output(ns.output) as out:
         if jet.is_pole:
-            out.line("value INFINITY")
-            out.line(
-                f"chart_derivative {_fmt(jet.derivative.real)} {_fmt(jet.derivative.imag)}"
+            print("value INFINITY", file=out)
+            print(
+                f"chart_derivative {_fmt(jet.derivative.real)} {_fmt(jet.derivative.imag)}",
+                file=out,
             )
         else:
-            out.line(f"value {_fmt(jet.value.real)} {_fmt(jet.value.imag)}")
-            out.line(
-                f"derivative {_fmt(jet.derivative.real)} {_fmt(jet.derivative.imag)}"
+            print(f"value {_fmt(jet.value.real)} {_fmt(jet.value.imag)}", file=out)
+            print(
+                f"derivative {_fmt(jet.derivative.real)} {_fmt(jet.derivative.imag)}", file=out
             )
         # the source metric as deriv_norm takes it
         source = f.domain or MetricId.HYPERBOLIC_DISC
         for m in MetricId:
-            out.line(f"norm_{m.value} {_fmt(_norm_or_nan(jet, z, source, m))}")
+            print(f"norm_{m.value} {_fmt(_norm_or_nan(jet, z, source, m))}", file=out)
     return 0
 
 
@@ -194,7 +188,7 @@ def _cmd_length(ns) -> int:
     # the last point is rho_max itself: rho_max * n / n can round above it
     grid = [ns.rho_max * k / ns.samples for k in range(1, ns.samples)] + [ns.rho_max]
     samples = arc_length_profile(f, arc, grid, _TARGETS[ns.target], _quad(ns))
-    with _Output(ns.output) as out:
+    with _output(ns.output) as out:
         _emit_samples(out, ns, samples)
     return 0
 
@@ -202,21 +196,21 @@ def _cmd_length(ns) -> int:
 def _cmd_area(ns) -> int:
     f = _parsed(ns.func)
     value, bound = area_with_bound(f, ns.rho, _TARGETS[ns.target], _quad(ns))
-    with _Output(ns.output) as out:
+    with _output(ns.output) as out:
         if ns.header == "on":
-            out.line("area,error_bound")
-        out.line(f"{_fmt(value)},{_fmt(bound)}")
+            print("area,error_bound", file=out)
+        print(f"{_fmt(value)},{_fmt(bound)}", file=out)
     return 0
 
 
 def _cmd_nevanlinna(ns) -> int:
     f = _parsed(ns.func)
     curve = characteristic_curve(f, ns.radii, _quad(ns))
-    with _Output(ns.output) as out:
+    with _output(ns.output) as out:
         if ns.header == "on":
-            out.line("r,S,T")
+            print("r,S,T", file=out)
         for r, s, t in zip(curve.radii, curve.S_values, curve.T_values):
-            out.line(f"{_fmt(r)},{_fmt(s)},{_fmt(t)}")
+            print(f"{_fmt(r)},{_fmt(s)},{_fmt(t)}", file=out)
     return 0
 
 
@@ -224,12 +218,11 @@ def _cmd_decompose(ns) -> int:
     f = _parsed(ns.func)
     d = fatou_decompose(f, ns.boundary_samples)
     pyth, quot, origin_gap = d.residuals(f)
-    with _Output(ns.output) as out:
-        for line in d.to_manifest().splitlines():
-            out.line(line)
-        out.line(f"# pythagoras_residual {_fmt(pyth)}")
-        out.line(f"# quotient_residual {_fmt(quot)}")
-        out.line(f"# origin_identity_residual {_fmt(origin_gap)}")
+    with _output(ns.output) as out:
+        out.write(d.to_manifest())
+        print(f"# pythagoras_residual {_fmt(pyth)}", file=out)
+        print(f"# quotient_residual {_fmt(quot)}", file=out)
+        print(f"# origin_identity_residual {_fmt(origin_gap)}", file=out)
     return 0
 
 
@@ -237,9 +230,9 @@ _STATUS_EXIT = {"PASS": 0, "FAIL": 1, "INAPPLICABLE": 2}
 
 
 def _emit_report(out, report: VerdictReport) -> int:
-    out.line(report.to_line())
+    print(report.to_line(), file=out)
     for key, value in report.details:
-        out.line(f"# {key} = {value}")
+        print(f"# {key} = {value}", file=out)
     return _STATUS_EXIT[report.status]
 
 
@@ -253,15 +246,15 @@ def _disc_map(ns, text: str):
 
 def _cmd_verify(ns) -> int:
     report = ns.check(_disc_map(ns, ns.func), ns)
-    with _Output(ns.output) as out:
+    with _output(ns.output) as out:
         return _emit_report(out, report)
 
 
 def _emit_samples(out, ns, samples):
     if ns.header == "on":
-        out.line("rho,length")
+        print("rho,length", file=out)
     for s in samples:
-        out.line(f"{_fmt(s.rho)},{_fmt(s.length)}")
+        print(f"{_fmt(s.rho)},{_fmt(s.length)}", file=out)
 
 
 def _cmd_scenario(ns) -> int:
@@ -273,11 +266,12 @@ def _cmd_scenario(ns) -> int:
     else:  # blaschke-quotient
         samples, report = scenario_blaschke_quotient(ns.n_max, _quad(ns))
     fit = report.fit
-    with _Output(ns.output) as out:
+    with _output(ns.output) as out:
         _emit_samples(out, ns, samples)
-        out.line(
+        print(
             f"# fit model={fit.model.value} exponent={_fmt(fit.exponent)} "
-            f"constant={_fmt(fit.constant)} residual={_fmt(fit.residual)}"
+            f"constant={_fmt(fit.constant)} residual={_fmt(fit.residual)}",
+            file=out,
         )
         return _emit_report(out, report)
 

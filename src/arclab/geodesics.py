@@ -173,13 +173,10 @@ def _g7k15(g, lo, hi):
     ch = _HALVES @ np.array((lo, hi), dtype=float)
     c, h = ch[0], ch[1]
     ts = c[:, None] + h[:, None] * _NODES
-    if len(ts) <= _PANELS_PER_CALL:
-        f = g(ts.ravel())
-    else:
-        f = np.concatenate(
-            [g(ts[k : k + _PANELS_PER_CALL].ravel()) for k in range(0, len(ts), _PANELS_PER_CALL)]
-        )
-    sums = _RULES @ np.asarray(f).reshape(ts.shape).T
+    f = np.concatenate(
+        [g(ts[k : k + _PANELS_PER_CALL].ravel()) for k in range(0, len(ts), _PANELS_PER_CALL)]
+    )
+    sums = _RULES @ f.reshape(ts.shape).T
     kronrod, gauss = sums[0], sums[1]
     vals = (kronrod * h).tolist()
     if not math.isfinite(sum(vals)):
@@ -363,15 +360,6 @@ def _panel_sums(f, r, k, panels, target):
     a list with one per radius r_i; each evaluate takes at most _CHUNK
     points, splitting the radii and, past _CHUNK panels, the angles too."""
     unit = np.exp(2j * np.pi * k / panels)
-    if len(r) == 1:
-        # one radius, as circle_energy asks: 1-d points and a dot product,
-        # which cost numpy less than a one-row block
-        total = 0.0
-        for col in range(0, len(unit), _CHUNK):
-            z = r[0] * unit[col : col + _CHUNK]
-            n = norm_from_jet(evaluate(f, z), z, MetricId.HYPERBOLIC_DISC, target)
-            total += float(n @ n)
-        return [total]
     rows = max(1, _CHUNK // len(unit))
     sums = []
     for lo in range(0, len(r), rows):
@@ -393,7 +381,7 @@ def _circle_energies(f, ts, target, rel_tol, max_panels):
     max(1e-13, rel_tol |mean|).  The PrecisionError for radii that never
     settle names the first of them in the order of ts.
     """
-    if (ts < 0).any():
+    if not (ts >= 0).all():
         raise ValueError("radius must be non-negative")
     r = np.tanh(ts / 2.0)
     panels = 32
@@ -439,11 +427,21 @@ def circle_energy(
     return _circle_energies(f, ts, target, rel_tol, max_panels)[0].item()
 
 
-def _as_disc_map(f: MapExpr) -> MapExpr:
+def _radial(f: MapExpr, target: MetricId, cfg: QuadConfig, kernel=None):
+    """The outer integrand sinh t Q(t) of an image area, times kernel(t)
+    when one is given, as a vectorised function of t.  Q(t) is the circle
+    energy of f, a half-plane map taken to the disc first, settled to a
+    hundredth of cfg's relative tolerance within _MAX_PANELS panels."""
     if f.domain is MetricId.HYPERBOLIC_HALF_PLANE:
         # transport through the disc -> half-plane isometry
-        return Compose(f, inv_cayley_map())
-    return f
+        f = Compose(f, inv_cayley_map())
+    rel_tol = 0.01 * cfg.rel_tol
+
+    def radial(ts):
+        q = np.sinh(ts) * _circle_energies(f, ts, target, rel_tol, _MAX_PANELS)
+        return q if kernel is None else q * kernel(ts)
+
+    return radial
 
 
 def area_with_bound(
@@ -460,12 +458,7 @@ def area_with_bound(
     increments.
     """
     cfg = config or AREA_DEFAULT
-    g = _as_disc_map(f)
-
-    def radial(ts):
-        rel_tol = 0.01 * cfg.rel_tol
-        return np.sinh(ts) * _circle_energies(g, ts, target, rel_tol, _MAX_PANELS)
-
+    radial = _radial(f, target, cfg)
     if not math.isinf(rho):
         if not 0.0 < rho <= DISC_RHO_MAX:
             raise ValueError(f"rho must be in (0, {DISC_RHO_MAX}] or infinite")

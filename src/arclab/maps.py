@@ -651,8 +651,6 @@ class BlaschkeHalfPlane(MapExpr):
         reach, tables = self._tables
         level = np.searchsorted(reach, az)
         groups = np.flatnonzero(np.bincount(level))
-        if len(groups) == 1:
-            return (*self._split_jet(z, tables[groups[0]]), _finite(z))
         value, derivative = np.empty_like(z), np.empty_like(z)
         for j in groups:
             rows = np.flatnonzero(level == j)

@@ -39,9 +39,7 @@ from .errors import (
 from .geodesics import (
     AREA_DEFAULT,
     QuadConfig,
-    _MAX_PANELS,
-    _as_disc_map,
-    _circle_energies,
+    _radial,
     adaptive_integrate,
     area_with_bound,
 )
@@ -72,14 +70,12 @@ def shimizu_T(f: MapExpr, r: float, config: QuadConfig = None) -> float:
     """Ahlfors-Shimizu characteristic int_0^r S(t)/t dt."""
     cfg = config or AREA_DEFAULT
     rho = rho_of_r(r)
-    g = _as_disc_map(f)
     log_r = math.log(r)
 
-    def integrand(vs):
-        q = _circle_energies(g, vs, MetricId.SPHERICAL, 0.01 * cfg.rel_tol, _MAX_PANELS)
-        return np.sinh(vs) * q * (log_r - np.log(np.tanh(vs / 2.0)))
+    def kernel(vs):
+        return log_r - np.log(np.tanh(vs / 2.0))
 
-    val, _ = adaptive_integrate(integrand, 0.0, rho, cfg)
+    val, _ = adaptive_integrate(_radial(f, MetricId.SPHERICAL, cfg, kernel), 0.0, rho, cfg)
     return val / (4.0 * math.pi)
 
 

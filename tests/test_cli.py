@@ -172,6 +172,17 @@ class TestLength:
         text = path.read_text()
         assert text.startswith("rho,length\n")
 
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.txt"
+        code, out, err = run(
+            capsys, "eval", "--func", "z()", "--at", "0.5", "--output", str(path)
+        )
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and str(path) in err
+        assert not path.parent.exists()
+
     def test_half_plane_domain_uses_vertical_arc(self, capsys):
         code, out, _ = run(
             capsys,
@@ -259,6 +270,19 @@ class TestArea:
         value = float(out.splitlines()[1].split(",")[0])
         assert value == pytest.approx(4 * math.pi, rel=1e-4)
 
+    def test_unsettled_area_exits_one_with_its_best_estimate(self, capsys):
+        # the Koebe circle energy in E never settles past t = 6.5
+        code, out, err = run(
+            capsys, "area", "--func", "koebe()", "--target", "E", "--rho", "inf"
+        )
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith("error: ")
+        estimates = [l for l in lines if l.startswith("best estimate: ")]
+        assert len(estimates) == 1
+        assert math.isfinite(float(estimates[0].split(": ")[1]))
+
     def test_divergent_improper_exits_one(self, capsys):
         code, out, err = run(
             capsys, "area", "--func", "z()", "--target", "H", "--rho", "inf"
@@ -322,6 +346,14 @@ class TestDecompose:
             f = parse(func)
             expect = fatou_decompose(f, 512).residuals(f)
             assert [l.split()[2] for l in tail] == [_fmt(r) for r in expect]
+
+    def test_unresolved_boundary_data_exits_one(self, capsys):
+        code, out, err = run(
+            capsys, "decompose", "--func", "shift(-0.99999+0i)", "--boundary-samples", "256"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "65536" in err
 
 
 class TestVerify:

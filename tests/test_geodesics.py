@@ -457,11 +457,17 @@ class TestCircleEnergiesKernel:
                 geodesics._circle_energies(f, np.array(ts), E, 1e-10, _MAX_PANELS)
 
     def test_negative_radius(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            circle_energy(Identity(), -0.1, E)
+        # nan is rejected before any evaluation, which would warn on it
+        for t in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="non-negative"):
+                circle_energy(Identity(), t, E)
         with pytest.raises(ValueError, match="non-negative"):
             geodesics._circle_energies(
                 Identity(), np.array([0.5, -1e-9]), E, 1e-10, _MAX_PANELS
+            )
+        with pytest.raises(ValueError, match="non-negative"):
+            geodesics._circle_energies(
+                Identity(), np.array([0.5, math.nan]), E, 1e-10, _MAX_PANELS
             )
 
 

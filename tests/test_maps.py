@@ -263,6 +263,18 @@ class TestComposeTags:
         assert jet.derivative == pytest.approx(0.5)
 
 
+class TestDivisor:
+    def test_pullback_through_a_moebius_pole(self):
+        # t(z) = (z - 0.3)/(1 - 0.3 z) sends 10/3 to infinity, where Koebe
+        # has a simple zero; Koebe's zero at 0 and double pole at 1 pull
+        # back to 0.3 and 1
+        f = parse("koebe() . mobius(1+0i,-0.3+0i,-0.3+0i,1+0i)")
+        zeros, poles, essential = f.divisor()
+        assert sorted(zeros, key=abs) == pytest.approx([0.3, 10 / 3], abs=1e-15)
+        assert poles == pytest.approx([1.0, 1.0], abs=1e-15)
+        assert essential == []
+
+
 class TestProductsAndQuotients:
     def test_product_tags(self):
         p = Product(BlaschkeDisc((0.5 + 0j,)), BlaschkeDisc((0.2j,)))

@@ -8,6 +8,7 @@ from arclab.errors import (
     BoundarySingularityError,
     DataError,
     NormalizationError,
+    ResolutionError,
     StructureError,
 )
 from arclab.geodesics import QuadConfig, adaptive_integrate
@@ -234,8 +235,11 @@ class TestDecomposition:
             (Compose(Koebe(), Shift(0.25)), [-0.25], [0.75, 0.75]),
             # the Blaschke factor's pole at 2 pulls back to 2/3
             (Compose(BlaschkeDisc((0.5 + 0j,)), Scale(3.0)), [1 / 6], [2 / 3]),
+            # (0.2 z + 1)/(z - 0.5) sends 1/2 to infinity, Koebe's simple
+            # zero; its zero at 0 pulls back to -5 and its pole to 1.875
+            (Compose(Koebe(), MobiusMap(MobiusTransform(0.2, 1, 1, -0.5))), [0.5], []),
         ],
-        ids=["linear", "koebe", "blaschke"],
+        ids=["linear", "koebe", "blaschke", "koebe-moebius-pole"],
     )
     def test_pullback_finds_points_from_outside_the_disc(self, f, zeros, poles):
         dec = fatou_decompose(f)
@@ -322,6 +326,23 @@ class TestDecomposition:
         dec = fatou_decompose(f)
         assert dec.boundary_samples == 4096
         assert all(r <= 1e-10 for r in dec.residuals(f))
+
+    def test_product_of_blaschke_factors(self):
+        f = Product(BlaschkeDisc((0.5 + 0j,)), BlaschkeDisc((-0.3 + 0.2j,)))
+        dec = fatou_decompose(f, 256)
+        assert dec.b0_zeros == pytest.approx((0.5, -0.3 + 0.2j), abs=1e-15)
+        assert dec.binf_poles == ()
+        assert all(r <= 1e-14 for r in dec.residuals(f))
+
+    def test_samples_double_until_the_boundary_data_resolves(self):
+        # log k(z - 0.99, 0) on the circle has Fourier coefficients that
+        # decay as 0.99^n, which the tail gate accepts at 2 048 samples
+        f = Shift(-0.99)
+        dec = fatou_decompose(f, 256)
+        assert dec.boundary_samples == 2048
+        assert all(r < 1e-6 for r in dec.residuals(f))
+        with pytest.raises(ResolutionError, match="65536"):
+            fatou_decompose(Shift(-0.99999), 256)
 
     def test_manifest_lists_zeros_and_fourier_data(self):
         f = BlaschkeDisc((0.5 + 0j,))
