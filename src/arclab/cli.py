@@ -62,8 +62,8 @@ map expression grammar:
 
 composition binds tighter than '*' and '/'; REAL is an optionally signed
 decimal with optional exponent.  NAMEs: z (identity), const, scale, shift,
-mobius, koebe, exp, powerseries, blaschke_disc, blaschke_hp (heights list,
-optional signs list), cayley, inv_cayley.
+mobius, koebe, exp, log, powerseries, blaschke_disc, blaschke_hp (heights
+list, optional signs list), cayley, inv_cayley.
 
 examples:
   koebe()

@@ -13,8 +13,8 @@ Grammar (documented verbatim in the CLI help):
 
 Composition binds tighter than '*' and '/', both levels associate left.
 REAL is an optionally signed decimal with optional exponent.  NAMEs:
-z, const, scale, shift, mobius, koebe, exp, powerseries, blaschke_disc,
-blaschke_hp, cayley, inv_cayley.
+z, const, scale, shift, mobius, koebe, exp, log, powerseries,
+blaschke_disc, blaschke_hp, cayley, inv_cayley.
 
 Every syntax problem raises ParseError carrying the byte offset of the
 first offending byte (or of the start of its token); composing maps whose
@@ -38,6 +38,7 @@ from .maps import (
     ExpMap,
     Identity,
     Koebe,
+    LogMap,
     MapExpr,
     MobiusMap,
     PowerSeries,
@@ -190,23 +191,29 @@ class _Parser:
         self.expect_punct("]")
         return items
 
+    def real_value(self) -> float:
+        """The NUMBER token here as a float, which must be finite."""
+        if self.peek().kind != "NUMBER":
+            self.fail("a number")
+        x = float(self.peek().text)
+        if not math.isfinite(x):
+            self.fail("a finite number")
+        self.advance()
+        return x
+
     def complex_value(self) -> complex:
         sign = 1.0
         if self.at_punct("+-"):
             if self.advance().text == "-":
                 sign = -1.0
-        if self.peek().kind != "NUMBER":
-            self.fail("a number")
-        first = sign * float(self.advance().text)
+        first = sign * self.real_value()
         tok = self.peek()
         if tok.kind == "NAME" and tok.text == "i":
             self.advance()
             return complex(0.0, first)
         if self.at_punct("+-"):
             imag_sign = 1.0 if self.advance().text == "+" else -1.0
-            if self.peek().kind != "NUMBER":
-                self.fail("a number")
-            second = imag_sign * float(self.advance().text)
+            second = imag_sign * self.real_value()
             tok = self.peek()
             if not (tok.kind == "NAME" and tok.text == "i"):
                 self.fail("'i'")
@@ -283,6 +290,7 @@ _LEAVES = {
     "mobius": (MobiusMap, (_Arg("a coefficient", pack=MobiusTransform),)),
     "koebe": (Koebe, ()),
     "exp": (ExpMap, ()),
+    "log": (LogMap, ()),
     "powerseries": (PowerSeries, (_Arg("the coefficient list", "a coefficient"),)),
     "blaschke_disc": (BlaschkeDisc, (_Arg("the zero list", "a zero"),)),
     "blaschke_hp": (BlaschkeHalfPlane, (

@@ -357,18 +357,16 @@ def arc_length_profile(
 
 def _panel_sums(f, r, k, panels, target):
     """Sums of |f'|^2 (disc -> target) over the points r_i e^{2 pi i k / panels},
-    a list with one per radius r_i; each evaluate takes at most _CHUNK
+    an array with one per radius r_i; each evaluate takes at most _CHUNK
     points, splitting the radii and, past _CHUNK panels, the angles too."""
     unit = np.exp(2j * np.pi * k / panels)
     rows = max(1, _CHUNK // len(unit))
-    sums = []
+    sums = np.zeros(len(r))
     for lo in range(0, len(r), rows):
-        block = 0.0
         for col in range(0, len(unit), _CHUNK):
             z = r[lo : lo + rows, None] * unit[col : col + _CHUNK]
             n = norm_from_jet(evaluate(f, z), z, MetricId.HYPERBOLIC_DISC, target)
-            block = block + np.einsum("ij,ij->i", n, n)
-        sums += block.tolist()
+            sums[lo : lo + rows] += np.einsum("ij,ij->i", n, n)
     return sums
 
 
@@ -378,37 +376,32 @@ def _circle_energies(f, ts, target, rel_tol, max_panels):
     The radii double their panel sets together: each doubling evaluates the
     new points of every radius that has not settled yet in one batch.  A
     radius settles, and drops out, when its mean moves by at most
-    max(1e-13, rel_tol |mean|).  The PrecisionError for radii that never
-    settle names the first of them in the order of ts.
+    max(1e-13, rel_tol |mean|); a nan gap never settles.  The PrecisionError
+    for radii that never settle names the first of them in the order of ts.
     """
     if not (ts >= 0).all():
         raise ValueError("radius must be non-negative")
     r = np.tanh(ts / 2.0)
     panels = 32
     acc = _panel_sums(f, r, np.arange(panels), panels, target)
-    mean = [a / panels for a in acc]
-    gap = [math.inf] * len(acc)
-    live = list(range(len(acc)))
-    while live and panels < max_panels:
-        doubled = 2 * panels
-        sums = _panel_sums(f, r[live], np.arange(1, doubled, 2), doubled, target)
-        unsettled = []
-        for i, s in zip(live, sums):
-            acc[i] += s
-            new_mean = acc[i] / doubled
-            gap[i] = abs(new_mean - mean[i])
-            mean[i] = new_mean
-            if not gap[i] <= max(1e-13, rel_tol * abs(new_mean)):
-                unsettled.append(i)
-        panels, live = doubled, unsettled
-    if live:
+    mean = acc / panels
+    gap = np.full(len(acc), math.inf)
+    live = np.arange(len(acc))
+    while live.size and panels < max_panels:
+        panels *= 2
+        acc[live] += _panel_sums(f, r[live], np.arange(1, panels, 2), panels, target)
+        new_mean = acc[live] / panels
+        gap[live] = np.abs(new_mean - mean[live])
+        mean[live] = new_mean
+        live = live[~(gap[live] <= np.maximum(1e-13, rel_tol * np.abs(new_mean)))]
+    if live.size:
         first = live[0]
         raise PrecisionError(
             f"circle energy did not settle at t = {ts[first]}",
-            estimate=2.0 * math.pi * mean[first],
-            error_bound=2.0 * math.pi * gap[first],
+            estimate=(2.0 * math.pi * mean[first]).item(),
+            error_bound=(2.0 * math.pi * gap[first]).item(),
         )
-    return 2.0 * math.pi * np.array(mean)
+    return 2.0 * math.pi * mean
 
 
 def circle_energy(

@@ -297,6 +297,26 @@ class Decomposition:
         return "\n".join(lines) + "\n"
 
 
+def _boundary_data(f: MapExpr, boundary_samples: int):
+    """(m, u0, c0, cinf): log k(f, 0) at m circle points and the rfft / m of
+    log k(f, 0) and of log k(f, infinity), m doubling from boundary_samples
+    until both Fourier tails resolve."""
+    m = int(boundary_samples)
+    if m < 256 or m & (m - 1):
+        raise ValueError("boundary_samples must be a power of two, at least 256")
+    while True:
+        u0, uinf = _log_chordal(evaluate(f, _circle(m)))
+        c0 = np.fft.rfft(u0) / m
+        cinf = np.fft.rfft(uinf) / m
+        if _tail_ok(c0, m) and _tail_ok(cinf, m):
+            return m, u0, c0, cinf
+        m *= 2
+        if m > 65536:
+            raise ResolutionError(
+                "boundary Fourier data has not resolved at 65536 samples"
+            )
+
+
 def fatou_decompose(f: MapExpr, boundary_samples: int = 4096) -> Decomposition:
     """Decompose f = f0/finf per the boundary-data construction.
 
@@ -304,22 +324,8 @@ def fatou_decompose(f: MapExpr, boundary_samples: int = 4096) -> Decomposition:
     and poles (rational / finite-Blaschke-quotient shapes), with none of
     them close to the circle and f(0) neither 0 nor infinity.
     """
-    m = int(boundary_samples)
-    if m < 256 or m & (m - 1):
-        raise ValueError("boundary_samples must be a power of two, at least 256")
     zeros, poles, origin = _gate(f)
-
-    while True:
-        u0, uinf = _log_chordal(evaluate(f, _circle(m)))
-        c0 = np.fft.rfft(u0) / m
-        cinf = np.fft.rfft(uinf) / m
-        if _tail_ok(c0, m) and _tail_ok(cinf, m):
-            break
-        m *= 2
-        if m > 65536:
-            raise ResolutionError(
-                "boundary Fourier data has not resolved at 65536 samples"
-            )
+    m, _, c0, cinf = _boundary_data(f, boundary_samples)
 
     # the Nyquist coefficient is below the tail gate; drop it for a clean
     # analytic completion
@@ -345,12 +351,11 @@ def fatou_decompose(f: MapExpr, boundary_samples: int = 4096) -> Decomposition:
 def origin_identity_T(f: MapExpr, boundary_samples: int = 4096) -> float:
     """T(1) for a map analytic across the closed circle, via the origin
     identity: minus the log moduli of the zeros, plus the boundary mean of
-    log of the chordal ratio k(f(0), 0)/k(f(zeta), 0)."""
-    m = int(boundary_samples)
-    if m < 2:
-        raise ValueError("need at least two boundary samples")
+    log of the chordal ratio k(f(0), 0)/k(f(zeta), 0), on samples that
+    double as in fatou_decompose until they resolve, or raise
+    ResolutionError past 65536."""
     zeros, _, origin = _gate(f)
-    u0, _ = _log_chordal(evaluate(f, _circle(m)))
+    _, u0, _, _ = _boundary_data(f, boundary_samples)
     return _origin_T(zeros, origin, u0)
 
 
@@ -358,8 +363,9 @@ def uniform_characteristic_delta(f, probe_points, boundary_samples: int = 4096):
     """Minimum over the probes of sqrt(|f0|^2 + |finf|^2).
 
     f is either a pair (f0, finf) of MapExpr, or a single decomposable
-    MapExpr handed to fatou_decompose first.  A positive floor certifies
-    uniformly bounded characteristic at the probed resolution.
+    MapExpr handed to fatou_decompose first.  The minimum lies at or above
+    the floor over the disc, which can be lower between the probes, so it
+    certifies nothing.
     """
     pts = np.array([complex(p) for p in probe_points])
     if not pts.size:

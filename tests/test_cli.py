@@ -6,6 +6,7 @@ import pytest
 from arclab import cli, geodesics, maps
 from arclab.cli import _fmt, main
 from arclab.funcspec import parse
+from arclab.metrics import MetricId
 from arclab.nevanlinna import fatou_decompose
 
 
@@ -116,6 +117,33 @@ class TestLength:
         assert code == 0
         last = out.splitlines()[-1].split(",")
         assert float(last[0]) == 3.95
+
+    def test_log_leaf_takes_the_annulus_cover_to_the_disc(self, capsys):
+        # the cover of scenario_annulus for R = e, moved to the disc by
+        # inv_cayley, which takes the disc radius onto the ray i e^t
+        code, out, _ = run(
+            capsys, "length", "--func",
+            "exp() . scale(0+0.63661977236758138i) . shift(0-1.5707963267948966i)"
+            " . log() . inv_cayley()",
+            "--target", "S", "--rho-max", "12", "--samples", "6",
+        )
+        assert code == 0
+        rows = [tuple(map(float, l.split(","))) for l in out.splitlines()[1:]]
+        beta = 2.0 / math.pi
+        cover = maps.Compose(
+            maps.ExpMap(),
+            maps.Compose(
+                maps.Scale(1j * beta),
+                maps.Compose(maps.Shift(-1j * math.pi / 2.0), maps.LogMap()),
+            ),
+        )
+        want = geodesics.arc_length_profile(
+            cover, geodesics.halfplane_arc(12.0), [rho for rho, _ in rows],
+            MetricId.SPHERICAL,
+        )
+        assert [rho for rho, _ in rows] == [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
+        for (_, length), sample in zip(rows, want):
+            assert length == pytest.approx(sample.length, rel=1e-12, abs=0)
 
     def test_header_off(self, capsys):
         _, out, _ = run(
@@ -483,6 +511,22 @@ class TestErrors:
         lines = err.splitlines()
         assert lines[1] == "0+0i junk"
         assert lines[2].index("^") == 5
+
+    @pytest.mark.parametrize(
+        "argv, text, caret",
+        [
+            (("--func", "z()", "--at", "1e400"), "1e400", 0),
+            (("--func", "scale(1e400+0i)", "--at", "0.5"), "scale(1e400+0i)", 6),
+        ],
+        ids=["at", "map-argument"],
+    )
+    def test_overflowing_literal_exits_three(self, capsys, argv, text, caret):
+        code, out, err = run(capsys, "eval", *argv)
+        assert (code, out) == (3, "")
+        lines = err.splitlines()
+        assert lines[0] == f"error: at byte {caret}: expected a finite number, found '1e400'"
+        assert lines[1] == text
+        assert lines[2] == " " * caret + "^"
 
     def test_tag_mismatch_exit_three(self, capsys):
         code, _, err = run(

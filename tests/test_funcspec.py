@@ -91,6 +91,7 @@ class TestComplexLiterals:
             ("-1e-2-4i", -0.01 - 4j),
             ("1e-05", 1e-05 + 0j),
             ("0.5e2+0i", 50 + 0j),
+            ("1e-400", 0j),
         ],
     )
     def test_forms(self, text, value):
@@ -229,9 +230,9 @@ class TestUnparse:
         assert parse(text) == f
         assert "(" in text.replace("()", "")
 
-    def test_log_map_not_representable(self):
-        with pytest.raises(StructureError):
-            unparse(LogMap())
+    def test_log_map_renders_by_name(self):
+        assert unparse(LogMap()) == "log()"
+        assert parse("log()") == LogMap()
 
     def test_tagged_custom_mobius_not_representable(self):
         f = MobiusMap(
@@ -252,6 +253,7 @@ def random_tree(rng: random.Random, depth: int = 0):
         lambda: Identity(),
         lambda: Koebe(),
         lambda: ExpMap(),
+        lambda: LogMap(),
         lambda: ConstMap(complex(rng.uniform(-2, 2), rng.uniform(-2, 2))),
         lambda: Scale(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) or 0.5 + 0j),
         lambda: Shift(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))),

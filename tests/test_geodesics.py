@@ -405,7 +405,7 @@ class TestCircleEnergiesKernel:
             start = sum(sizes)
             one_row.append((circle_energy(f, t, target), sum(sizes) - start))
         for t, got, (want, _) in zip(RADII.tolist(), batch, one_row):
-            assert got == pytest.approx(want, rel=1e-14, abs=0)
+            assert got == want
             # summed in another order than the loop, so only to rounding
             assert got == pytest.approx(_loop_energy(f, t, target), rel=1e-14, abs=0)
         if not isinstance(f, Identity):

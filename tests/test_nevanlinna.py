@@ -194,6 +194,21 @@ class TestDecomposition:
             expect = -0.5 * math.log((1 + abs(a) ** 2) / 2)
             assert origin_identity_T(f) == pytest.approx(expect, abs=1e-12)
 
+    def test_origin_identity_resolves_near_the_circle(self):
+        # f = z - a, with its zero at a, has
+        # T(1) = log((2 + a^2 + sqrt(4 + a^4))/2)/2 - log(1 + a^2)/2; the
+        # boundary data of a = 0.999 need 16 384 samples, of 0.9995 32 768
+        for a in (0.5, 0.99, 0.999, 0.9995):
+            expect = 0.5 * math.log((2 + a * a + math.sqrt(4 + a**4)) / 2)
+            expect -= 0.5 * math.log(1 + a * a)
+            assert origin_identity_T(Shift(-a)) == pytest.approx(expect, abs=1e-10)
+        with pytest.raises(ResolutionError, match="65536"):
+            origin_identity_T(Shift(-0.9999))
+
+    def test_origin_identity_sample_count_is_a_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two"):
+            origin_identity_T(BlaschkeDisc((0.5 + 0j,)), 100)
+
     def test_vanishing_at_origin_rejected(self):
         with pytest.raises(NormalizationError):
             fatou_decompose(Identity())
