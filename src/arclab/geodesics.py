@@ -11,10 +11,28 @@ of the hyperbolic disc of radius rho, counting multiplicity, is
 
     A(rho) = int_0^rho sinh t ( int_0^{2 pi} |f'|^2 dtheta ) dt
 
-with the squared norm taken disc -> target.  Quadrature is a global
-adaptive Gauss(7)/Kronrod(15) scheme; the rule never evaluates interval
-endpoints, so integrable endpoint singularities need no special casing
-beyond a split point.
+with the squared norm taken disc -> target.  Lengths, and areas on the
+nested route, use a global adaptive Gauss(7)/Kronrod(15) scheme; the rule
+never evaluates interval endpoints, so integrable endpoint singularities
+need no special casing beyond a split point.  The nested route takes the
+inner theta-integral by a doubling trapezoid rule on each circle.
+
+An area over |z| < r = tanh(rho/2) (r = 1 at rho = inf) takes the
+boundary route instead when _boundary_poles allows it from f.divisor()
+alone: a disc map with a known divisor, no pole or essential point on the
+circle |z| = r, no essential point inside and, for the Euclidean and the
+two hyperbolic targets, no pole inside; rho = inf in the hyperbolic
+targets stays nested.  With Phi a potential whose Laplacian is the squared
+target density (|w|^2/4, log(1 + |w|^2), -log(1 - |w|^2), -log Im w),
+Green's theorem gives
+
+    A(r) = int_0^{2 pi} 2 Re(z f'(z) dPhi/dw(f(z))) dtheta  [+ 4 pi n(r, inf)]
+
+the bracket for the sphere, n(r, inf) the poles in |z| < r.  One circle
+rule (_circle_rule) takes that integral and certifies it on the Fourier
+tail of its samples; a circle it cannot certify within _MAX_PANELS points
+raises PrecisionError with its best estimate, and nothing falls back to
+the nested route.
 """
 
 from __future__ import annotations
@@ -32,9 +50,11 @@ from .errors import (
     DomainError,
     EvaluationError,
     PrecisionError,
+    RangeError,
+    StructureError,
 )
 from .maps import Compose, MapExpr, evaluate, inv_cayley_map
-from .metrics import MetricId, norm_from_jet
+from .metrics import MetricId, _abs2, density, is_infinite, norm_from_jet
 
 # 15-point Kronrod nodes on [-1, 1] (symmetric half) and weights, with the
 # embedded 7-point Gauss weights sitting at the odd-index nodes.
@@ -81,8 +101,15 @@ HALF_PLANE_RHO_MAX = 700.0
 # points, which bounds the memory of a batch of many panels or radii
 _CHUNK = 2048
 _PANELS_PER_CALL = _CHUNK // len(_NODES)
-# a circle energy that has not settled at this many panels raises PrecisionError
+# a circle energy that has not settled at this many panels, or a boundary
+# circle that has not certified at this many points, raises PrecisionError
 _MAX_PANELS = 1 << 14
+# the boundary circle rule starts at this many points and doubles
+_FIRST_POINTS = 64
+# rounding allowed per sample, relative to the size of the terms it is made of
+_ROUNDOFF = 16 * np.finfo(float).eps
+# divisor points within this relative distance of a circle count as on it
+_ON_CIRCLE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -437,6 +464,167 @@ def _radial(f: MapExpr, target: MetricId, cfg: QuadConfig, kernel=None):
     return radial
 
 
+def _boundary_poles(f: MapExpr, rs, target: MetricId):
+    """For each radius r of rs, the poles of f in |z| < r when its area in
+    the target over |z| < r takes the boundary route, else None for the
+    nested quadrature.
+
+    The route needs a disc map whose divisor() is known, read through
+    polar_divisor(), with no pole or essential point on the closed disc
+    |z| <= r, apart from poles strictly inside for the spherical target;
+    points within _ON_CIRCLE of the circle, relative to r, count as on
+    it."""
+    if f.domain is MetricId.HYPERBOLIC_HALF_PLANE:
+        return [None] * len(rs)
+    try:
+        poles, essential = f.polar_divisor()
+    except StructureError:
+        return [None] * len(rs)
+    routes = []
+    for r in rs:
+        inside = [p for p in poles if abs(p) < r]
+        if (
+            any(not is_infinite(p) and abs(p) <= r * (1.0 + _ON_CIRCLE) for p in essential)
+            or any(abs(abs(p) - r) <= r * _ON_CIRCLE for p in poles)
+            or (inside and target is not MetricId.SPHERICAL)
+        ):
+            inside = None
+        routes.append(inside)
+    return routes
+
+
+def _slope(target: MetricId, w):
+    """dPhi/dw at the array of values w for the target's area potential
+    Phi, whose Laplacian is the squared density: |w|^2/4, log(1 + |w|^2),
+    -log(1 - |w|^2) and -log Im w.  A value outside the target raises
+    RangeError."""
+    if target is MetricId.EUCLIDEAN:
+        return 0.25 * np.conj(w)
+    if target is MetricId.SPHERICAL:
+        # conj(w)/(1 + |w|^2) is u/(1 + |u|^2) at u = 1/w, taken where |w| > 1
+        big = np.abs(w) > 1.0
+        u = np.where(big, 1.0 / np.where(big, w, 1.0), np.conj(w))
+        return u / (1.0 + _abs2(u))
+    try:
+        lam = density(target, w)
+    except DomainError as exc:
+        raise RangeError(f"value {exc}") from None
+    return 0.5 * lam * (np.conj(w) if target is MetricId.HYPERBOLIC_DISC else 1j)
+
+
+def _area_terms(jets, z, target, slope0):
+    """The Green's-theorem integrand 2 Re(z f' (dPhi/dw(f) - slope0)) of an
+    image area from f's jets on a circle, and the size of the terms that
+    form each sample.  The mean over the circle |z| = r, times 2 pi, is the
+    area over |z| < r, less 4 pi per pole inside for the sphere; slope0,
+    dPhi/dw at f(0), integrates to 0 and takes out the part of order r."""
+    value, derivative, pole = jets
+    if pole.any():
+        raise EvaluationError(f"map has a pole at {complex(z[pole][0])} on the circle")
+    zd = z * derivative
+    slope = _slope(target, value)
+    return 2.0 * (zd * (slope - slope0)).real, 2.0 * np.abs(zd) * (np.abs(slope) + abs(slope0))
+
+
+def _spectral_tail(h):
+    """(mean, tail) of periodic samples at n equispaced points along the
+    last axis.  tail sums the moduli of the Fourier coefficients in the top
+    quarter, frequencies n/4 to n/2 of either sign.  The trapezoid rule's
+    error is the sum of the aliased coefficients at the multiples of n
+    (Trefethen & Weideman, SIAM Rev. 56, 2014, sec. 3), far below tail
+    once the coefficients decay; tail stays positive when the rule aliases,
+    where the gap between two doublings vanishes."""
+    n = h.shape[-1]
+    c = np.abs(np.fft.rfft(h, axis=-1))
+    return h.mean(axis=-1), 2.0 * c[..., n // 4 :].sum(axis=-1) / n
+
+
+def _circle_samples(sample, r, live, k, n):
+    """sample on the circles r[live] at the points r_i e^{2 pi i k / n}: the
+    integrands h, of shape (integrands, len(live), len(k)), and their term
+    sizes summed over the points.  Each call takes at most _CHUNK points,
+    splitting the circles and, past _CHUNK points, the angles too."""
+    unit = np.exp(2j * np.pi * k / n)
+    step = max(1, _CHUNK // len(unit))
+    h = size = None
+    for lo in range(0, len(live), step):
+        rows = live[lo : lo + step]
+        for col in range(0, len(unit), _CHUNK):
+            z = r[rows, None] * unit[col : col + _CHUNK]
+            part, part_size = sample(z, rows)
+            bad = ~np.isfinite(part).all(axis=0)
+            if bad.any():
+                raise EvaluationError(f"circle integrand is not finite at {complex(z[bad][0])}")
+            if h is None:
+                h = np.empty((len(part), len(live), len(unit)))
+                size = np.zeros(h.shape[:2])
+            h[:, lo : lo + step, col : col + _CHUNK] = part
+            size[:, lo : lo + step] += part_size.sum(axis=-1)
+    return h, size
+
+
+def _circle_rule(sample, r, scale, shift, abs_tol, rel_tol):
+    """Certified periodic trapezoid rule on the circles |z| = r_i.
+
+    sample(z, rows) takes a 2-d array of points on the circles r[rows], one
+    row each, and returns two arrays of shape (k,) + z.shape: k real
+    integrands, and the size of the terms each sample is formed from.  The values are
+    scale * (mean of h + shift), shift of shape (k, len(r)).  Each circle
+    takes _FIRST_POINTS points, doubling over the circles not yet
+    certified in one batch, and is certified once for every integrand the
+    top-quarter Fourier tail, times scale, is at most
+    max(abs_tol, rel_tol |value|).  Returns (values, bounds): a bound is
+    scale times the tail plus a rounding floor of _ROUNDOFF times the mean
+    term size.  A circle that has not certified at _MAX_PANELS points
+    raises PrecisionError, naming the first such circle in the order of r.
+    """
+    n = _FIRST_POINTS
+    live = np.arange(len(r))
+    h, size = _circle_samples(sample, r, live, np.arange(n), n)
+    values = np.empty(shift.shape)
+    bounds = np.empty(shift.shape)
+    while True:
+        mean, tail = _spectral_tail(h)
+        value = scale * (mean + shift[:, live])
+        err = scale * tail
+        ok = err <= np.maximum(abs_tol, rel_tol * np.abs(value))
+        done = ok.all(axis=0)
+        values[:, live[done]] = value[:, done]
+        bounds[:, live[done]] = err[:, done] + scale * _ROUNDOFF * size[:, done] / n
+        if done.all():
+            return values, bounds
+        if n >= _MAX_PANELS:
+            i = np.flatnonzero(~done)[0]
+            j = np.flatnonzero(~ok[:, i])[0]
+            raise PrecisionError(
+                f"circle integral did not certify at r = {r[live[i]]} within {n} points",
+                estimate=value[j, i].item(),
+                error_bound=err[j, i].item(),
+            )
+        live, h, size = live[~done], h[:, ~done], size[:, ~done]
+        n *= 2
+        new, new_size = _circle_samples(sample, r, live, np.arange(1, n, 2), n)
+        both = np.empty(h.shape[:2] + (n,))
+        both[..., 0::2], both[..., 1::2] = h, new
+        h, size = both, size + new_size
+
+
+def _boundary_area(f, r, target, poles, cfg):
+    """(area, bound) of f over |z| < r by the circle rule on |z| = r."""
+    value0, _, _ = evaluate(f, np.zeros(1))
+    slope0 = _slope(target, value0)[0]
+
+    def sample(z, _):
+        h, m = _area_terms(evaluate(f, z), z, target, slope0)
+        return h[None], m[None]
+
+    shift = np.array([[2.0 * len(poles)]])
+    values, bounds = _circle_rule(
+        sample, np.array([r]), 2.0 * math.pi, shift, cfg.abs_tol, cfg.rel_tol
+    )
+    return values[0, 0].item(), bounds[0, 0].item()
+
+
 def area_with_bound(
     f: MapExpr,
     rho: float,
@@ -446,15 +634,24 @@ def area_with_bound(
     """Image area counting multiplicity over the hyperbolic disc of radius
     rho; rho may be math.inf.  Returns (area, error_bound).
 
-    Improper areas are summed over radial windows of width 5 with a Cauchy
-    stopping rule, and declared divergent after two consecutive growing
-    increments.
+    On the boundary route (see the module docstring) the area is one
+    certified circle integral on |z| = tanh(rho/2), or on |z| = 1 at
+    rho = inf.  On the nested route improper areas are summed over radial
+    windows of width 5 with a Cauchy stopping rule, and declared divergent
+    after two consecutive growing increments; the last window's increment
+    is the tail allowance, a heuristic.
     """
     cfg = config or AREA_DEFAULT
+    if not (math.isinf(rho) or 0.0 < rho <= DISC_RHO_MAX):
+        raise ValueError(f"rho must be in (0, {DISC_RHO_MAX}] or infinite")
+    r = 1.0 if math.isinf(rho) else math.tanh(rho / 2.0)
+    hyperbolic = target in (MetricId.HYPERBOLIC_DISC, MetricId.HYPERBOLIC_HALF_PLANE)
+    if not (math.isinf(rho) and hyperbolic):
+        poles = _boundary_poles(f, [r], target)[0]
+        if poles is not None:
+            return _boundary_area(f, r, target, poles, cfg)
     radial = _radial(f, target, cfg)
     if not math.isinf(rho):
-        if not 0.0 < rho <= DISC_RHO_MAX:
-            raise ValueError(f"rho must be in (0, {DISC_RHO_MAX}] or infinite")
         return adaptive_integrate(radial, 0.0, rho, cfg)
 
     total = 0.0

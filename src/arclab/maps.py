@@ -150,6 +150,12 @@ class MapExpr:
             f"cannot extract zeros and poles from a {type(self).__name__} node"
         )
 
+    def polar_divisor(self):
+        """(poles, essential) of divisor(), for callers that need no zeros;
+        a node whose zeros cost more than its poles gives them directly."""
+        _, poles, essential = self.divisor()
+        return poles, essential
+
 
 def evaluate(f: MapExpr, z):
     """Evaluate the jet of f at a finite point z, or at an array of them.
@@ -272,6 +278,13 @@ class PowerSeries(MapExpr):
         # np.roots drops the vanishing top coefficients itself
         roots = np.roots(np.asarray(self.coeffs[::-1], dtype=complex))
         return [complex(z) for z in roots], [], []
+
+    def polar_divisor(self):
+        # a polynomial has no poles: no root finding, which would load
+        # the LAPACK eigenvalue code just to answer that
+        if not any(self.coeffs):
+            raise StructureError("the zero map has no divisor")
+        return [], []
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,17 @@ S(r) is the normalised spherical image area A_S/(4 pi) over |z| < r and
 
     T(r) = int_0^r S(t)/t dt.
 
-T is computed by exchanging the order of the two integrals, which turns
-the nested quadrature into a single radial one with an explicit kernel:
-with r = tanh(rho/2),
+S and T take one of two routes, chosen per radius from f.divisor() alone
+(geodesics._boundary_poles):
 
-    T(r) = (1/4pi) int_0^rho sinh v Q(v) log(r / tanh(v/2)) dv,
-
-Q(v) the theta-integral of the squared spherical derivative norm.  The
-exchange is exact, and tests cross-check it against the nested form.
+- the boundary route, for a disc map with a known divisor and no pole or
+  essential point on the circle |z| = r (nor an essential point inside):
+  one periodic integral on |z| = r gives S by Green's theorem and T by
+  the Ahlfors-Shimizu first main theorem (see _boundary_characteristic),
+  certified by geodesics._circle_rule.  A circle that does not certify
+  raises PrecisionError with its best estimate;
+- the nested route otherwise: S from the nested image area, and T by
+  exchanging the order of its two integrals (see _nested_T).
 
 The decomposition writes a map f, analytic across the closed disc apart
 from interior zeros and poles, as f0/finf with |f0|^2 + |finf|^2 = 1 on
@@ -39,11 +42,15 @@ from .errors import (
 from .geodesics import (
     AREA_DEFAULT,
     QuadConfig,
+    _area_terms,
+    _boundary_poles,
+    _circle_rule,
     _radial,
+    _slope,
     adaptive_integrate,
     area_with_bound,
 )
-from .maps import BlaschkeDisc, MapExpr, evaluate
+from .maps import BlaschkeDisc, ConstMap, MapExpr, Quotient, evaluate
 from .metrics import MetricId, _abs2, chordal, is_infinite
 
 _BOUNDARY_GAP = 1e-6
@@ -60,23 +67,112 @@ def rho_of_r(r: float) -> float:
     return math.log1p(r) - math.log1p(-r)
 
 
-def shimizu_S(f: MapExpr, r: float, config: QuadConfig = None) -> float:
-    """Normalised spherical image area over |z| < r, counting multiplicity."""
-    a, _ = area_with_bound(f, rho_of_r(r), MetricId.SPHERICAL, config)
+def _sphere_terms(g, g0, linear):
+    """sample(z, rows) for the circle rule: the spherical area integrand of
+    g and log((1 + |g|^2)/(1 + |g0|^2)), g0 = g(0), less its linear part
+    at g0 on the circles where linear[row] holds, those with no pole of g
+    inside, where that part integrates to 0."""
+    slope0 = complex(_slope(MetricId.SPHERICAL, np.array([g0]))[0])
+    scale = 1.0 + _abs2(g0)
+
+    def sample(z, rows):
+        jets = evaluate(g, z)
+        area, area_size = _area_terms(jets, z, MetricId.SPHERICAL, slope0)
+        w = jets[0]
+        diff = w - g0
+        # log1p of (|g|^2 - |g0|^2)/(1 + |g0|^2), exact to rounding near g0
+        log_ratio = np.log1p((diff * np.conj(w + g0)).real / scale)
+        part = np.where(linear[rows, None], 2.0 * (slope0 * diff).real, 0.0)
+        size = np.abs(diff) * (np.abs(w) + abs(g0)) / (1.0 + _abs2(w))
+        return (
+            np.stack((area, log_ratio - part)),
+            np.stack((area_size, size + np.abs(log_ratio) + np.abs(part))),
+        )
+
+    return sample
+
+
+def _boundary_characteristic(f: MapExpr, rs, cfg: QuadConfig):
+    """S and T at the radii rs by the circle rule on |z| = r: two lists of
+    (value, error bound), None at each radius that takes the nested route.
+
+    With g = f, or 1/f when f(0) is infinite (S and T do not change), and
+    its poles b in |z| < r:
+
+        S(r) = (1/4pi) int 2 Re(z g' conj(g)) / (1 + |g|^2) dtheta + n(r, inf)
+        T(r) = (1/4pi) int log(1 + |g|^2) dtheta - log(1 + |g(0)|^2)/2
+               + sum log(r/|b|),
+
+    Green's theorem and the Ahlfors-Shimizu first main theorem (Hayman,
+    Meromorphic Functions, 1964, sec. 1.5)."""
+    S, T = [None] * len(rs), [None] * len(rs)
+    g, g0, routes = f, None, _boundary_poles(f, rs, MetricId.SPHERICAL)
+    if any(poles is not None for poles in routes):
+        # f is meromorphic at 0 here
+        origin = evaluate(f, 0.0)
+        if origin.is_pole:
+            g, g0 = Quotient(ConstMap(1.0), f), 0j
+            routes = _boundary_poles(g, rs, MetricId.SPHERICAL)
+        else:
+            g0 = origin.value
+    on = [i for i, poles in enumerate(routes) if poles is not None]
+    if on:
+        shift = np.array(
+            [
+                [2.0 * len(routes[i]) for i in on],
+                [2.0 * math.fsum(math.log(rs[i] / abs(b)) for b in routes[i]) for i in on],
+            ]
+        )
+        values, bounds = _circle_rule(
+            _sphere_terms(g, g0, np.array([not routes[i] for i in on])),
+            np.array([rs[i] for i in on]),
+            0.5,
+            shift,
+            cfg.abs_tol / (4.0 * math.pi),
+            cfg.rel_tol,
+        )
+        for j, i in enumerate(on):
+            S[i] = values[0, j].item(), bounds[0, j].item()
+            T[i] = values[1, j].item(), bounds[1, j].item()
+    return S, T
+
+
+def _nested_S(f, r, cfg):
+    a, _ = area_with_bound(f, rho_of_r(r), MetricId.SPHERICAL, cfg)
     return a / (4.0 * math.pi)
 
 
-def shimizu_T(f: MapExpr, r: float, config: QuadConfig = None) -> float:
-    """Ahlfors-Shimizu characteristic int_0^r S(t)/t dt."""
-    cfg = config or AREA_DEFAULT
-    rho = rho_of_r(r)
+def _nested_T(f, r, cfg):
+    """T(r) by one radial quadrature: exchanging the order of integration
+    in int_0^r S(t)/t dt gives, with r = tanh(rho/2),
+
+        T(r) = (1/4pi) int_0^rho sinh v Q(v) log(r / tanh(v/2)) dv,
+
+    Q(v) the theta-integral of the squared spherical derivative norm."""
     log_r = math.log(r)
 
     def kernel(vs):
         return log_r - np.log(np.tanh(vs / 2.0))
 
-    val, _ = adaptive_integrate(_radial(f, MetricId.SPHERICAL, cfg, kernel), 0.0, rho, cfg)
+    radial = _radial(f, MetricId.SPHERICAL, cfg, kernel)
+    val, _ = adaptive_integrate(radial, 0.0, rho_of_r(r), cfg)
     return val / (4.0 * math.pi)
+
+
+def shimizu_S(f: MapExpr, r: float, config: QuadConfig = None) -> float:
+    """Normalised spherical image area over |z| < r, counting multiplicity."""
+    cfg = config or AREA_DEFAULT
+    rho_of_r(r)  # checks r
+    s = _boundary_characteristic(f, [r], cfg)[0][0]
+    return _nested_S(f, r, cfg) if s is None else s[0]
+
+
+def shimizu_T(f: MapExpr, r: float, config: QuadConfig = None) -> float:
+    """Ahlfors-Shimizu characteristic int_0^r S(t)/t dt."""
+    cfg = config or AREA_DEFAULT
+    rho_of_r(r)  # checks r
+    t = _boundary_characteristic(f, [r], cfg)[1][0]
+    return _nested_T(f, r, cfg) if t is None else t[0]
 
 
 def _check_radii(radii):
@@ -110,10 +206,12 @@ def characteristic_curve(
     rs = tuple(float(r) for r in radii)
     # cheap grid validation up front; quadrature below is the expensive part
     _check_radii(rs)
+    cfg = config or AREA_DEFAULT
+    S, T = _boundary_characteristic(f, rs, cfg)
     return CharacteristicCurve(
         rs,
-        tuple(shimizu_S(f, r, config) for r in rs),
-        tuple(shimizu_T(f, r, config) for r in rs),
+        tuple(_nested_S(f, r, cfg) if s is None else s[0] for r, s in zip(rs, S)),
+        tuple(_nested_T(f, r, cfg) if t is None else t[0] for r, t in zip(rs, T)),
     )
 
 
@@ -148,18 +246,20 @@ def _circle(m: int):
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-def _log_chordal(jets):
+def _log_chordal(jets, sides: int = 2):
     """log k(f, 0) and log k(f, infinity) from f's jets at an array of
-    points, as evaluate gives them.  Values off the closed unit disc go
-    through w -> 1/w, under which the chordal distance is invariant, so
-    nothing overflows; a pole is the point 1/0 of that chart."""
+    points, as evaluate gives them; with sides = 1 the second is None.
+    Values off the closed unit disc go through w -> 1/w, under which the
+    chordal distance is invariant, so nothing overflows; a pole is the
+    point 1/0 of that chart."""
     value, _, pole = jets
     big = np.abs(value) > 1.0
     u = np.where(big, 1.0 / np.where(big, value, 1.0), value)
     big |= pole
     root = np.sqrt(1.0 + _abs2(u))
     near, far = 2.0 * np.abs(u) / root, 2.0 / root
-    return np.log(np.where(big, far, near)), np.log(np.where(big, near, far))
+    u0 = np.log(np.where(big, far, near))
+    return u0, (np.log(np.where(big, near, far)) if sides == 2 else None)
 
 
 def _origin_T(zeros, origin, u0) -> float:
@@ -269,7 +369,7 @@ class Decomposition:
         keep = ~pole
         quot = np.max(np.abs(v0[keep] / vinf[keep] - w[keep]), initial=0.0)
         lhs = abs(self.f0_at(0j)) ** 2 + abs(self.finf_at(0j)) ** 2
-        u0, _ = _log_chordal(jets)
+        u0, _ = _log_chordal(jets, sides=1)
         origin_gap = abs(math.exp(-2.0 * _origin_T(zeros, origin, u0)) - lhs)
         return float(pyth), float(quot), origin_gap
 
@@ -297,18 +397,19 @@ class Decomposition:
         return "\n".join(lines) + "\n"
 
 
-def _boundary_data(f: MapExpr, boundary_samples: int):
+def _boundary_data(f: MapExpr, boundary_samples: int, sides: int = 2):
     """(m, u0, c0, cinf): log k(f, 0) at m circle points and the rfft / m of
     log k(f, 0) and of log k(f, infinity), m doubling from boundary_samples
-    until both Fourier tails resolve."""
+    until both Fourier tails resolve.  With sides = 1 only the zero side
+    is transformed and gated, and cinf is None."""
     m = int(boundary_samples)
     if m < 256 or m & (m - 1):
         raise ValueError("boundary_samples must be a power of two, at least 256")
     while True:
-        u0, uinf = _log_chordal(evaluate(f, _circle(m)))
+        u0, uinf = _log_chordal(evaluate(f, _circle(m)), sides)
         c0 = np.fft.rfft(u0) / m
-        cinf = np.fft.rfft(uinf) / m
-        if _tail_ok(c0, m) and _tail_ok(cinf, m):
+        cinf = None if uinf is None else np.fft.rfft(uinf) / m
+        if _tail_ok(c0, m) and (cinf is None or _tail_ok(cinf, m)):
             return m, u0, c0, cinf
         m *= 2
         if m > 65536:
@@ -353,9 +454,11 @@ def origin_identity_T(f: MapExpr, boundary_samples: int = 4096) -> float:
     identity: minus the log moduli of the zeros, plus the boundary mean of
     log of the chordal ratio k(f(0), 0)/k(f(zeta), 0), on samples that
     double as in fatou_decompose until they resolve, or raise
-    ResolutionError past 65536."""
+    ResolutionError past 65536.  Only log k(f, 0) is transformed and
+    gated: the infinity side, which the value does not read, may resolve
+    later."""
     zeros, _, origin = _gate(f)
-    _, u0, _, _ = _boundary_data(f, boundary_samples)
+    _, u0, _, _ = _boundary_data(f, boundary_samples, sides=1)
     return _origin_T(zeros, origin, u0)
 
 

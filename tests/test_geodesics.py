@@ -1,7 +1,10 @@
+import cmath
 import math
+import random
 
 import numpy as np
 import pytest
+from circle_oracle import Rational, blaschke_one_zero_area, mpmath
 
 import arclab.geodesics as geodesics
 from arclab.errors import (
@@ -29,14 +32,18 @@ from arclab.geodesics import (
 )
 from arclab.maps import (
     BlaschkeDisc,
+    BlaschkeHalfPlane,
     Compose,
     Identity,
     Koebe,
     MobiusMap,
     PowerSeries,
     Product,
+    Quotient,
     Scale,
+    Shift,
     cayley_map,
+    inv_cayley_map,
 )
 from arclab.metrics import MetricId, MobiusTransform, deriv_norm
 
@@ -481,8 +488,18 @@ def _polynomial_area(coeffs, r):
     return math.pi * math.fsum(n * abs(c) ** 2 * r ** (2 * n) for n, c in enumerate(coeffs))
 
 
+def _angles():
+    """pi/64, 3 pi/64 and pi/128, where the doubling gap of a circle rule
+    aliases, and three seeded random angles."""
+    rng = random.Random(7)
+    return [math.pi / 64, 3 * math.pi / 64, math.pi / 128] + [
+        rng.uniform(0.0, 2 * math.pi) for _ in range(3)
+    ]
+
+
 class TestAreaBoundOracles:
-    """area_with_bound's returned bound covers the error against a closed form."""
+    """area_with_bound's returned bound covers the error against a closed
+    form or the 30-digit circle oracle, or the call raises a typed error."""
 
     @staticmethod
     def _covers(f, rho, target, exact):
@@ -513,6 +530,140 @@ class TestAreaBoundOracles:
         exact = _polynomial_area(coeffs, r)
         assert area_from_coefficients(coeffs, r) == pytest.approx(exact, rel=1e-15)
         self._covers(PowerSeries(coeffs), rho, E, exact)
+
+
+    @pytest.mark.parametrize("rho", [2.0, 5.5, math.inf])
+    @pytest.mark.parametrize("angle", _angles())
+    @pytest.mark.parametrize("modulus", [0.5, 0.9, 0.98888, 0.99, 0.999])
+    def test_one_zero_blaschke_near_the_circle(self, modulus, angle, rho):
+        a = modulus * cmath.exp(1j * angle)
+        r = 1.0 if math.isinf(rho) else math.tanh(rho / 2)
+        try:
+            value, bound = area_with_bound(BlaschkeDisc((a,)), rho, E)
+        except PrecisionError as exc:
+            assert modulus == 0.999 and math.isinf(rho)
+            assert math.isfinite(exc.estimate)
+            return
+        assert bound >= abs(value - blaschke_one_zero_area(a, r))
+        assert bound <= AREA_DEFAULT.abs_tol
+
+    def test_zero_at_an_aliasing_angle(self):
+        # |a| = 0.98888 at angle pi/64, where a doubling gap vanishes
+        a = 0.9888075016431207 + 0.048576997584143834j
+        for rho, exact in ((5.5, 0.95541876120354810), (math.inf, math.pi)):
+            value, bound = area_with_bound(BlaschkeDisc((a,)), rho, E)
+            assert bound >= abs(value - exact)
+        for modulus in (0.999, 0.9999):
+            with pytest.raises(PrecisionError):
+                area_with_bound(BlaschkeDisc((modulus * cmath.exp(1j * math.pi / 64),)), math.inf, E)
+
+    def test_sweep_of_zeros_near_the_circle(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            a = rng.uniform(0.8, 0.99) * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+            value, bound = area_with_bound(BlaschkeDisc((a,)), math.inf, E)
+            assert bound >= abs(value - math.pi)
+
+    @pytest.mark.parametrize(
+        "zeros, rho",
+        [
+            ((0.3 + 0.1j, -0.2 + 0.45j), 1.5),
+            ((0.5 - 0.2j,), 2.5),
+            ((0.1 + 0.6j, -0.4 - 0.3j, 0.35), 2.5),
+            ((0.95j, -0.7 + 0.1j), 3.0),
+        ],
+    )
+    def test_blaschke_areas_in_the_disc_and_the_sphere(self, zeros, rho):
+        oracle, r = Rational.blaschke(zeros), math.tanh(rho / 2)
+        for target, letter in ((H, "D"), (S, "S"), (E, "E")):
+            value, bound = area_with_bound(BlaschkeDisc(zeros), rho, target)
+            assert bound >= abs(value - oracle.area(r, letter))
+
+    @pytest.mark.parametrize("rho", [1.0, 3.0, math.inf])
+    def test_spherical_area_with_poles_inside(self, rho):
+        # poles at 0.6 - 0.1i and, for |z| < 1, none else: 4 pi n(r, inf)
+        num, den = (0.3 + 0.2j, -0.5j), (0.6 - 0.1j,)
+        f = Quotient(BlaschkeDisc(num), BlaschkeDisc(den))
+        top, bottom = Rational.blaschke(num), Rational.blaschke(den)
+        oracle = Rational(top.zeros + bottom.poles, top.poles + bottom.zeros,
+                          top.scale / bottom.scale)
+        r = 1.0 if math.isinf(rho) else math.tanh(rho / 2)
+        value, bound = area_with_bound(f, rho, S)
+        assert bound >= abs(value - oracle.area(r, "S"))
+
+    @pytest.mark.parametrize("c", [0.3 + 0.2j, 2.0, -5 + 1j])
+    @pytest.mark.parametrize("rho", [1e-5, 1e-3, 2.0])
+    def test_small_circles_off_the_origin(self, c, rho):
+        # f(0) = c: the integrand is of order r, its mean of order r^2, and
+        # the bound must carry the rounding of the order-r terms
+        f, oracle = Compose(Shift(c), Scale(0.7)), Rational([-c / 0.7], [], 0.7)
+        for target, letter in ((E, "E"), (S, "S")):
+            value, bound = area_with_bound(f, rho, target)
+            assert bound >= abs(value - oracle.area(math.tanh(rho / 2), letter))
+
+    @pytest.mark.parametrize("c", [0.5, 0.3 + 0.8j, 0.7j])
+    @pytest.mark.parametrize("rho", [0.5, 2.0, math.inf])
+    def test_scaled_disc_closed_forms(self, c, rho):
+        # the image of |z| < r is the disc of radius |c| r, and the samples
+        # differ only by rounding, so the rounding floor carries the bound
+        with mpmath.workdps(30):
+            r = mpmath.mpf(1) if math.isinf(rho) else mpmath.tanh(mpmath.mpf(rho) / 2)
+            x = abs(mpmath.mpc(c)) ** 2 * r * r
+            exact = {E: mpmath.pi * x, S: 4 * mpmath.pi * x / (1 + x), H: 4 * mpmath.pi * x / (1 - x)}
+        for target, area in exact.items():
+            if math.isinf(rho) and target is H:
+                continue
+            value, bound = area_with_bound(Scale(c), rho, target)
+            assert bound >= abs(value - float(area))
+
+    def test_hyperbolic_half_plane_target(self):
+        # the disc -> half-plane isometry covers a hyperbolic ball once
+        rho = 2.0
+        value, bound = area_with_bound(inv_cayley_map(), rho, HP)
+        assert bound >= abs(value - 4 * math.pi * math.sinh(rho / 2) ** 2)
+
+    def test_oracle_matches_closed_forms(self):
+        for a in (0.5, 0.999 * cmath.exp(1j * math.pi / 64)):
+            for r in (0.5, math.tanh(2.75), 1.0):
+                exact = blaschke_one_zero_area(a, r)
+                assert Rational.blaschke([a]).area(r, "E") == pytest.approx(exact, rel=1e-14, abs=0)
+        for c in (0.5, 2.0, 7.0):
+            for r in (0.01, 0.6, 0.9):
+                oracle = Rational([0], [], c)
+                assert oracle.T(r) == pytest.approx(math.log1p(c * c * r * r) / 2, rel=1e-14)
+                assert oracle.S(r) == pytest.approx(c * c * r * r / (1 + c * c * r * r), rel=1e-14)
+
+
+class TestAreaRoutes:
+    """Maps the boundary route does not serve keep the nested route's
+    outcome, value for value."""
+
+    def test_koebe_improper_euclidean_area_still_raises(self):
+        # the pole z = 1 lies on the circle r = 1
+        with pytest.raises(PrecisionError, match="circle energy did not settle"):
+            area_with_bound(Koebe(), math.inf, E)
+
+    def test_rotated_koebe_spherical_area(self):
+        value, bound = area_with_bound(Compose(Koebe(), Scale(cmath.exp(1j))), math.inf, S)
+        assert (value, bound) == (12.566370614147603, 7.402041193176445e-08)
+        assert bound >= abs(value - 4 * math.pi)
+
+    def test_half_plane_maps(self):
+        assert area_with_bound(Compose(cayley_map(), Identity()), 2.0, H) == (
+            17.355387381771436, 1.4210854715202004e-14)
+        assert area_with_bound(BlaschkeHalfPlane((1.0, 2.0, 4.0)), 2.0, S) == (
+            5.481828880999645, 1.0843848041730553e-10)
+
+    def test_map_whose_divisor_raises(self):
+        f = Compose(BlaschkeDisc((0.5,)), BlaschkeDisc((0.3,)))
+        assert area_with_bound(f, 2.0, E) == (1.7357077721419258, 9.81850156733799e-11)
+        assert area_with_bound(f, math.inf, E) == (3.1415926533948157, 3.700612725506093e-08)
+
+    @pytest.mark.parametrize("rho, t", [(2.0, 1.0990268806240127), (math.inf, 1.0944175491311865)])
+    def test_pole_inside_in_the_plane(self, rho, t):
+        f = Quotient(BlaschkeDisc((0.3,)), BlaschkeDisc((0.5,)))
+        with pytest.raises(PrecisionError, match=f"settle at t = {t} "):
+            area_with_bound(f, rho, E)
 
 
 class TestArea:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from circle_oracle import Rational
 
 from arclab.errors import (
     BoundarySingularityError,
@@ -11,7 +12,7 @@ from arclab.errors import (
     ResolutionError,
     StructureError,
 )
-from arclab.geodesics import QuadConfig, adaptive_integrate
+from arclab.geodesics import AREA_DEFAULT, QuadConfig, adaptive_integrate
 from arclab.maps import (
     BlaschkeDisc,
     Compose,
@@ -31,6 +32,7 @@ from arclab.metrics import INFINITY, MobiusTransform, chordal
 from arclab.nevanlinna import (
     CharacteristicCurve,
     Decomposition,
+    _boundary_characteristic,
     _circle,
     _log_chordal,
     _power_series,
@@ -101,6 +103,68 @@ class TestShimizuT:
         f = BlaschkeDisc((0.4 + 0.1j,))
         vals = [shimizu_T(f, r, CFG) for r in (0.2, 0.4, 0.6, 0.8)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+KOEBE_HALF = Compose(Koebe(), Scale(0.5))
+KOEBE_HALF_ORACLE = Rational.koebe_scaled(0.5)
+C11 = QuadConfig(abs_tol=1e-11, rel_tol=1e-11, max_depth=40, max_segments=20000)
+
+
+class TestBoundaryCharacteristic:
+    """S and T from one circle integral per radius against the 30-digit
+    circle oracle, within the bounds the circle rule returns."""
+
+    @staticmethod
+    def _covered(f, radii, oracle, cfg, oracle_T=None):
+        S, T = _boundary_characteristic(f, radii, cfg)
+        for r, s, t in zip(radii, S, T):
+            assert s[1] >= abs(s[0] - oracle.S(r))
+            assert t[1] >= abs(t[0] - (oracle_T or oracle).T(r))
+            assert shimizu_S(f, r, cfg) == s[0] and shimizu_T(f, r, cfg) == t[0]
+
+    def test_criterion_11_grid(self):
+        radii = [round(0.1 * k, 1) for k in range(1, 10)]
+        self._covered(KOEBE_HALF, radii, KOEBE_HALF_ORACLE, C11)
+
+    def test_pooled_reference_radii(self):
+        # perfbench's pooled T and curve radii, at the library defaults
+        radii = [round(0.1 * k, 1) for k in range(1, 10)] + [0.25, 0.55, 0.85]
+        self._covered(KOEBE_HALF, sorted(radii), KOEBE_HALF_ORACLE, AREA_DEFAULT)
+
+    def test_poles_inside(self):
+        num, den = (0.3 + 0.2j, -0.5j), (0.6 - 0.1j,)
+        top, bottom = Rational.blaschke(num), Rational.blaschke(den)
+        oracle = Rational(top.zeros + bottom.poles, top.poles + bottom.zeros,
+                          top.scale / bottom.scale)
+        f = Quotient(BlaschkeDisc(num), BlaschkeDisc(den))
+        self._covered(f, [0.2, 0.65, 0.99], oracle, CFG)
+
+    def test_pole_at_the_origin_uses_the_reciprocal(self):
+        # f = (z + 0.5)/z: T(f) = T(1/f), and 1/f(0) = 0
+        f = MobiusMap(MobiusTransform(1, 0.5, 1, 0))
+        self._covered(f, [0.2, 0.7], Rational([-0.5], [0]), CFG, Rational([0], [-0.5]))
+
+    def test_small_radii_off_the_origin(self):
+        f = Compose(Shift(0.3 + 0.2j), Scale(0.7))
+        self._covered(f, [1e-5, 1e-3, 0.5], Rational([-(0.3 + 0.2j) / 0.7], [], 0.7), CFG)
+
+    def test_scale_closed_form(self):
+        # T(r) of c z is log(1 + c^2 r^2)/2
+        for c in (0.5, 1.0, 2.0, 7.0):
+            for r in (0.01, 0.2, 0.6, 0.9):
+                exact = 0.5 * math.log1p(c * c * r * r)
+                assert shimizu_T(Scale(c), r) == pytest.approx(exact, rel=1e-14, abs=1e-17)
+
+    def test_nested_route_where_the_divisor_is_unknown(self):
+        # divisor() raises StructureError through a non-Moebius inner map;
+        # the composition is a disc automorphism with its zero at -0.2/0.85
+        f = Compose(BlaschkeDisc((0.5,)), BlaschkeDisc((0.3,)))
+        assert _boundary_characteristic(f, [0.5], CFG) == ([None], [None])
+        curve = characteristic_curve(f, (0.3, 0.6), CFG)
+        oracle = Rational.blaschke([-0.2 / 0.85])
+        for r, s, t in zip(curve.radii, curve.S_values, curve.T_values):
+            assert s == pytest.approx(oracle.S(r), abs=1e-10)
+            assert t == pytest.approx(oracle.T(r), abs=1e-10)
 
 
 class TestCharacteristicCurve:
@@ -204,6 +268,19 @@ class TestDecomposition:
             assert origin_identity_T(Shift(-a)) == pytest.approx(expect, abs=1e-10)
         with pytest.raises(ResolutionError, match="65536"):
             origin_identity_T(Shift(-0.9999))
+
+    def test_origin_identity_reads_only_the_zero_side(self):
+        # f = 1/(z - p) with its pole just outside the circle: log k(f, 0)
+        # is smooth there and resolves at 4 096 samples, log k(f, inf) has
+        # a log singularity at p and does not resolve by 65 536, and
+        # T(1, f) = T(1, z - p) has the closed form above
+        for p in (1.001, 1.0001):
+            f = MobiusMap(MobiusTransform(0, 1, 1, -p))
+            expect = 0.5 * math.log((2 + p * p + math.sqrt(4 + p**4)) / 2)
+            expect -= 0.5 * math.log(1 + p * p)
+            assert origin_identity_T(f) == pytest.approx(expect, abs=1e-14)
+        with pytest.raises(ResolutionError, match="65536"):
+            fatou_decompose(f)
 
     def test_origin_identity_sample_count_is_a_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
