@@ -18,7 +18,7 @@ need no special casing beyond a split point.  The nested route takes the
 inner theta-integral by a doubling trapezoid rule on each circle.
 
 An area over |z| < r = tanh(rho/2) (r = 1 at rho = inf) takes the
-boundary route instead when _boundary_poles allows it from f.divisor()
+boundary route instead when _boundary_route allows it from f.divisor()
 alone: a disc map with a known divisor, no pole or essential point on the
 circle |z| = r, no essential point inside and, for the Euclidean and the
 two hyperbolic targets, no pole inside; rho = inf in the hyperbolic
@@ -104,7 +104,8 @@ _PANELS_PER_CALL = _CHUNK // len(_NODES)
 # a circle energy that has not settled at this many panels, or a boundary
 # circle that has not certified at this many points, raises PrecisionError
 _MAX_PANELS = 1 << 14
-# the boundary circle rule starts at this many points and doubles
+# the boundary circle rule starts at this many points, or at four times the
+# map's number of zeros and poles if more, and doubles
 _FIRST_POINTS = 64
 # rounding allowed per sample, relative to the size of the terms it is made of
 _ROUNDOFF = 16 * np.finfo(float).eps
@@ -464,10 +465,11 @@ def _radial(f: MapExpr, target: MetricId, cfg: QuadConfig, kernel=None):
     return radial
 
 
-def _boundary_poles(f: MapExpr, rs, target: MetricId):
-    """For each radius r of rs, the poles of f in |z| < r when its area in
-    the target over |z| < r takes the boundary route, else None for the
-    nested quadrature.
+def _boundary_route(f: MapExpr, rs, target: MetricId):
+    """(routes, first): for each radius r of rs, the poles of f in |z| < r
+    when its area in the target over |z| < r takes the boundary route, else
+    None for the nested quadrature; and the point count the circle rule
+    starts at, _first_points of the number of f's zeros and poles.
 
     The route needs a disc map whose divisor() is known, read through
     polar_divisor(), with no pole or essential point on the closed disc
@@ -475,11 +477,11 @@ def _boundary_poles(f: MapExpr, rs, target: MetricId):
     points within _ON_CIRCLE of the circle, relative to r, count as on
     it."""
     if f.domain is MetricId.HYPERBOLIC_HALF_PLANE:
-        return [None] * len(rs)
+        return [None] * len(rs), None
     try:
-        poles, essential = f.polar_divisor()
+        poles, essential, degree = f.polar_divisor()
     except StructureError:
-        return [None] * len(rs)
+        return [None] * len(rs), None
     routes = []
     for r in rs:
         inside = [p for p in poles if abs(p) < r]
@@ -490,7 +492,22 @@ def _boundary_poles(f: MapExpr, rs, target: MetricId):
         ):
             inside = None
         routes.append(inside)
-    return routes
+    return routes, _first_points(degree)
+
+
+def _first_points(degree):
+    """The power of two from _FIRST_POINTS up to _MAX_PANELS at which a
+    circle of a map with degree zeros and poles starts: at least 4 degree.
+    An integrand that repeats under the rotation z -> e^{2 pi i/m} z has
+    Fourier content at the multiples of m alone, and for a map with a
+    known divisor m is at most its number of zeros and poles, unless the
+    integrand is constant; from 4 m points on the top quarter n/4..n/2
+    holds a multiple of m, so that content shows in the tail instead of
+    aliasing into the mean unseen."""
+    n = _FIRST_POINTS
+    while n < 4 * degree and n < _MAX_PANELS:
+        n *= 2
+    return n
 
 
 def _slope(target: MetricId, w):
@@ -513,17 +530,22 @@ def _slope(target: MetricId, w):
 
 
 def _area_terms(jets, z, target, slope0):
-    """The Green's-theorem integrand 2 Re(z f' (dPhi/dw(f) - slope0)) of an
-    image area from f's jets on a circle, and the size of the terms that
-    form each sample.  The mean over the circle |z| = r, times 2 pi, is the
-    area over |z| < r, less 4 pi per pole inside for the sphere; slope0,
-    dPhi/dw at f(0), integrates to 0 and takes out the part of order r."""
+    """The Green's-theorem integrand 2 Re(z f' dPhi/dw(f)) of an image area
+    from f's jets on a circle in two forms, stacked: as it stands, and less
+    2 Re(z f' slope0), slope0 = dPhi/dw at f(0), a part of mean 0 and of
+    order r; and the sizes of the terms that form each sample of the two.
+    The mean over the circle |z| = r, times 2 pi, is the area over
+    |z| < r, less 4 pi per pole inside for the sphere."""
     value, derivative, pole = jets
     if pole.any():
         raise EvaluationError(f"map has a pole at {complex(z[pole][0])} on the circle")
     zd = z * derivative
     slope = _slope(target, value)
-    return 2.0 * (zd * (slope - slope0)).real, 2.0 * np.abs(zd) * (np.abs(slope) + abs(slope0))
+    size = 2.0 * np.abs(zd) * np.abs(slope)
+    return (
+        np.stack((2.0 * (zd * slope).real, 2.0 * (zd * (slope - slope0)).real)),
+        np.stack((size, size + 2.0 * np.abs(zd) * abs(slope0))),
+    )
 
 
 def _spectral_tail(h):
@@ -541,9 +563,10 @@ def _spectral_tail(h):
 
 def _circle_samples(sample, r, live, k, n):
     """sample on the circles r[live] at the points r_i e^{2 pi i k / n}: the
-    integrands h, of shape (integrands, len(live), len(k)), and their term
-    sizes summed over the points.  Each call takes at most _CHUNK points,
-    splitting the circles and, past _CHUNK points, the angles too."""
+    integrands h in both forms, of shape (2, integrands, len(live), len(k)),
+    and their term sizes summed over the points.  Each call takes at most
+    _CHUNK points, splitting the circles and, past _CHUNK points, the
+    angles too."""
     unit = np.exp(2j * np.pi * k / n)
     step = max(1, _CHUNK // len(unit))
     h = size = None
@@ -552,35 +575,50 @@ def _circle_samples(sample, r, live, k, n):
         for col in range(0, len(unit), _CHUNK):
             z = r[rows, None] * unit[col : col + _CHUNK]
             part, part_size = sample(z, rows)
-            bad = ~np.isfinite(part).all(axis=0)
+            bad = ~np.isfinite(part).all(axis=(0, 1))
             if bad.any():
                 raise EvaluationError(f"circle integrand is not finite at {complex(z[bad][0])}")
             if h is None:
-                h = np.empty((len(part), len(live), len(unit)))
-                size = np.zeros(h.shape[:2])
-            h[:, lo : lo + step, col : col + _CHUNK] = part
-            size[:, lo : lo + step] += part_size.sum(axis=-1)
+                h = np.empty(part.shape[:2] + (len(live), len(unit)))
+                size = np.zeros(h.shape[:3])
+            h[..., lo : lo + step, col : col + _CHUNK] = part
+            size[..., lo : lo + step] += part_size.sum(axis=-1)
     return h, size
 
 
-def _circle_rule(sample, r, scale, shift, abs_tol, rel_tol):
+def _pick(h, size, reduced):
+    """The samples and term sizes of the form each (integrand, circle) uses:
+    the second where reduced holds, else the first."""
+    return np.where(reduced[..., None], h[1], h[0]), np.where(reduced, size[1], size[0])
+
+
+def _circle_rule(sample, r, scale, shift, abs_tol, rel_tol, first):
     """Certified periodic trapezoid rule on the circles |z| = r_i.
 
     sample(z, rows) takes a 2-d array of points on the circles r[rows], one
-    row each, and returns two arrays of shape (k,) + z.shape: k real
-    integrands, and the size of the terms each sample is formed from.  The values are
-    scale * (mean of h + shift), shift of shape (k, len(r)).  Each circle
-    takes _FIRST_POINTS points, doubling over the circles not yet
-    certified in one batch, and is certified once for every integrand the
-    top-quarter Fourier tail, times scale, is at most
+    row each, and returns two arrays of shape (2, k) + z.shape: k real
+    integrands in two forms with the same mean, the second less a part of
+    mean 0, and the size of the terms each sample is formed from.  Each
+    integrand on each circle keeps the form whose first samples are the
+    smaller in mean modulus: at small r taking out the part of order r
+    leaves a sum without its cancellation, and where that part dwarfs the
+    integrand (|f| large on the sphere) its rounding would swamp the mean.
+
+    The values are scale * (mean of h + shift), shift of shape
+    (k, len(r)).  Each circle takes first points, doubling over the
+    circles not yet certified in one batch, and is certified once for
+    every integrand the top-quarter Fourier tail, times scale, is at most
     max(abs_tol, rel_tol |value|).  Returns (values, bounds): a bound is
     scale times the tail plus a rounding floor of _ROUNDOFF times the mean
     term size.  A circle that has not certified at _MAX_PANELS points
-    raises PrecisionError, naming the first such circle in the order of r.
+    raises PrecisionError, naming the first such circle in the order of r
+    and its first uncertified integrand.
     """
-    n = _FIRST_POINTS
+    n = first
     live = np.arange(len(r))
-    h, size = _circle_samples(sample, r, live, np.arange(n), n)
+    both, both_size = _circle_samples(sample, r, live, np.arange(n), n)
+    reduced = np.abs(both[1]).sum(axis=-1) < np.abs(both[0]).sum(axis=-1)
+    h, size = _pick(both, both_size, reduced)
     values = np.empty(shift.shape)
     bounds = np.empty(shift.shape)
     while True:
@@ -601,26 +639,29 @@ def _circle_rule(sample, r, scale, shift, abs_tol, rel_tol):
                 estimate=value[j, i].item(),
                 error_bound=err[j, i].item(),
             )
-        live, h, size = live[~done], h[:, ~done], size[:, ~done]
+        keep = ~done
+        live, h, size, reduced = live[keep], h[:, keep], size[:, keep], reduced[:, keep]
         n *= 2
-        new, new_size = _circle_samples(sample, r, live, np.arange(1, n, 2), n)
-        both = np.empty(h.shape[:2] + (n,))
-        both[..., 0::2], both[..., 1::2] = h, new
-        h, size = both, size + new_size
+        new, new_size = _pick(
+            *_circle_samples(sample, r, live, np.arange(1, n, 2), n), reduced
+        )
+        merged = np.empty(h.shape[:2] + (n,))
+        merged[..., 0::2], merged[..., 1::2] = h, new
+        h, size = merged, size + new_size
 
 
-def _boundary_area(f, r, target, poles, cfg):
+def _boundary_area(f, r, target, poles, first, cfg):
     """(area, bound) of f over |z| < r by the circle rule on |z| = r."""
     value0, _, _ = evaluate(f, np.zeros(1))
     slope0 = _slope(target, value0)[0]
 
     def sample(z, _):
-        h, m = _area_terms(evaluate(f, z), z, target, slope0)
-        return h[None], m[None]
+        h, size = _area_terms(evaluate(f, z), z, target, slope0)
+        return h[:, None], size[:, None]
 
     shift = np.array([[2.0 * len(poles)]])
     values, bounds = _circle_rule(
-        sample, np.array([r]), 2.0 * math.pi, shift, cfg.abs_tol, cfg.rel_tol
+        sample, np.array([r]), 2.0 * math.pi, shift, cfg.abs_tol, cfg.rel_tol, first
     )
     return values[0, 0].item(), bounds[0, 0].item()
 
@@ -647,9 +688,9 @@ def area_with_bound(
     r = 1.0 if math.isinf(rho) else math.tanh(rho / 2.0)
     hyperbolic = target in (MetricId.HYPERBOLIC_DISC, MetricId.HYPERBOLIC_HALF_PLANE)
     if not (math.isinf(rho) and hyperbolic):
-        poles = _boundary_poles(f, [r], target)[0]
-        if poles is not None:
-            return _boundary_area(f, r, target, poles, cfg)
+        routes, first = _boundary_route(f, [r], target)
+        if routes[0] is not None:
+            return _boundary_area(f, r, target, routes[0], first, cfg)
     radial = _radial(f, target, cfg)
     if not math.isinf(rho):
         return adaptive_integrate(radial, 0.0, rho, cfg)

@@ -151,10 +151,12 @@ class MapExpr:
         )
 
     def polar_divisor(self):
-        """(poles, essential) of divisor(), for callers that need no zeros;
-        a node whose zeros cost more than its poles gives them directly."""
-        _, poles, essential = self.divisor()
-        return poles, essential
+        """(poles, essential, degree): the poles and essential points of
+        divisor() and its number of zeros and poles, for callers that need
+        no zero locations; a node whose zeros cost more than the rest gives
+        these directly."""
+        zeros, poles, essential = self.divisor()
+        return poles, essential, len(zeros) + len(poles)
 
 
 def evaluate(f: MapExpr, z):
@@ -280,11 +282,12 @@ class PowerSeries(MapExpr):
         return [complex(z) for z in roots], [], []
 
     def polar_divisor(self):
-        # a polynomial has no poles: no root finding, which would load
-        # the LAPACK eigenvalue code just to answer that
-        if not any(self.coeffs):
+        # no poles and as many zeros as the degree, without root finding:
+        # the first np.roots call in a process pages in about 1 MB of LAPACK
+        degree = max((n for n, c in enumerate(self.coeffs) if c), default=None)
+        if degree is None:
             raise StructureError("the zero map has no divisor")
-        return [], []
+        return [], [], degree
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ S(r) is the normalised spherical image area A_S/(4 pi) over |z| < r and
     T(r) = int_0^r S(t)/t dt.
 
 S and T take one of two routes, chosen per radius from f.divisor() alone
-(geodesics._boundary_poles):
+(geodesics._boundary_route):
 
 - the boundary route, for a disc map with a known divisor and no pole or
   essential point on the circle |z| = r (nor an essential point inside):
@@ -43,7 +43,7 @@ from .geodesics import (
     AREA_DEFAULT,
     QuadConfig,
     _area_terms,
-    _boundary_poles,
+    _boundary_route,
     _circle_rule,
     _radial,
     _slope,
@@ -67,34 +67,41 @@ def rho_of_r(r: float) -> float:
     return math.log1p(r) - math.log1p(-r)
 
 
-def _sphere_terms(g, g0, linear):
-    """sample(z, rows) for the circle rule: the spherical area integrand of
-    g and log((1 + |g|^2)/(1 + |g0|^2)), g0 = g(0), less its linear part
-    at g0 on the circles where linear[row] holds, those with no pole of g
-    inside, where that part integrates to 0."""
+def _sphere_terms(g, g0, linear, want):
+    """sample(z, rows) for the circle rule: the integrands of the quantities
+    in want, "S" the spherical area integrand of g and "T" the log ratio
+    log((1 + |g|^2)/(1 + |g0|^2)), g0 = g(0).  The second form of the log
+    ratio is less its linear part at g0 on the circles where linear[row]
+    holds, those with no pole of g inside, where that part integrates to
+    0; elsewhere the two forms are one."""
     slope0 = complex(_slope(MetricId.SPHERICAL, np.array([g0]))[0])
     scale = 1.0 + _abs2(g0)
 
-    def sample(z, rows):
-        jets = evaluate(g, z)
-        area, area_size = _area_terms(jets, z, MetricId.SPHERICAL, slope0)
+    def log_ratio(jets, rows):
         w = jets[0]
         diff = w - g0
         # log1p of (|g|^2 - |g0|^2)/(1 + |g0|^2), exact to rounding near g0
-        log_ratio = np.log1p((diff * np.conj(w + g0)).real / scale)
+        plain = np.log1p((diff * np.conj(w + g0)).real / scale)
         part = np.where(linear[rows, None], 2.0 * (slope0 * diff).real, 0.0)
-        size = np.abs(diff) * (np.abs(w) + abs(g0)) / (1.0 + _abs2(w))
-        return (
-            np.stack((area, log_ratio - part)),
-            np.stack((area_size, size + np.abs(log_ratio) + np.abs(part))),
-        )
+        size = np.abs(diff) * (np.abs(w) + abs(g0)) / (1.0 + _abs2(w)) + np.abs(plain)
+        return np.stack((plain, plain - part)), np.stack((size, size + np.abs(part)))
+
+    def sample(z, rows):
+        jets = evaluate(g, z)
+        terms = [
+            _area_terms(jets, z, MetricId.SPHERICAL, slope0) if q == "S" else log_ratio(jets, rows)
+            for q in want
+        ]
+        return np.stack([h for h, _ in terms], axis=1), np.stack([m for _, m in terms], axis=1)
 
     return sample
 
 
-def _boundary_characteristic(f: MapExpr, rs, cfg: QuadConfig):
-    """S and T at the radii rs by the circle rule on |z| = r: two lists of
+def _boundary_characteristic(f: MapExpr, rs, cfg: QuadConfig, want=("S", "T")):
+    """The quantities in want ("S", "T" or both) at the radii rs by the
+    circle rule on |z| = r: one list per quantity, in the order of want, of
     (value, error bound), None at each radius that takes the nested route.
+    Only the quantities asked for are sampled and certified.
 
     With g = f, or 1/f when f(0) is infinite (S and T do not change), and
     its poles b in |z| < r:
@@ -105,36 +112,36 @@ def _boundary_characteristic(f: MapExpr, rs, cfg: QuadConfig):
 
     Green's theorem and the Ahlfors-Shimizu first main theorem (Hayman,
     Meromorphic Functions, 1964, sec. 1.5)."""
-    S, T = [None] * len(rs), [None] * len(rs)
-    g, g0, routes = f, None, _boundary_poles(f, rs, MetricId.SPHERICAL)
+    out = tuple([None] * len(rs) for _ in want)
+    g, g0 = f, None
+    routes, first = _boundary_route(f, rs, MetricId.SPHERICAL)
     if any(poles is not None for poles in routes):
         # f is meromorphic at 0 here
         origin = evaluate(f, 0.0)
         if origin.is_pole:
             g, g0 = Quotient(ConstMap(1.0), f), 0j
-            routes = _boundary_poles(g, rs, MetricId.SPHERICAL)
+            routes, first = _boundary_route(g, rs, MetricId.SPHERICAL)
         else:
             g0 = origin.value
     on = [i for i, poles in enumerate(routes) if poles is not None]
     if on:
-        shift = np.array(
-            [
-                [2.0 * len(routes[i]) for i in on],
-                [2.0 * math.fsum(math.log(rs[i] / abs(b)) for b in routes[i]) for i in on],
-            ]
-        )
+        shifts = {
+            "S": [2.0 * len(routes[i]) for i in on],
+            "T": [2.0 * math.fsum(math.log(rs[i] / abs(b)) for b in routes[i]) for i in on],
+        }
         values, bounds = _circle_rule(
-            _sphere_terms(g, g0, np.array([not routes[i] for i in on])),
+            _sphere_terms(g, g0, np.array([not routes[i] for i in on]), want),
             np.array([rs[i] for i in on]),
             0.5,
-            shift,
+            np.array([shifts[q] for q in want]),
             cfg.abs_tol / (4.0 * math.pi),
             cfg.rel_tol,
+            first,
         )
-        for j, i in enumerate(on):
-            S[i] = values[0, j].item(), bounds[0, j].item()
-            T[i] = values[1, j].item(), bounds[1, j].item()
-    return S, T
+        for k, column in enumerate(out):
+            for j, i in enumerate(on):
+                column[i] = values[k, j].item(), bounds[k, j].item()
+    return out
 
 
 def _nested_S(f, r, cfg):
@@ -163,7 +170,7 @@ def shimizu_S(f: MapExpr, r: float, config: QuadConfig = None) -> float:
     """Normalised spherical image area over |z| < r, counting multiplicity."""
     cfg = config or AREA_DEFAULT
     rho_of_r(r)  # checks r
-    s = _boundary_characteristic(f, [r], cfg)[0][0]
+    s = _boundary_characteristic(f, [r], cfg, want=("S",))[0][0]
     return _nested_S(f, r, cfg) if s is None else s[0]
 
 
@@ -171,7 +178,7 @@ def shimizu_T(f: MapExpr, r: float, config: QuadConfig = None) -> float:
     """Ahlfors-Shimizu characteristic int_0^r S(t)/t dt."""
     cfg = config or AREA_DEFAULT
     rho_of_r(r)  # checks r
-    t = _boundary_characteristic(f, [r], cfg)[1][0]
+    t = _boundary_characteristic(f, [r], cfg, want=("T",))[0][0]
     return _nested_T(f, r, cfg) if t is None else t[0]
 
 

@@ -28,11 +28,15 @@ DPS = 30
 class Rational:
     """f = scale * prod(z - a) / prod(z - b), in mpmath."""
 
+    # each stretch between two cuts is integrated in this many pieces
+    pieces = 1
+
     def __init__(self, zeros=(), poles=(), scale=1):
         with mpmath.workdps(DPS):
             self.zeros = [mpmath.mpc(a) for a in zeros]
             self.poles = [mpmath.mpc(b) for b in poles]
             self.scale = mpmath.mpc(scale)
+        self.essential = []
 
     @classmethod
     def blaschke(cls, zeros):
@@ -67,11 +71,18 @@ class Rational:
 
     def _circle_integral(self, h, r):
         """int_0^{2 pi} h(r e^{i theta}) dtheta by tanh-sinh quadrature,
-        split at the arguments of the zeros and poles, where the nodes
-        cluster."""
+        split at the arguments of the zeros, poles and essential points,
+        where the nodes cluster, and each stretch in `pieces` equal parts."""
         cuts = {mpmath.mpf(0), 2 * mp.pi}
-        cuts.update(mpmath.arg(p) % (2 * mp.pi) for p in self.zeros + self.poles if p != 0)
-        return mpmath.quad(lambda t: h(r * mpmath.expjpi(t / mp.pi)), sorted(cuts))
+        marks = self.zeros + self.poles + self.essential
+        cuts.update(mpmath.arg(p) % (2 * mp.pi) for p in marks if p != 0)
+        cuts = sorted(cuts)
+        points = [
+            lo + (hi - lo) * k / self.pieces
+            for lo, hi in zip(cuts, cuts[1:])
+            for k in range(self.pieces)
+        ] + [cuts[-1]]
+        return mpmath.quad(lambda t: h(r * mpmath.expjpi(t / mp.pi)), points)
 
     @functools.lru_cache(maxsize=None)
     def area(self, r, target):
@@ -105,6 +116,31 @@ class Rational:
             origin = mpmath.log(1 + abs(self.value(mpmath.mpc(0))) ** 2) / 2
             counting = sum(mpmath.log(r / abs(b)) for b in self.poles if abs(b) < r)
             return float(mean / (4 * mp.pi) - origin + counting)
+
+
+class ExpMobius(Rational):
+    """f = exp((a z + b)/(c z + d)): no zeros or poles, and for c != 0 an
+    essential point at -d/c.  |f| swings through many orders of magnitude
+    on a circle, with steep steps where it crosses 1, so the circle is
+    integrated in many pieces."""
+
+    pieces = 16
+
+    def __init__(self, a, b, c, d):
+        super().__init__()
+        with mpmath.workdps(DPS):
+            self.m = [mpmath.mpc(x) for x in (a, b, c, d)]
+            if c != 0:
+                self.essential = [-self.m[3] / self.m[2]]
+
+    def value(self, z):
+        a, b, c, d = self.m
+        return mpmath.exp((a * z + b) / (c * z + d))
+
+    def jet(self, z):
+        a, b, c, d = self.m
+        w = self.value(z)
+        return w, w * (a * d - b * c) / (c * z + d) ** 2
 
 
 def blaschke_one_zero_area(a, r):

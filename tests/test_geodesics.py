@@ -557,6 +557,23 @@ class TestAreaBoundOracles:
             with pytest.raises(PrecisionError):
                 area_with_bound(BlaschkeDisc((modulus * cmath.exp(1j * math.pi / 64),)), math.inf, E)
 
+    @pytest.mark.parametrize("rho", [3.0, math.inf])
+    def test_rotationally_symmetric_power_series(self, rho):
+        # z + z^65/2 repeats under z -> e^{2 pi i/64} z: its integrand has
+        # Fourier content at the multiples of 64 only, which 64 points alias
+        # into the mean with an empty tail
+        r = 1.0 if math.isinf(rho) else math.tanh(rho / 2)
+        exact = _polynomial_area((0.0, 1.0) + (0.0,) * 63 + (0.5,), r)
+        try:
+            self._covers(PowerSeries((0, 1) + (0,) * 63 + (0.5,)), rho, E, exact)
+        except PrecisionError:
+            pass
+
+    @pytest.mark.parametrize("modulus", [0.5, 0.8, 0.95])
+    def test_rotationally_symmetric_blaschke_product(self, modulus):
+        zeros = tuple(modulus * cmath.exp(2j * math.pi * k / 64) for k in range(64))
+        self._covers(BlaschkeDisc(zeros), math.inf, E, 64 * math.pi)
+
     def test_sweep_of_zeros_near_the_circle(self):
         rng = random.Random(7)
         for _ in range(60):

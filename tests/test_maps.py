@@ -274,6 +274,25 @@ class TestDivisor:
         assert poles == pytest.approx([1.0, 1.0], abs=1e-15)
         assert essential == []
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "powerseries([0+0i,1+0i,0.5+0.5i,0+0i])",
+            "powerseries([2+0i])",
+            "koebe() . mobius(1+0i,-0.3+0i,-0.3+0i,1+0i)",
+            "blaschke_disc([0.3+0.2i,-0.5+0i]) * powerseries([1+0i,0+0i,0.2+0i])",
+            "exp() . inv_cayley()",
+        ],
+    )
+    def test_polar_divisor_agrees_with_divisor(self, text):
+        f = parse(text)
+        zeros, poles, essential = f.divisor()
+        assert f.polar_divisor() == (poles, essential, len(zeros) + len(poles))
+
+    def test_zero_power_series_has_no_polar_divisor(self):
+        with pytest.raises(StructureError):
+            PowerSeries((0, 0)).polar_divisor()
+
 
 class TestProductsAndQuotients:
     def test_product_tags(self):

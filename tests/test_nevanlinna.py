@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from circle_oracle import Rational
+from circle_oracle import ExpMobius, Rational
 
 from arclab.errors import (
     BoundarySingularityError,
@@ -27,6 +27,7 @@ from arclab.maps import (
     Scale,
     Shift,
     evaluate,
+    inv_cayley_map,
 )
 from arclab.metrics import INFINITY, MobiusTransform, chordal
 from arclab.nevanlinna import (
@@ -120,6 +121,11 @@ class TestBoundaryCharacteristic:
         for r, s, t in zip(radii, S, T):
             assert s[1] >= abs(s[0] - oracle.S(r))
             assert t[1] >= abs(t[0] - (oracle_T or oracle).T(r))
+            # shimizu_S and shimizu_T certify only the quantity they return
+            s = _boundary_characteristic(f, [r], cfg, want=("S",))[0][0]
+            t = _boundary_characteristic(f, [r], cfg, want=("T",))[0][0]
+            assert s[1] >= abs(s[0] - oracle.S(r))
+            assert t[1] >= abs(t[0] - (oracle_T or oracle).T(r))
             assert shimizu_S(f, r, cfg) == s[0] and shimizu_T(f, r, cfg) == t[0]
 
     def test_criterion_11_grid(self):
@@ -147,6 +153,14 @@ class TestBoundaryCharacteristic:
     def test_small_radii_off_the_origin(self):
         f = Compose(Shift(0.3 + 0.2j), Scale(0.7))
         self._covered(f, [1e-5, 1e-3, 0.5], Rational([-(0.3 + 0.2j) / 0.7], [], 0.7), CFG)
+
+    def test_exponential_maps_with_large_modulus(self):
+        # |f| reaches e^9.5 and e^18 on the circle, where the affine part
+        # of the log ratio at f(0) would dwarf the integrand
+        self._covered(Compose(ExpMap(), inv_cayley_map()), [0.9],
+                      ExpMobius(1j, 1j, -1, 1), AREA_DEFAULT)
+        self._covered(Compose(ExpMap(), Scale(20.0)), [0.9], ExpMobius(20.0, 0, 0, 1),
+                      AREA_DEFAULT)
 
     def test_scale_closed_form(self):
         # T(r) of c z is log(1 + c^2 r^2)/2
