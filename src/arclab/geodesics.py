@@ -14,25 +14,26 @@ of the hyperbolic disc of radius rho, counting multiplicity, is
 with the squared norm taken disc -> target.  Lengths, and areas on the
 nested route, use a global adaptive Gauss(7)/Kronrod(15) scheme; the rule
 never evaluates interval endpoints, so integrable endpoint singularities
-need no special casing beyond a split point.  The nested route takes the
-inner theta-integral by a doubling trapezoid rule on each circle.
+need no special casing beyond a split point.
 
 An area over |z| < r = tanh(rho/2) (r = 1 at rho = inf) takes the
-boundary route instead when _boundary_route allows it from f.divisor()
+boundary route instead when _boundary_route allows it from the divisor
 alone: a disc map with a known divisor, no pole or essential point on the
 circle |z| = r, no essential point inside and, for the Euclidean and the
 two hyperbolic targets, no pole inside; rho = inf in the hyperbolic
-targets stays nested.  With Phi a potential whose Laplacian is the squared
+targets stays nested.  For the sphere the map is f or 1/f, whichever
+_sphere_chart picks.  With Phi a potential whose Laplacian is the squared
 target density (|w|^2/4, log(1 + |w|^2), -log(1 - |w|^2), -log Im w),
 Green's theorem gives
 
     A(r) = int_0^{2 pi} 2 Re(z f'(z) dPhi/dw(f(z))) dtheta  [+ 4 pi n(r, inf)]
 
 the bracket for the sphere, n(r, inf) the poles in |z| < r.  One circle
-rule (_circle_rule) takes that integral and certifies it on the Fourier
-tail of its samples; a circle it cannot certify within _MAX_PANELS points
-raises PrecisionError with its best estimate, and nothing falls back to
-the nested route.
+rule (_circle_rule) takes that integral and the nested route's inner
+theta-integrals, and certifies each circle on the Fourier tail of its
+samples; a circle it cannot certify within _MAX_PANELS points raises
+PrecisionError with its best estimate, and nothing falls back to the
+nested route.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .errors import (
     RangeError,
     StructureError,
 )
-from .maps import Compose, MapExpr, evaluate, inv_cayley_map
+from .maps import Compose, ConstMap, MapExpr, Quotient, evaluate, inv_cayley_map
 from .metrics import MetricId, _abs2, density, is_infinite, norm_from_jet
 
 # 15-point Kronrod nodes on [-1, 1] (symmetric half) and weights, with the
@@ -101,11 +102,10 @@ HALF_PLANE_RHO_MAX = 700.0
 # points, which bounds the memory of a batch of many panels or radii
 _CHUNK = 2048
 _PANELS_PER_CALL = _CHUNK // len(_NODES)
-# a circle energy that has not settled at this many panels, or a boundary
-# circle that has not certified at this many points, raises PrecisionError
+# a circle that has not certified at this many points raises PrecisionError
 _MAX_PANELS = 1 << 14
-# the boundary circle rule starts at this many points, or at four times the
-# map's number of zeros and poles if more, and doubles
+# the circle rule starts at this many points, on the boundary route at four
+# times the map's number of zeros and poles if more, and doubles
 _FIRST_POINTS = 64
 # rounding allowed per sample, relative to the size of the terms it is made of
 _ROUNDOFF = 16 * np.finfo(float).eps
@@ -383,53 +383,21 @@ def arc_length_profile(
     return samples
 
 
-def _panel_sums(f, r, k, panels, target):
-    """Sums of |f'|^2 (disc -> target) over the points r_i e^{2 pi i k / panels},
-    an array with one per radius r_i; each evaluate takes at most _CHUNK
-    points, splitting the radii and, past _CHUNK panels, the angles too."""
-    unit = np.exp(2j * np.pi * k / panels)
-    rows = max(1, _CHUNK // len(unit))
-    sums = np.zeros(len(r))
-    for lo in range(0, len(r), rows):
-        for col in range(0, len(unit), _CHUNK):
-            z = r[lo : lo + rows, None] * unit[col : col + _CHUNK]
-            n = norm_from_jet(evaluate(f, z), z, MetricId.HYPERBOLIC_DISC, target)
-            sums[lo : lo + rows] += np.einsum("ij,ij->i", n, n)
-    return sums
-
-
 def _circle_energies(f, ts, target, rel_tol, max_panels):
-    """circle_energy at every radius of the 1-d array ts, as an array.
-
-    The radii double their panel sets together: each doubling evaluates the
-    new points of every radius that has not settled yet in one batch.  A
-    radius settles, and drops out, when its mean moves by at most
-    max(1e-13, rel_tol |mean|); a nan gap never settles.  The PrecisionError
-    for radii that never settle names the first of them in the order of ts.
-    """
+    """circle_energy at every radius of the 1-d array ts, as an array: the
+    circle rule on |f'|^2 (disc -> target), one form, each circle certified
+    to max(1e-13, rel_tol |mean|) on the mean within max_panels points."""
     if not (ts >= 0).all():
         raise ValueError("radius must be non-negative")
-    r = np.tanh(ts / 2.0)
-    panels = 32
-    acc = _panel_sums(f, r, np.arange(panels), panels, target)
-    mean = acc / panels
-    gap = np.full(len(acc), math.inf)
-    live = np.arange(len(acc))
-    while live.size and panels < max_panels:
-        panels *= 2
-        acc[live] += _panel_sums(f, r[live], np.arange(1, panels, 2), panels, target)
-        new_mean = acc[live] / panels
-        gap[live] = np.abs(new_mean - mean[live])
-        mean[live] = new_mean
-        live = live[~(gap[live] <= np.maximum(1e-13, rel_tol * np.abs(new_mean)))]
-    if live.size:
-        first = live[0]
-        raise PrecisionError(
-            f"circle energy did not settle at t = {ts[first]}",
-            estimate=(2.0 * math.pi * mean[first]).item(),
-            error_bound=(2.0 * math.pi * gap[first]).item(),
-        )
-    return 2.0 * math.pi * mean
+
+    def sample(z, _):
+        n = norm_from_jet(evaluate(f, z), z, MetricId.HYPERBOLIC_DISC, target)
+        h = (n * n)[None, None]
+        return h, h
+
+    r, scale = np.tanh(ts / 2.0), 2.0 * math.pi
+    shift, tol = np.zeros((1, len(ts))), scale * 1e-13
+    return _circle_rule(sample, r, scale, shift, tol, rel_tol, _FIRST_POINTS, max_panels)[0][0]
 
 
 def circle_energy(
@@ -440,19 +408,16 @@ def circle_energy(
     max_panels: int = _MAX_PANELS,
 ) -> float:
     """Integral over theta of |f'|^2 (disc -> target) on the hyperbolic
-    circle of radius t, by doubling left-point panel sums until two
-    refinements agree.  Left-point sums of a periodic analytic integrand
-    converge spectrally, so doubling is cheap.
-    """
-    ts = np.array([t], dtype=float)
-    return _circle_energies(f, ts, target, rel_tol, max_panels)[0].item()
+    circle of radius t by the certified circle rule, which raises
+    PrecisionError when the circle has not certified at max_panels points."""
+    return _circle_energies(f, np.array([t], dtype=float), target, rel_tol, max_panels)[0].item()
 
 
 def _radial(f: MapExpr, target: MetricId, cfg: QuadConfig, kernel=None):
     """The outer integrand sinh t Q(t) of an image area, times kernel(t)
     when one is given, as a vectorised function of t.  Q(t) is the circle
-    energy of f, a half-plane map taken to the disc first, settled to a
-    hundredth of cfg's relative tolerance within _MAX_PANELS panels."""
+    energy of f, a half-plane map taken to the disc first, certified to a
+    hundredth of cfg's relative tolerance within _MAX_PANELS points."""
     if f.domain is MetricId.HYPERBOLIC_HALF_PLANE:
         # transport through the disc -> half-plane isometry
         f = Compose(f, inv_cayley_map())
@@ -493,6 +458,33 @@ def _boundary_route(f: MapExpr, rs, target: MetricId):
             inside = None
         routes.append(inside)
     return routes, _first_points(degree)
+
+
+def _sphere_chart(f: MapExpr, rs, finite_origin: bool):
+    """(g, g0, routes, first): the chart g, f or 1/f, which the spherical
+    metric does not tell apart, for the spherical area, S and T of f on the
+    circles |z| = r of rs; g0 = g(0), 0 at a pole, and routes, first from
+    _boundary_route(g, rs, SPHERICAL).  g is 1/f when f(0) is infinite, and
+    when 1/f is on the route at more radii than f (a pole of f on a circle
+    is a zero of 1/f) unless finite_origin asks for g(0) finite and f(0)
+    is 0.  1/f is tried only then: its divisor may cost a root finding."""
+    routes, first = _boundary_route(f, rs, MetricId.SPHERICAL)
+    served = sum(p is not None for p in routes)
+    # a map on the route at some radius is meromorphic at 0
+    origin = evaluate(f, 0.0) if served else None
+    if served == len(rs) and not origin.is_pole:
+        return f, origin.value, routes, first
+    g = Quotient(ConstMap(1.0), f)
+    g_routes, g_first = _boundary_route(g, rs, MetricId.SPHERICAL)
+    if sum(p is not None for p in g_routes) > served:
+        origin = evaluate(f, 0.0)
+        swap = origin.is_pole or origin.value != 0 or not finite_origin
+    else:
+        swap = served and origin.is_pole
+    if swap:
+        g0 = 0j if origin.is_pole or origin.value == 0 else 1.0 / origin.value
+        return g, g0, g_routes, g_first
+    return f, origin.value if served else None, routes, first
 
 
 def _first_points(degree):
@@ -555,15 +547,19 @@ def _spectral_tail(h):
     error is the sum of the aliased coefficients at the multiples of n
     (Trefethen & Weideman, SIAM Rev. 56, 2014, sec. 3), far below tail
     once the coefficients decay; tail stays positive when the rule aliases,
-    where the gap between two doublings vanishes."""
+    where the gap between two doublings vanishes.  The rows are transformed
+    in blocks of at most _MAX_PANELS samples, which bounds the memory."""
     n = h.shape[-1]
-    c = np.abs(np.fft.rfft(h, axis=-1))
-    return h.mean(axis=-1), 2.0 * c[..., n // 4 :].sum(axis=-1) / n
+    rows, step = h.reshape(-1, n), max(1, _MAX_PANELS // n)
+    tail = np.empty(len(rows))
+    for lo in range(0, len(rows), step):
+        tail[lo : lo + step] = np.abs(np.fft.rfft(rows[lo : lo + step])[:, n // 4 :]).sum(axis=-1)
+    return h.mean(axis=-1), 2.0 * tail.reshape(h.shape[:-1]) / n
 
 
 def _circle_samples(sample, r, live, k, n):
     """sample on the circles r[live] at the points r_i e^{2 pi i k / n}: the
-    integrands h in both forms, of shape (2, integrands, len(live), len(k)),
+    integrands h in all forms, of shape (forms, integrands, len(live), len(k)),
     and their term sizes summed over the points.  Each call takes at most
     _CHUNK points, splitting the circles and, past _CHUNK points, the
     angles too."""
@@ -588,19 +584,19 @@ def _circle_samples(sample, r, live, k, n):
 
 def _pick(h, size, reduced):
     """The samples and term sizes of the form each (integrand, circle) uses:
-    the second where reduced holds, else the first."""
-    return np.where(reduced[..., None], h[1], h[0]), np.where(reduced, size[1], size[0])
+    the last where reduced holds, else the first."""
+    return np.where(reduced[..., None], h[-1], h[0]), np.where(reduced, size[-1], size[0])
 
 
-def _circle_rule(sample, r, scale, shift, abs_tol, rel_tol, first):
+def _circle_rule(sample, r, scale, shift, abs_tol, rel_tol, first, cap=_MAX_PANELS):
     """Certified periodic trapezoid rule on the circles |z| = r_i.
 
     sample(z, rows) takes a 2-d array of points on the circles r[rows], one
-    row each, and returns two arrays of shape (2, k) + z.shape: k real
-    integrands in two forms with the same mean, the second less a part of
-    mean 0, and the size of the terms each sample is formed from.  Each
-    integrand on each circle keeps the form whose first samples are the
-    smaller in mean modulus: at small r taking out the part of order r
+    row each, and returns two arrays of shape (forms, k) + z.shape: k real
+    integrands in one form, or in two with the same mean, the second less a
+    part of mean 0; and the size of the terms each sample is formed from.
+    Each integrand on each circle keeps the form whose first samples are
+    the smaller in mean modulus: at small r taking out the part of order r
     leaves a sum without its cancellation, and where that part dwarfs the
     integrand (|f| large on the sphere) its rounding would swamp the mean.
 
@@ -610,15 +606,15 @@ def _circle_rule(sample, r, scale, shift, abs_tol, rel_tol, first):
     every integrand the top-quarter Fourier tail, times scale, is at most
     max(abs_tol, rel_tol |value|).  Returns (values, bounds): a bound is
     scale times the tail plus a rounding floor of _ROUNDOFF times the mean
-    term size.  A circle that has not certified at _MAX_PANELS points
-    raises PrecisionError, naming the first such circle in the order of r
-    and its first uncertified integrand.
+    term size.  A circle that has not certified at cap points raises
+    PrecisionError, naming the first such circle in the order of r and its
+    first uncertified integrand.
     """
     n = first
     live = np.arange(len(r))
-    both, both_size = _circle_samples(sample, r, live, np.arange(n), n)
-    reduced = np.abs(both[1]).sum(axis=-1) < np.abs(both[0]).sum(axis=-1)
-    h, size = _pick(both, both_size, reduced)
+    forms, forms_size = _circle_samples(sample, r, live, np.arange(n), n)
+    reduced = np.abs(forms[-1]).sum(axis=-1) < np.abs(forms[0]).sum(axis=-1)
+    h, size = _pick(forms, forms_size, reduced)
     values = np.empty(shift.shape)
     bounds = np.empty(shift.shape)
     while True:
@@ -631,7 +627,7 @@ def _circle_rule(sample, r, scale, shift, abs_tol, rel_tol, first):
         bounds[:, live[done]] = err[:, done] + scale * _ROUNDOFF * size[:, done] / n
         if done.all():
             return values, bounds
-        if n >= _MAX_PANELS:
+        if n >= cap:
             i = np.flatnonzero(~done)[0]
             j = np.flatnonzero(~ok[:, i])[0]
             raise PrecisionError(
@@ -648,6 +644,7 @@ def _circle_rule(sample, r, scale, shift, abs_tol, rel_tol, first):
         merged = np.empty(h.shape[:2] + (n,))
         merged[..., 0::2], merged[..., 1::2] = h, new
         h, size = merged, size + new_size
+        del merged, new  # h alone holds the samples through the transform
 
 
 def _boundary_area(f, r, target, poles, first, cfg):
@@ -688,9 +685,12 @@ def area_with_bound(
     r = 1.0 if math.isinf(rho) else math.tanh(rho / 2.0)
     hyperbolic = target in (MetricId.HYPERBOLIC_DISC, MetricId.HYPERBOLIC_HALF_PLANE)
     if not (math.isinf(rho) and hyperbolic):
-        routes, first = _boundary_route(f, [r], target)
+        if target is MetricId.SPHERICAL:
+            g, _, routes, first = _sphere_chart(f, [r], False)
+        else:
+            g, (routes, first) = f, _boundary_route(f, [r], target)
         if routes[0] is not None:
-            return _boundary_area(f, r, target, routes[0], first, cfg)
+            return _boundary_area(g, r, target, routes[0], first, cfg)
     radial = _radial(f, target, cfg)
     if not math.isinf(rho):
         return adaptive_integrate(radial, 0.0, rho, cfg)

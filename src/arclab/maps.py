@@ -471,6 +471,14 @@ class BlaschkeDisc(MapExpr):
     def _jet(self, z):
         return _product_jet(z, len(self._a), self._factor_jets)
 
+    @property
+    def transform(self):
+        """A lone factor as the Moebius map it is, which Compose.divisor
+        pulls back through; None for any other number of zeros."""
+        if len(self.zeros) == 1:
+            n, a = self._norm[0].item(), self.zeros[0]
+            return MobiusTransform(-n, n * a, -a.conjugate(), 1)
+
     def divisor(self):
         # a factor with a != 0 has its pole at the reflection 1/conj(a)
         poles = [1.0 / a.conjugate() for a in self.zeros if a != 0]

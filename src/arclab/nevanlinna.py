@@ -5,15 +5,14 @@ S(r) is the normalised spherical image area A_S/(4 pi) over |z| < r and
 
     T(r) = int_0^r S(t)/t dt.
 
-S and T take one of two routes, chosen per radius from f.divisor() alone
-(geodesics._boundary_route):
+S and T take one of two routes, chosen per radius from the divisor alone
+of f or 1/f, whichever geodesics._sphere_chart picks; both certify each
+circle by geodesics._circle_rule, or raise PrecisionError:
 
 - the boundary route, for a disc map with a known divisor and no pole or
   essential point on the circle |z| = r (nor an essential point inside):
   one periodic integral on |z| = r gives S by Green's theorem and T by
-  the Ahlfors-Shimizu first main theorem (see _boundary_characteristic),
-  certified by geodesics._circle_rule.  A circle that does not certify
-  raises PrecisionError with its best estimate;
+  the Ahlfors-Shimizu first main theorem (see _boundary_characteristic);
 - the nested route otherwise: S from the nested image area, and T by
   exchanging the order of its two integrals (see _nested_T).
 
@@ -43,14 +42,14 @@ from .geodesics import (
     AREA_DEFAULT,
     QuadConfig,
     _area_terms,
-    _boundary_route,
     _circle_rule,
     _radial,
     _slope,
+    _sphere_chart,
     adaptive_integrate,
     area_with_bound,
 )
-from .maps import BlaschkeDisc, ConstMap, MapExpr, Quotient, evaluate
+from .maps import BlaschkeDisc, MapExpr, evaluate
 from .metrics import MetricId, _abs2, chordal, is_infinite
 
 _BOUNDARY_GAP = 1e-6
@@ -103,8 +102,9 @@ def _boundary_characteristic(f: MapExpr, rs, cfg: QuadConfig, want=("S", "T")):
     (value, error bound), None at each radius that takes the nested route.
     Only the quantities asked for are sampled and certified.
 
-    With g = f, or 1/f when f(0) is infinite (S and T do not change), and
-    its poles b in |z| < r:
+    With g the chart that geodesics._sphere_chart picks, f or 1/f (S and
+    T do not change), g(0) finite when T is wanted, and its poles b in
+    |z| < r:
 
         S(r) = (1/4pi) int 2 Re(z g' conj(g)) / (1 + |g|^2) dtheta + n(r, inf)
         T(r) = (1/4pi) int log(1 + |g|^2) dtheta - log(1 + |g(0)|^2)/2
@@ -113,27 +113,18 @@ def _boundary_characteristic(f: MapExpr, rs, cfg: QuadConfig, want=("S", "T")):
     Green's theorem and the Ahlfors-Shimizu first main theorem (Hayman,
     Meromorphic Functions, 1964, sec. 1.5)."""
     out = tuple([None] * len(rs) for _ in want)
-    g, g0 = f, None
-    routes, first = _boundary_route(f, rs, MetricId.SPHERICAL)
-    if any(poles is not None for poles in routes):
-        # f is meromorphic at 0 here
-        origin = evaluate(f, 0.0)
-        if origin.is_pole:
-            g, g0 = Quotient(ConstMap(1.0), f), 0j
-            routes, first = _boundary_route(g, rs, MetricId.SPHERICAL)
-        else:
-            g0 = origin.value
+    g, g0, routes, first = _sphere_chart(f, rs, "T" in want)
     on = [i for i, poles in enumerate(routes) if poles is not None]
     if on:
         shifts = {
-            "S": [2.0 * len(routes[i]) for i in on],
-            "T": [2.0 * math.fsum(math.log(rs[i] / abs(b)) for b in routes[i]) for i in on],
+            "S": lambda i: 2.0 * len(routes[i]),
+            "T": lambda i: 2.0 * math.fsum(math.log(rs[i] / abs(b)) for b in routes[i]),
         }
         values, bounds = _circle_rule(
             _sphere_terms(g, g0, np.array([not routes[i] for i in on]), want),
             np.array([rs[i] for i in on]),
             0.5,
-            np.array([shifts[q] for q in want]),
+            np.array([[shifts[q](i) for i in on] for q in want]),
             cfg.abs_tol / (4.0 * math.pi),
             cfg.rel_tol,
             first,

@@ -349,6 +349,8 @@ class TestDecompose:
             ("shift(-2+0i) . scale(4+0i)", 1, 0),
             ("koebe() . shift(0.25+0i)", 1, 2),
             ("blaschke_disc([0.5+0i]) . scale(3+0i)", 1, 1),
+            # pulled back through a one-zero Blaschke factor
+            ("blaschke_disc([0.5+0i]) . blaschke_disc([0.3+0i])", 1, 0),
         ):
             code, out, _ = run(
                 capsys,

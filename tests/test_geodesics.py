@@ -45,7 +45,7 @@ from arclab.maps import (
     cayley_map,
     inv_cayley_map,
 )
-from arclab.metrics import MetricId, MobiusTransform, deriv_norm
+from arclab.metrics import MetricId, MobiusTransform
 
 H = MetricId.HYPERBOLIC_DISC
 HP = MetricId.HYPERBOLIC_HALF_PLANE
@@ -368,53 +368,44 @@ def _counting_evaluate(monkeypatch):
     return sizes
 
 
-def _loop_energy(f, t, target, rel_tol=1e-10):
-    """The scalar doubling loop that circle energies used to run, one
-    radius at a time: the reference for the batched kernel."""
-    r = math.tanh(t / 2)
-
-    def panel_sum(k, panels):
-        z = r * np.exp(2j * np.pi * k / panels)
-        n = deriv_norm(f, z, target)
-        return float(n @ n)
-
-    panels = 32
-    acc = panel_sum(np.arange(panels), panels)
-    mean = acc / panels
-    while True:
-        acc += panel_sum(np.arange(1, 2 * panels, 2), 2 * panels)
-        panels *= 2
-        gap, mean = abs(acc / panels - mean), acc / panels
-        if gap <= max(1e-13, rel_tol * abs(mean)):
-            return 2 * math.pi * mean
+def _energy(oracle, t):
+    """The circle energy of the rational map oracle in E at radius t: the
+    integral of |f'|^2 (1 - r^2)^2 / 4 over |z| = r = tanh(t/2), at 20
+    digits by the circle oracle's quadrature."""
+    with mpmath.workdps(20):
+        r = mpmath.tanh(mpmath.mpf(t) / 2)
+        energy = oracle._circle_integral(lambda z: abs(oracle.jet(z)[1]) ** 2, r)
+        return float(energy * (1 - r * r) ** 2 / 4)
 
 
 RADII = np.array([0.05, 0.3, 1.0, 2.0, 3.5, 5.0, 7.0, 9.0, 12.0])
+ZEROS_3 = (0.9 + 0j, -0.5 + 0.6j, 0.3j)
 
 
 class TestCircleEnergiesKernel:
     """The batched kernel behind circle_energy, area_with_bound and shimizu_T."""
 
     @pytest.mark.parametrize(
-        "f, target",
+        "f, oracle",
         [
-            (Identity(), E),
-            (Compose(Koebe(), Scale(0.5)), E),
-            (BlaschkeDisc((0.9 + 0j, -0.5 + 0.6j, 0.3j)), E),
+            (Identity(), Rational([0])),
+            (Compose(Koebe(), Scale(0.5)), Rational.koebe_scaled(0.5)),
+            (BlaschkeDisc(ZEROS_3), Rational.blaschke(ZEROS_3)),
         ],
         ids=["identity", "koebe-half", "blaschke-3"],
     )
-    def test_rows_match_one_row_calls(self, f, target, monkeypatch):
+    def test_rows_match_one_row_calls(self, f, oracle, monkeypatch):
         sizes = _counting_evaluate(monkeypatch)
-        batch = geodesics._circle_energies(f, RADII, target, 1e-10, _MAX_PANELS)
+        batch = geodesics._circle_energies(f, RADII, E, 1e-10, _MAX_PANELS)
         one_row = []
         for t in RADII.tolist():
             start = sum(sizes)
-            one_row.append((circle_energy(f, t, target), sum(sizes) - start))
+            one_row.append((circle_energy(f, t, E), sum(sizes) - start))
         for t, got, (want, _) in zip(RADII.tolist(), batch, one_row):
             assert got == want
-            # summed in another order than the loop, so only to rounding
-            assert got == pytest.approx(_loop_energy(f, t, target), rel=1e-14, abs=0)
+            # the rule's tolerance: 1e-10 relative, 1e-13 on the mean
+            exact = _energy(oracle, t)
+            assert abs(got - exact) <= max(2 * math.pi * 1e-13, 1e-10 * exact)
         if not isinstance(f, Identity):
             # the rows settle at different doublings
             assert len({points for _, points in one_row}) > 1
@@ -429,12 +420,12 @@ class TestCircleEnergiesKernel:
 
     def test_no_evaluate_call_passes_the_chunk(self, monkeypatch):
         sizes = _counting_evaluate(monkeypatch)
-        # the Koebe energy in E never settles past t = 6.5: every such
-        # row doubles to 8 192 panels, four times the chunk
+        # the Koebe energy in E does not certify within 8 192 points from
+        # t = 5 on: every row doubles to four times the chunk
         with pytest.raises(PrecisionError):
             geodesics._circle_energies(Koebe(), np.linspace(5.0, 9.0, 15), E, 1e-10, 8192)
         assert max(sizes) == _CHUNK
-        assert sizes[0] == 15 * 32
+        assert sizes[0] == 15 * 64
         # a lone radius splits its angles by the same cap
         sizes.clear()
         with pytest.raises(PrecisionError):
@@ -443,7 +434,8 @@ class TestCircleEnergiesKernel:
 
     def test_unsettled_rows_name_the_first_in_order(self):
         ts = np.array([1.0, 7.0, 2.0, 8.0])
-        with pytest.raises(PrecisionError, match=r"at t = 7\.0 \(") as batch:
+        r = np.tanh(ts / 2.0)
+        with pytest.raises(PrecisionError, match=f"at r = {r[1]} within") as batch:
             geodesics._circle_energies(Koebe(), ts, E, 1e-10, _MAX_PANELS)
         with pytest.raises(PrecisionError) as one_row:
             circle_energy(Koebe(), 7.0, E)
@@ -454,7 +446,7 @@ class TestCircleEnergiesKernel:
         assert batch.value.error_bound > 0
 
     def test_a_pole_on_one_circle_wins_over_a_stall_on_another(self):
-        # 1/(z - p) has its pole on the first panel point of the circle t = 1;
+        # 1/(z - p) has its pole on the first point of the circle t = 1;
         # the circle t = 7 stalls, but only after every doubling, so the
         # pole's RangeError comes first whatever the order of the radii
         p = float(np.tanh(0.5))
@@ -462,6 +454,14 @@ class TestCircleEnergiesKernel:
         for ts in ([7.0, 1.0], [1.0, 7.0]):
             with pytest.raises(RangeError, match="pole"):
                 geodesics._circle_energies(f, np.array(ts), E, 1e-10, _MAX_PANELS)
+
+    def test_spectral_tail_in_blocks_matches_one_transform(self):
+        # rows of more than _MAX_PANELS samples in all go through the
+        # transform in blocks; the arithmetic per row is the same
+        h = np.random.default_rng(1).standard_normal((2, 9, 4096))
+        mean, tail = geodesics._spectral_tail(h)
+        whole = np.abs(np.fft.rfft(h, axis=-1)[..., 1024:]).sum(axis=-1)
+        assert (mean == h.mean(axis=-1)).all() and (tail == 2.0 * whole / 4096).all()
 
     def test_negative_radius(self):
         # nan is rejected before any evaluation, which would warn on it
@@ -569,6 +569,13 @@ class TestAreaBoundOracles:
         except PrecisionError:
             pass
 
+    def test_rotationally_symmetric_composition(self):
+        # the same polynomial after z -> -z: the divisor pulls back through
+        # the one-zero factor, so the circle starts past the symmetry order
+        coeffs = (0.0, 1.0) + (0.0,) * 63 + (0.5,)
+        f = Compose(PowerSeries(coeffs), BlaschkeDisc((0j,)))
+        self._covers(f, math.inf, E, _polynomial_area(coeffs, 1.0))
+
     @pytest.mark.parametrize("modulus", [0.5, 0.8, 0.95])
     def test_rotationally_symmetric_blaschke_product(self, modulus):
         zeros = tuple(modulus * cmath.exp(2j * math.pi * k / 64) for k in range(64))
@@ -652,35 +659,45 @@ class TestAreaBoundOracles:
 
 
 class TestAreaRoutes:
-    """Maps the boundary route does not serve keep the nested route's
-    outcome, value for value."""
+    """Maps on either route: each value lies within its bound of a closed
+    form or the circle oracle, or the call raises a typed error."""
 
     def test_koebe_improper_euclidean_area_still_raises(self):
-        # the pole z = 1 lies on the circle r = 1
-        with pytest.raises(PrecisionError, match="circle energy did not settle"):
+        # the pole z = 1 lies on the circle r = 1, and the area is infinite
+        with pytest.raises(PrecisionError, match="did not certify") as exc_info:
             area_with_bound(Koebe(), math.inf, E)
+        assert math.isfinite(exc_info.value.estimate) and exc_info.value.error_bound > 0
 
     def test_rotated_koebe_spherical_area(self):
+        # the pole of f on |z| = 1 is a zero of 1/f, whose boundary route holds
         value, bound = area_with_bound(Compose(Koebe(), Scale(cmath.exp(1j))), math.inf, S)
-        assert (value, bound) == (12.566370614147603, 7.402041193176445e-08)
         assert bound >= abs(value - 4 * math.pi)
 
     def test_half_plane_maps(self):
-        assert area_with_bound(Compose(cayley_map(), Identity()), 2.0, H) == (
-            17.355387381771436, 1.4210854715202004e-14)
-        assert area_with_bound(BlaschkeHalfPlane((1.0, 2.0, 4.0)), 2.0, S) == (
-            5.481828880999645, 1.0843848041730553e-10)
+        value, bound = area_with_bound(Compose(cayley_map(), Identity()), 2.0, H)
+        assert bound >= abs(value - 4 * math.pi * math.sinh(1.0) ** 2)
+        # carried to the disc, the factor with zero i y is the disc factor
+        # with zero (y - 1)/(y + 1), up to a unimodular constant
+        oracle = Rational.blaschke([(y - 1) / (y + 1) for y in (1.0, 2.0, 4.0)])
+        value, bound = area_with_bound(BlaschkeHalfPlane((1.0, 2.0, 4.0)), 2.0, S)
+        assert bound >= abs(value - oracle.area(math.tanh(1.0), "S"))
 
-    def test_map_whose_divisor_raises(self):
+    def test_composed_one_zero_factors(self):
+        # a one-zero factor is Moebius, so the composition's divisor pulls
+        # back: a disc automorphism with its zero at -0.2/0.85
         f = Compose(BlaschkeDisc((0.5,)), BlaschkeDisc((0.3,)))
-        assert area_with_bound(f, 2.0, E) == (1.7357077721419258, 9.81850156733799e-11)
-        assert area_with_bound(f, math.inf, E) == (3.1415926533948157, 3.700612725506093e-08)
+        for rho in (2.0, math.inf):
+            r = 1.0 if math.isinf(rho) else math.tanh(rho / 2)
+            value, bound = area_with_bound(f, rho, E)
+            assert bound >= abs(value - blaschke_one_zero_area(-0.2 / 0.85, r))
 
-    @pytest.mark.parametrize("rho, t", [(2.0, 1.0990268806240127), (math.inf, 1.0944175491311865)])
-    def test_pole_inside_in_the_plane(self, rho, t):
+    @pytest.mark.parametrize("rho", [2.0, math.inf])
+    def test_pole_inside_in_the_plane(self, rho):
+        # the area is infinite: the circles nearest the pole 0.5 stall
         f = Quotient(BlaschkeDisc((0.3,)), BlaschkeDisc((0.5,)))
-        with pytest.raises(PrecisionError, match=f"settle at t = {t} "):
+        with pytest.raises(PrecisionError, match=r"did not certify at r = 0\.(49|50)") as exc_info:
             area_with_bound(f, rho, E)
+        assert math.isfinite(exc_info.value.estimate) and exc_info.value.error_bound > 0
 
 
 class TestArea:

@@ -289,6 +289,25 @@ class TestDivisor:
         zeros, poles, essential = f.divisor()
         assert f.polar_divisor() == (poles, essential, len(zeros) + len(poles))
 
+    @pytest.mark.parametrize("a", [0j, 0.3 + 0j, -0.5 + 0.6j])
+    def test_one_zero_blaschke_factor_is_moebius(self, a):
+        z = np.array([0.1 + 0.2j, -0.7j, 0.99, a])
+        b = BlaschkeDisc((a,))
+        for got, want in zip(evaluate(MobiusMap(b.transform), z), evaluate(b, z)):
+            assert got == pytest.approx(want, abs=1e-15)
+
+    def test_pullback_through_one_blaschke_factor(self):
+        # B_a(B_0.3(z)) = 0 where B_0.3(z) = a, at (0.3 - a)/(1 - 0.3 a)
+        f = parse("blaschke_disc([0.5+0i]) . blaschke_disc([0.3+0i])")
+        zeros, poles, essential = f.divisor()
+        assert zeros == pytest.approx([-0.2 / 0.85], abs=1e-15)
+        assert poles == pytest.approx([(0.3 - 2.0) / (1 - 0.6)], abs=1e-15)
+        assert essential == []
+        # two zeros are no Moebius map
+        assert BlaschkeDisc((0.5, 0.3)).transform is None
+        with pytest.raises(StructureError):
+            Compose(Koebe(), BlaschkeDisc((0.5, 0.3))).divisor()
+
     def test_zero_power_series_has_no_polar_divisor(self):
         with pytest.raises(StructureError):
             PowerSeries((0, 0)).polar_divisor()

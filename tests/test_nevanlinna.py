@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from circle_oracle import ExpMobius, Rational
+from circle_oracle import ExpMobius, Rational, mpmath
 
 from arclab.errors import (
     BoundarySingularityError,
@@ -150,6 +150,21 @@ class TestBoundaryCharacteristic:
         f = MobiusMap(MobiusTransform(1, 0.5, 1, 0))
         self._covered(f, [0.2, 0.7], Rational([-0.5], [0]), CFG, Rational([0], [-0.5]))
 
+    def test_pole_on_a_circle_takes_the_reciprocal_for_S_alone(self):
+        # z/(z - 0.5) has its pole on |z| = 0.5, a zero of the reciprocal,
+        # which stays on the route there; T needs a chart finite at 0, and
+        # the reciprocal has a pole at 0, so T at 0.5 stays nested.  The
+        # image of |z| < 0.5 is the half-plane Re w < 1/2, which covers
+        # (1 + 1/sqrt 5)/2 of the sphere
+        f, radii = MobiusMap(MobiusTransform(1, 0, 1, -0.5)), [0.3, 0.5]
+        oracle = Rational([0], [0.5])
+        exact = [oracle.S(0.3), (1 + 1 / math.sqrt(5)) / 2]
+        for (value, bound), s in zip(_boundary_characteristic(f, radii, CFG, ("S",))[0], exact):
+            assert bound >= abs(value - s)
+        S, T = _boundary_characteristic(f, radii, CFG)
+        assert S[0] is not None and T[0] is not None and S[1] is None and T[1] is None
+        assert shimizu_T(f, 0.5, CFG) == pytest.approx(oracle.T(0.5), abs=1e-8)
+
     def test_small_radii_off_the_origin(self):
         f = Compose(Shift(0.3 + 0.2j), Scale(0.7))
         self._covered(f, [1e-5, 1e-3, 0.5], Rational([-(0.3 + 0.2j) / 0.7], [], 0.7), CFG)
@@ -170,12 +185,18 @@ class TestBoundaryCharacteristic:
                 assert shimizu_T(Scale(c), r) == pytest.approx(exact, rel=1e-14, abs=1e-17)
 
     def test_nested_route_where_the_divisor_is_unknown(self):
-        # divisor() raises StructureError through a non-Moebius inner map;
-        # the composition is a disc automorphism with its zero at -0.2/0.85
-        f = Compose(BlaschkeDisc((0.5,)), BlaschkeDisc((0.3,)))
+        # divisor() raises StructureError through an inner product of two
+        # zeros, which is not Moebius; the composition is the Blaschke
+        # product whose zeros solve B(z) = 0.5, B the inner product
+        a, b, w = 0.3, -0.4, 0.5
+        f = Compose(BlaschkeDisc((w,)), BlaschkeDisc((a, b)))
         assert _boundary_characteristic(f, [0.5], CFG) == ([None], [None])
         curve = characteristic_curve(f, (0.3, 0.6), CFG)
-        oracle = Rational.blaschke([-0.2 / 0.85])
+        with mpmath.workdps(30):
+            # B(z) = -(a - z)(b - z)/((1 - a z)(1 - b z)) for a > 0 > b
+            a, b, w = (mpmath.mpf(x) for x in (a, b, w))
+            zeros = mpmath.polyroots([-1 - w * a * b, (a + b) * (1 + w), -a * b - w])
+        oracle = Rational.blaschke(zeros)
         for r, s, t in zip(curve.radii, curve.S_values, curve.T_values):
             assert s == pytest.approx(oracle.S(r), abs=1e-10)
             assert t == pytest.approx(oracle.T(r), abs=1e-10)
