@@ -367,17 +367,25 @@ class LogMap(MapExpr):
         return np.log(z), 1.0 / z, _finite(z)
 
 
-def _combined_product_jet(vals: np.ndarray, ders: np.ndarray):
+def _running_sum(terms, axis):
+    """Row sums taken left to right: terms of 0 past a row's own ones leave
+    its sum as it is without them, which a pairwise np.sum does not."""
+    return np.cumsum(terms, axis=axis, out=terms)[:, -1]
+
+
+def _combined_product_jet(vals: np.ndarray, ders: np.ndarray, total=np.sum):
     """Jets of finite products from per-factor jets, one product per row,
-    robust near zeros."""
+    robust near zeros; total(terms, axis) sums the log-derivative terms."""
     rows = np.arange(len(vals))
     k = np.argmin(np.abs(vals), axis=1)
     small = np.abs(vals[rows, k]) < 1e-8
     if not small.any():
         prod = np.prod(vals, axis=1)
-        return prod, prod * np.sum(ders / vals, axis=1)
+        return prod, prod * total(ders / vals, axis=1)
     value, derivative = np.empty_like(vals[:, 0]), np.empty_like(vals[:, 0])
-    value[~small], derivative[~small] = _combined_product_jet(vals[~small], ders[~small])
+    value[~small], derivative[~small] = _combined_product_jet(
+        vals[~small], ders[~small], total
+    )
     # rows with a factor within 1e-8 of zero split it off, so that the
     # log-derivative sum stays tame; a second exact zero makes value and
     # derivative vanish
@@ -388,7 +396,7 @@ def _combined_product_jet(vals: np.ndarray, ders: np.ndarray):
     double = np.any(rest_vals == 0, axis=1)
     rest_vals[double] = 1.0
     rest = np.prod(rest_vals, axis=1)
-    s = np.sum(rest_ders / rest_vals, axis=1)
+    s = total(rest_ders / rest_vals, axis=1)
     value[small] = np.where(double, 0.0, vk * rest)
     derivative[small] = np.where(double, 0.0, rest * (dk + vk * s))
     return value, derivative
@@ -508,11 +516,13 @@ def _far_field(y, s, terms, top):
     Table j covers the far set of its level l, the factors with
     y_n >= 2^l.  In w = -iz/2^l their log is -2 sum_{k odd} q_k w^k / k,
     with the power sums q_k = sum (2^l/y_n)^k, and their signs multiply
-    to sign.  Returns (reach, tables): a point with |z| <= reach[j] =
-    2^(l-1) has |w| <= 1/2 and may use tables[j] = (near, mirror, sign,
-    step, coef): near factors lie below the level, the first mirror of them
-    below 2^-53 |z|, step = -i/2^l and coef = (-2 q_k / k, q_k).
-    tables[len(reach)] is None: no far set."""
+    to sign.  Returns the tables stacked, one entry per level:
+    (reach, near, mirror, sign, step, coef).  A point with |z| <= reach[j]
+    = 2^(l-1) has |w| <= 1/2 and may use table j; np.searchsorted(reach,
+    |z|) is the first table it may use, len(reach) past every table.  The
+    near[j] factors below the level stay explicit, the first mirror[j] of
+    them lie below 2^-53 |z|, step[j] = -i/2^l and the row coef[j] holds
+    q_k, then -2 q_k / k, each from the highest k down."""
     mant, level = np.frexp(y)
     level -= 1
     starts = np.flatnonzero(np.diff(level, prepend=level[0] - 1))
@@ -532,11 +542,16 @@ def _far_field(y, s, terms, top):
     for j in range(len(lev) - 2, -1, -1):
         q[j] += np.ldexp(q[j + 1], -odd * (lev[j + 1] - lev[j]))
     flips = np.cumsum((s < 0)[::-1])[::-1][starts] % 2
-    coef = np.stack((-2.0 * q / odd, q), axis=1)
     # a point that uses table j lies past the level of table j - 1
-    mirror = [0, *_mirror(y, lev[:-1]).tolist()]
-    tables = zip(starts.tolist(), mirror, 1.0 - 2.0 * flips, -1j * np.ldexp(1.0, -lev), coef)
-    return np.ldexp(1.0, lev - 1), [*tables, None]
+    mirror = np.concatenate(([0], _mirror(y, lev[:-1])))
+    return (
+        np.ldexp(1.0, lev - 1),
+        starts,
+        mirror,
+        1.0 - 2.0 * flips,
+        -1j * np.ldexp(1.0, -lev),
+        np.hstack((-2.0 * q / odd, q))[:, ::-1],
+    )
 
 
 @dataclass(frozen=True)
@@ -567,24 +582,20 @@ class BlaschkeHalfPlane(MapExpr):
     codomain = MetricId.HYPERBOLIC_DISC
 
     def __post_init__(self):
-        ys = tuple(float(y) for y in self.heights)
-        if not ys:
-            raise ConstructionError("need at least one height")
-        if any(y <= 0 for y in ys):
+        y = np.array(self.heights, dtype=float)
+        if y.ndim != 1 or not len(y):
+            raise ConstructionError("need a list of at least one height")
+        if not np.all((y > 0) & np.isfinite(y)):
             raise ConstructionError("heights must be positive reals")
-        signs = self.signs
-        if signs is None:
-            signs = (1.0,) * len(ys)
-        else:
-            signs = tuple(float(s) for s in signs)
-            if len(signs) != len(ys):
-                raise ConstructionError("signs and heights must have equal length")
-            if any(s not in (1.0, -1.0) for s in signs):
-                raise ConstructionError("signs must be +1 or -1")
-        object.__setattr__(self, "heights", ys)
-        object.__setattr__(self, "signs", signs)
+        s = np.ones_like(y) if self.signs is None else np.array(self.signs, dtype=float)
+        if s.shape != y.shape:
+            raise ConstructionError("signs and heights must have equal length")
+        if not np.all(np.abs(s) == 1.0):
+            raise ConstructionError("signs must be +1 or -1")
+        # tuples of floats, which equality and _shared_outer's pickles compare
+        object.__setattr__(self, "heights", tuple(y.tolist()))
+        object.__setattr__(self, "signs", tuple(s.tolist()))
         # sorted by height, so that the factors below a level are a prefix
-        y, s = np.array(ys), np.array(signs)
         order = np.argsort(y, kind="stable")
         y, s = y[order], s[order]
         object.__setattr__(self, "_y", y)
@@ -596,8 +607,8 @@ class BlaschkeHalfPlane(MapExpr):
         object.__setattr__(self, "_minus_s", -self._s)
         # the top level with a table is that of the height with 2K - 1
         # heights above it: its far set outnumbers the series' degree
-        terms = _far_terms(len(ys))
-        rank = len(ys) - 2 * terms
+        terms = _far_terms(len(y))
+        rank = len(y) - 2 * terms
         top = math.frexp(y[rank])[1] - 1 if rank >= 0 else None
         object.__setattr__(self, "_far_terms", terms)
         object.__setattr__(self, "_top", top)
@@ -605,9 +616,12 @@ class BlaschkeHalfPlane(MapExpr):
         object.__setattr__(self, "_tables", None)
         # past the top level every factor is near
         mirror = 0 if top is None else int(_mirror(y, top))
-        object.__setattr__(self, "_direct", (len(ys), mirror))
+        object.__setattr__(self, "_direct", (len(y), np.array([[mirror]])))
 
     def _factor_jets(self, m, p, z):
+        """Values and derivatives of the first m factors at the column of
+        points z; at each point the first p of them lie below 2^-53 |z|, p
+        being a column of counts, ascending, or a 1 x 1 count for all."""
         iy = self._half_iy[:m]
         half_z = 0.5 * z
         den = iy + half_z
@@ -618,12 +632,13 @@ class BlaschkeHalfPlane(MapExpr):
         vals = iy - half_z
         vals *= inv
         ders = iy * inv
-        if p:
-            # the first p heights lie below 2^-53 |z|, where (iy - z)/den
-            # repeats one rounding error factor after factor, while
-            # 2 iy/den - 1 is -1 to within |2 iy/den|
-            np.multiply(ders[:, :p], 2.0, out=vals[:, :p])
-            vals[:, :p] -= 1.0
+        top = int(p[-1, 0])
+        if top:
+            # those heights lie below 2^-53 |z|, where (iy - z)/den repeats
+            # one rounding error factor after factor, while 2 iy/den - 1 is
+            # -1 to within |2 iy/den|
+            mirror = np.arange(top) < p
+            np.copyto(vals[:, :top], 2.0 * ders[:, :top] - 1.0, where=mirror)
         vals *= self._s[:m]
         # -2 s iy / (iy + z)^2 = -s (iy/2) / den^2, grouped so that huge
         # heights never overflow
@@ -631,37 +646,88 @@ class BlaschkeHalfPlane(MapExpr):
         ders *= self._minus_s[:m]
         return vals, ders
 
-    def _split_jet(self, z, table):
-        """Jets at the points z: the factors below the table's level
-        explicitly, times its series for the rest; None takes every factor
-        explicitly.  Raises EvaluationError where the derivative passes the
-        largest double."""
-        m, p = self._direct if table is None else table[:2]
+    def _split_jet(self, z, level):
+        """Jets at the points z: at each point the factors below the level
+        of its far-field table, level[i], explicitly, times that table's
+        series for the rest; level None takes every factor explicitly.
+        Raises EvaluationError where the derivative passes the largest
+        double."""
         # heights near 2^-1024 overflow |B'| near z = 0: formed without
         # warnings, then checked
         with np.errstate(over="ignore", invalid="ignore"):
-            value, derivative, _ = _product_jet(
-                z, m, lambda block: self._factor_jets(m, p, block)
-            )
-            if table is not None:
-                _, _, sign, step, coef = table
-                w = z * step
-                # w^0, w^2, ... row by row, so that a point rounds alike alone
-                # and in a batch; from w^0, since w^1 / w would be 0/0 at z = 0
-                powers = np.empty((len(z), coef.shape[1]), dtype=complex)
-                powers[:, 0] = 1.0
-                powers[:, 1:] = (w * w)[:, None]
-                np.cumprod(powers, axis=1, out=powers)
-                log, dlog = (powers[:, None, :] * coef).sum(axis=2).T
-                far = sign * np.exp(w * log)
-                dlog *= -2.0 * step
-                value, derivative = value * far, (derivative + value * dlog) * far
+            if level is None:
+                m, p = self._direct
+                value, derivative, _ = _product_jet(
+                    z, m, lambda block: self._factor_jets(m, p, block)
+                )
+            else:
+                value, derivative = self._far_jet(z, level)
         bad = ~(np.isfinite(value) & np.isfinite(derivative))
         if bad.any():
             raise EvaluationError(
                 f"half-plane Blaschke derivative overflows at {complex(z[bad][0])}"
             )
         return value, derivative
+
+    def _far_jet(self, z, level):
+        """_split_jet below the top level.  The points go in order of level,
+        in blocks of at most _BLOCK factors; a block forms the near sets up
+        to its largest, with unit factors past a point's own, summed left
+        to right so that a point rounds alike alone and in any block."""
+        _, near, mirror, sign, step, coef = self._tables
+        order = np.argsort(level, kind="stable")
+        z, level = z[order], level[order]
+        n, p = near[level], mirror[level]
+        value, derivative = np.empty_like(z), np.empty_like(z)
+        lo = 0
+        while lo < len(z):
+            # n ascends, so a block takes rows while rows * n stays in _BLOCK
+            k = len(z) - lo
+            if k * n[-1] > _BLOCK:
+                sizes = np.arange(1, k + 1) * n[lo:]
+                k = max(1, int(np.searchsorted(sizes, _BLOCK, side="right")))
+            rows, m = slice(lo, lo + k), int(n[lo + k - 1])
+            lo += k
+            if not m:
+                value[rows], derivative[rows] = 1.0, 0.0
+                continue
+            block = z[rows, None]
+            if k * m == 1:
+                # as in _product_jet: one element rounds apart from a batch
+                block = np.repeat(block, 2, axis=0)
+            vals, ders = self._factor_jets(m, p[rows, None], block)
+            if n[rows.start] < m:
+                unit = np.arange(m) >= n[rows, None]
+                vals[unit], ders[unit] = 1.0, 0.0
+            v, d = _combined_product_jet(vals, ders, _running_sum)
+            value[rows], derivative[rows] = v[:k], d[:k]
+        # the far sets' series, each at its point's level: w^0, w^2, ... row
+        # by row, from w^0 since w^1 / w would be 0/0 at z = 0, and summed
+        # smallest terms first, the order that rounds the sums best
+        terms = coef.shape[1] // 2
+        s = step[level]
+        w = z * s
+        square = (w * w)[:, None]
+        sums = np.empty((2, len(z)), dtype=complex)
+        rows = max(1, _BLOCK // terms)
+        for lo in range(0, len(z), rows):
+            part = slice(lo, lo + rows)
+            powers = np.empty((len(square[part]), terms), dtype=complex)
+            powers[:, 0] = 1.0
+            powers[:, 1:] = square[part]
+            np.cumprod(powers, axis=1, out=powers)
+            np.einsum(
+                "nk,ntk->tn",
+                powers[:, ::-1],
+                coef[level[part]].reshape(len(powers), 2, terms),
+                out=sums[:, part],
+            )
+        dlog, log = sums
+        far = sign[level] * np.exp(w * log)
+        dlog *= -2.0 * s
+        out = np.empty_like(value), np.empty_like(derivative)
+        out[0][order], out[1][order] = value * far, (derivative + value * dlog) * far
+        return out
 
     def _jet(self, z):
         az = np.abs(z)
@@ -672,13 +738,14 @@ class BlaschkeHalfPlane(MapExpr):
             # only evaluated above its top level never pays for them
             tables = _far_field(self._y, self._s.real, self._far_terms, self._top)
             object.__setattr__(self, "_tables", tables)
-        reach, tables = self._tables
-        level = np.searchsorted(reach, az)
-        groups = np.flatnonzero(np.bincount(level))
+        level = np.searchsorted(self._tables[0], az)
+        past = level == len(self._tables[0])
+        if not past.any():
+            return (*self._split_jet(z, level), _finite(z))
         value, derivative = np.empty_like(z), np.empty_like(z)
-        for j in groups:
-            rows = np.flatnonzero(level == j)
-            value[rows], derivative[rows] = self._split_jet(z[rows], tables[j])
+        below = ~past
+        value[below], derivative[below] = self._split_jet(z[below], level[below])
+        value[past], derivative[past] = self._split_jet(z[past], None)
         return value, derivative, _finite(z)
 
 

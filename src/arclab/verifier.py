@@ -479,7 +479,7 @@ def scenario_blaschke_quotient(n_max: int = 40, config: QuadConfig = None):
     reach = math.hypot(y_top, 1.0)
     n_factors = max(5334, math.isqrt(int(2.0 * reach)) + 2)
     tail = 16.0 / (3.0 * n_factors)
-    product = BlaschkeHalfPlane(tuple(float(n * n) for n in range(1, n_factors + 1)))
+    product = BlaschkeHalfPlane(np.arange(1.0, n_factors + 1) ** 2)
     f = Quotient(Compose(product, Shift(1.0)), Compose(product, Shift(-1.0)))
 
     axis_values, _, axis_poles = evaluate(f, 1j * np.geomspace(1.0, y_top, 100))

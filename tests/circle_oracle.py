@@ -69,6 +69,14 @@ class Rational:
         w = self.value(z)
         return w, w * (sum(1 / (z - a) for a in self.zeros) - sum(1 / (z - b) for b in self.poles))
 
+    def _off_circle(self, r, marks):
+        """Raise ValueError when a point of marks lies on |z| = r: there the
+        circle integral would be a principal value that misses the point's
+        share of the image."""
+        for p in marks:
+            if abs(abs(p) - r) <= 1e-12 * r:
+                raise ValueError(f"{complex(p)} lies on the circle |z| = {float(r)}")
+
     def _circle_integral(self, h, r):
         """int_0^{2 pi} h(r e^{i theta}) dtheta by tanh-sinh quadrature,
         split at the arguments of the zeros, poles and essential points,
@@ -86,9 +94,11 @@ class Rational:
 
     @functools.lru_cache(maxsize=None)
     def area(self, r, target):
-        """Image area over |z| < r in the target "E", "S" or "D"."""
+        """Image area over |z| < r in the target "E", "S" or "D"; raises
+        ValueError for a pole or essential point on |z| = r."""
         with mpmath.workdps(DPS):
             r = mpmath.mpf(r)
+            self._off_circle(r, self.poles + self.essential)
 
             def h(z):
                 w, d = self.jet(z)
@@ -110,8 +120,12 @@ class Rational:
 
     @functools.lru_cache(maxsize=None)
     def T(self, r):
+        """T(r); raises ValueError for an essential point on |z| = r.  A pole
+        there leaves a logarithmic, integrable, singularity, which the split
+        at its argument integrates."""
         with mpmath.workdps(DPS):
             r = mpmath.mpf(r)
+            self._off_circle(r, self.essential)
             mean = self._circle_integral(lambda z: mpmath.log(1 + abs(self.value(z)) ** 2), r)
             origin = mpmath.log(1 + abs(self.value(mpmath.mpc(0))) ** 2) / 2
             counting = sum(mpmath.log(r / abs(b)) for b in self.poles if abs(b) < r)

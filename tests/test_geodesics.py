@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from circle_oracle import Rational, blaschke_one_zero_area, mpmath
+from circle_oracle import ExpMobius, Rational, blaschke_one_zero_area, mpmath
 
 import arclab.geodesics as geodesics
 from arclab.errors import (
@@ -658,6 +658,18 @@ class TestAreaBoundOracles:
                 assert oracle.S(r) == pytest.approx(c * c * r * r / (1 + c * c * r * r), rel=1e-14)
 
 
+    def test_oracle_raises_on_a_circle_through_a_pole_or_essential_point(self):
+        # z/(z - 0.5) on |z| = 0.5: a principal value would give S = 0.2236,
+        # where the image Re w < 1/2 covers (1 + 1/sqrt 5)/2 of the sphere
+        pole, essential = Rational([0], [0.5]), ExpMobius(1j, 1j, -1, 1)
+        calls = [lambda: pole.area(0.5, "E"), lambda: pole.S(0.5),
+                 lambda: essential.area(1.0, "S"), lambda: essential.T(1.0)]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"lies on the circle"):
+                call()
+        assert math.isfinite(pole.T(0.5)) and math.isfinite(essential.T(0.9))
+
+
 class TestAreaRoutes:
     """Maps on either route: each value lies within its bound of a closed
     form or the circle oracle, or the call raises a typed error."""
@@ -692,12 +704,15 @@ class TestAreaRoutes:
             assert bound >= abs(value - blaschke_one_zero_area(-0.2 / 0.85, r))
 
     @pytest.mark.parametrize("rho", [2.0, math.inf])
-    def test_pole_inside_in_the_plane(self, rho):
-        # the area is infinite: the circles nearest the pole 0.5 stall
+    def test_pole_inside_in_the_plane(self, rho, monkeypatch):
+        # the area is infinite: the divisor shows the pole 0.5 inside, so
+        # it raises before any quadrature, naming the pole
         f = Quotient(BlaschkeDisc((0.3,)), BlaschkeDisc((0.5,)))
-        with pytest.raises(PrecisionError, match=r"did not certify at r = 0\.(49|50)") as exc_info:
+        monkeypatch.setattr(geodesics, "_radial", None)
+        monkeypatch.setattr(geodesics, "_circle_rule", None)
+        with pytest.raises(PrecisionError, match=r"pole at \(0\.5\+0j\)") as exc_info:
             area_with_bound(f, rho, E)
-        assert math.isfinite(exc_info.value.estimate) and exc_info.value.error_bound > 0
+        assert exc_info.value.estimate == exc_info.value.error_bound == math.inf
 
 
 class TestArea:

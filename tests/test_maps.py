@@ -353,6 +353,25 @@ def inv(center):
     return MobiusMap(MobiusTransform(0, 1, 1, -center))
 
 
+def _signed_powers(n_levels):
+    """The symmetric scenario's heights 2^n, |n| <= n_levels, and signs."""
+    ns = range(-n_levels, n_levels + 1)
+    return tuple(2.0**n for n in ns), tuple(-1.0 if n < 0 else 1.0 for n in ns)
+
+
+def _level_boundaries(heights, levels=None):
+    """Points just inside and just outside |z| = 2^(l-1) for the dyadic
+    levels l = floor(log2 y) of the heights (or the given levels), on the
+    imaginary axis and on a ray off it."""
+    levels = sorted({math.frexp(y)[1] - 1 for y in heights}) if levels is None else levels
+    return [
+        r * (1.0 + side) * u
+        for r in (math.ldexp(1.0, l - 1) for l in levels)
+        for side in (-1e-9, 1e-9)
+        for u in (1j, -0.6 + 0.8j)
+    ]
+
+
 LONG_HALF_PLANE = BlaschkeHalfPlane(tuple(float(k * k) for k in range(1, 5001)))
 SQUARES_1000 = BlaschkeHalfPlane(tuple(float(k * k) for k in range(1, 1001)))
 
@@ -408,6 +427,24 @@ BATCH_CASES = {
         LONG_HALF_PLANE,
         [0j, 0.3 + 0j, -7.0 + 0j, 0.5j, 1.0 + 1.5j, 64j, 8j, 8j * (1 + 2**-52), 0.6 + 0.8j,
          4096j, 4096.000001j, 3000 + 1e4j, 2.0**22 * (0.6 + 0.8j), 1e6 + 0j],
+    ),
+    # the symmetric scenario's product: both sides of nine table levels
+    # from 2^-41 to 2^-17, its top table's reach, in one batch with points
+    # past it, up to |z| >= 2^12, which take the direct product
+    "blaschke-half-plane-signed-powers": (
+        BlaschkeHalfPlane(*_signed_powers(41)),
+        [0j, 1e-13j, 3e-9 + 1e-9j]
+        + _level_boundaries((), range(-41, -15, 3))
+        + [1e-3 + 1e-3j, 0.5 + 2j, 4096j, 2.0**12 * (0.6 + 0.8j) * (1 + 1e-9), 3e13j],
+    ),
+    # heights 2^-1023 to 2^1023: tables whose first factors lie below
+    # 2^-53 |z| next to tables with none, in one batch with points past the
+    # top table's level, 962
+    "blaschke-half-plane-mirrored": (
+        BlaschkeHalfPlane(*_signed_powers(1023)),
+        [1e-300j, 2.0**-1000 * (1 + 1j), 1.3 + 20j, 2.0**100 * (0.6 + 0.8j), 2.0**600 + 0j,
+         1e308j]
+        + _level_boundaries((), [-950, -900, 0, 500, 962]),
     ),
 }
 
@@ -567,6 +604,9 @@ class TestBlaschke:
             BlaschkeHalfPlane(())
         with pytest.raises(ConstructionError):
             BlaschkeHalfPlane((-1.0,))
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ConstructionError, match="positive reals"):
+                BlaschkeHalfPlane((1.0, bad))
         with pytest.raises(ConstructionError):
             BlaschkeHalfPlane((1.0, 2.0), (1.0,))
         with pytest.raises(ConstructionError):
@@ -605,25 +645,6 @@ class TestBlaschke:
         assert symmetry_check(b, 32) == two_calls
         assert symmetry_check(b, list(z)) == two_calls
         assert calls == [64, 64]
-
-
-def _signed_powers(n_levels):
-    """The symmetric scenario's heights 2^n, |n| <= n_levels, and signs."""
-    ns = range(-n_levels, n_levels + 1)
-    return tuple(2.0**n for n in ns), tuple(-1.0 if n < 0 else 1.0 for n in ns)
-
-
-def _level_boundaries(heights, levels=None):
-    """Points just inside and just outside |z| = 2^(l-1) for the dyadic
-    levels l = floor(log2 y) of the heights (or the given levels), on the
-    imaginary axis and on a ray off it."""
-    levels = sorted({math.frexp(y)[1] - 1 for y in heights}) if levels is None else levels
-    return [
-        r * (1.0 + side) * u
-        for r in (math.ldexp(1.0, l - 1) for l in levels)
-        for side in (-1e-9, 1e-9)
-        for u in (1j, -0.6 + 0.8j)
-    ]
 
 
 SQUARES = tuple(float(k * k) for k in range(1, 151))
