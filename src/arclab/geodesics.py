@@ -21,8 +21,9 @@ boundary route instead when _boundary_route allows it from the divisor
 alone: a disc map with a known divisor, no pole or essential point on the
 circle |z| = r, no essential point inside and, for the Euclidean and the
 two hyperbolic targets, no pole inside; rho = inf in the hyperbolic
-targets stays nested.  A known pole inside the circle makes the Euclidean
-area infinite, which raises PrecisionError before any quadrature.  For the
+targets stays nested.  A known pole inside the circle that no zero
+cancels makes the Euclidean area infinite, which raises PrecisionError
+before any quadrature.  For the
 sphere the map is f or 1/f, whichever
 _sphere_chart picks.  With Phi a potential whose Laplacian is the squared
 target density (|w|^2/4, log(1 + |w|^2), -log(1 - |w|^2), -log Im w),
@@ -442,8 +443,8 @@ def _boundary_route(f: MapExpr, rs, target: MetricId):
     polar_divisor(), with no pole or essential point on the closed disc
     |z| <= r, apart from poles strictly inside for the spherical target;
     points within _ON_CIRCLE of the circle, relative to r, count as on
-    it.  A pole inside that band makes the Euclidean area infinite: that
-    target raises PrecisionError for it at once."""
+    it.  A pole inside that band that no zero cancels makes the Euclidean
+    area infinite: that target raises PrecisionError for it at once."""
     if f.domain is MetricId.HYPERBOLIC_HALF_PLANE:
         return [None] * len(rs), None
     try:
@@ -453,13 +454,8 @@ def _boundary_route(f: MapExpr, rs, target: MetricId):
     routes = []
     for r in rs:
         inside = [p for p in poles if abs(p) < r]
-        deep = [p for p in inside if abs(p) < r * (1.0 - _ON_CIRCLE)]
-        if deep and target is MetricId.EUCLIDEAN:
-            raise PrecisionError(
-                f"the pole at {deep[0]!r} makes the Euclidean area over |z| < {r!r} infinite",
-                estimate=math.inf,
-                error_bound=math.inf,
-            )
+        if target is MetricId.EUCLIDEAN:
+            _raise_on_deep_pole(f, [p for p in inside if abs(p) < r * (1.0 - _ON_CIRCLE)], r)
         if (
             any(not is_infinite(p) and abs(p) <= r * (1.0 + _ON_CIRCLE) for p in essential)
             or any(abs(abs(p) - r) <= r * _ON_CIRCLE for p in poles)
@@ -468,6 +464,28 @@ def _boundary_route(f: MapExpr, rs, target: MetricId):
             inside = None
         routes.append(inside)
     return routes, _first_points(degree)
+
+
+def _raise_on_deep_pole(f: MapExpr, deep, r):
+    """Raise PrecisionError, estimate and error_bound inf, for the first
+    pole of deep that f's zeros do not cancel: divisor() lists a quotient's
+    zeros and poles without cancelling them, so a pole counts only where it
+    outnumbers the zeros within _ON_CIRCLE of it, relative to r.  Without
+    divisor() nothing is raised."""
+    if not deep:
+        return
+    try:
+        zeros, poles, _ = f.divisor()
+    except StructureError:
+        return
+    tol = r * _ON_CIRCLE
+    for p in deep:
+        if sum(abs(q - p) <= tol for q in poles) > sum(abs(q - p) <= tol for q in zeros):
+            raise PrecisionError(
+                f"the pole at {p!r} makes the Euclidean area over |z| < {r!r} infinite",
+                estimate=math.inf,
+                error_bound=math.inf,
+            )
 
 
 def _sphere_chart(f: MapExpr, rs, finite_origin: bool):

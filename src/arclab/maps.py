@@ -412,16 +412,21 @@ def _product_jet(z, n, factor_jets):
     step = max(1, _BLOCK // n)
     for lo in range(0, len(z), step):
         rows = slice(lo, lo + step)
-        block = z[rows, None]
-        k = len(block)
-        if k * n == 1:
-            # numpy rounds complex products of one element in place or
-            # broadcast without the fused multiply-add of its array loops;
-            # the point taken twice rounds as it does in a batch
-            block = np.repeat(block, 2, axis=0)
-        v, d = _combined_product_jet(*factor_jets(block))
-        value[rows], derivative[rows] = v[:k], d[:k]
+        value[rows], derivative[rows] = _block_jet(z[rows, None], n, factor_jets)
     return value, derivative, _finite(z)
+
+
+def _block_jet(block, n, factor_jets, total=np.sum):
+    """_combined_product_jet of factor_jets(block) for the column of points
+    block and n factors, one value and derivative per point."""
+    k = len(block)
+    if k * n == 1:
+        # numpy rounds complex products of one element in place or
+        # broadcast without the fused multiply-add of its array loops;
+        # the point taken twice rounds as it does in a batch
+        block = np.repeat(block, 2, axis=0)
+    v, d = _combined_product_jet(*factor_jets(block), total)
+    return v[:k], d[:k]
 
 
 def _check_factors(den, block, maybe, what):
@@ -618,10 +623,12 @@ class BlaschkeHalfPlane(MapExpr):
         mirror = 0 if top is None else int(_mirror(y, top))
         object.__setattr__(self, "_direct", (len(y), np.array([[mirror]])))
 
-    def _factor_jets(self, m, p, z):
+    def _factor_jets(self, m, p, z, near=None):
         """Values and derivatives of the first m factors at the column of
         points z; at each point the first p of them lie below 2^-53 |z|, p
-        being a column of counts, ascending, or a 1 x 1 count for all."""
+        being a column of counts, ascending, or a 1 x 1 count for all.  A
+        column near, ascending, makes the factors past each point's own
+        near count units: value 1, derivative 0."""
         iy = self._half_iy[:m]
         half_z = 0.5 * z
         den = iy + half_z
@@ -644,24 +651,20 @@ class BlaschkeHalfPlane(MapExpr):
         # heights never overflow
         ders *= inv
         ders *= self._minus_s[:m]
+        if near is not None and near[0, 0] < m:
+            unit = np.arange(m) >= near
+            np.copyto(vals, 1.0, where=unit)
+            np.copyto(ders, 0.0, where=unit)
         return vals, ders
 
-    def _split_jet(self, z, level):
-        """Jets at the points z: at each point the factors below the level
-        of its far-field table, level[i], explicitly, times that table's
-        series for the rest; level None takes every factor explicitly.
-        Raises EvaluationError where the derivative passes the largest
-        double."""
+    @staticmethod
+    def _checked(jet, z, *args):
+        """jet(z, *args), raising EvaluationError where the derivative
+        passes the largest double."""
         # heights near 2^-1024 overflow |B'| near z = 0: formed without
         # warnings, then checked
         with np.errstate(over="ignore", invalid="ignore"):
-            if level is None:
-                m, p = self._direct
-                value, derivative, _ = _product_jet(
-                    z, m, lambda block: self._factor_jets(m, p, block)
-                )
-            else:
-                value, derivative = self._far_jet(z, level)
+            value, derivative = jet(z, *args)
         bad = ~(np.isfinite(value) & np.isfinite(derivative))
         if bad.any():
             raise EvaluationError(
@@ -669,11 +672,19 @@ class BlaschkeHalfPlane(MapExpr):
             )
         return value, derivative
 
+    def _direct_jet(self, z):
+        """Jets at the points z past the top level, every factor explicit."""
+        m, p = self._direct
+        return _product_jet(z, m, lambda block: self._factor_jets(m, p, block))[:2]
+
     def _far_jet(self, z, level):
-        """_split_jet below the top level.  The points go in order of level,
-        in blocks of at most _BLOCK factors; a block forms the near sets up
-        to its largest, with unit factors past a point's own, summed left
-        to right so that a point rounds alike alone and in any block."""
+        """Jets at the points z below the top level: at each point the
+        factors below the level of its far-field table, level[i],
+        explicitly, times that table's series for the rest.  The points go
+        in order of level, in blocks of at most _BLOCK factors; a block
+        forms the near sets up to its largest, with unit factors past a
+        point's own, summed left to right so that a point rounds alike
+        alone and in any block."""
         _, near, mirror, sign, step, coef = self._tables
         order = np.argsort(level, kind="stable")
         z, level = z[order], level[order]
@@ -691,16 +702,12 @@ class BlaschkeHalfPlane(MapExpr):
             if not m:
                 value[rows], derivative[rows] = 1.0, 0.0
                 continue
-            block = z[rows, None]
-            if k * m == 1:
-                # as in _product_jet: one element rounds apart from a batch
-                block = np.repeat(block, 2, axis=0)
-            vals, ders = self._factor_jets(m, p[rows, None], block)
-            if n[rows.start] < m:
-                unit = np.arange(m) >= n[rows, None]
-                vals[unit], ders[unit] = 1.0, 0.0
-            v, d = _combined_product_jet(vals, ders, _running_sum)
-            value[rows], derivative[rows] = v[:k], d[:k]
+            value[rows], derivative[rows] = _block_jet(
+                z[rows, None],
+                m,
+                lambda block: self._factor_jets(m, p[rows, None], block, n[rows, None]),
+                _running_sum,
+            )
         # the far sets' series, each at its point's level: w^0, w^2, ... row
         # by row, from w^0 since w^1 / w would be 0/0 at z = 0, and summed
         # smallest terms first, the order that rounds the sums best
@@ -732,7 +739,7 @@ class BlaschkeHalfPlane(MapExpr):
     def _jet(self, z):
         az = np.abs(z)
         if az.min(initial=math.inf) > self._reach:
-            return (*self._split_jet(z, None), _finite(z))
+            return (*self._checked(self._direct_jet, z), _finite(z))
         if self._tables is None:
             # built for the first batch that reaches them, so that a product
             # only evaluated above its top level never pays for them
@@ -740,12 +747,10 @@ class BlaschkeHalfPlane(MapExpr):
             object.__setattr__(self, "_tables", tables)
         level = np.searchsorted(self._tables[0], az)
         past = level == len(self._tables[0])
-        if not past.any():
-            return (*self._split_jet(z, level), _finite(z))
         value, derivative = np.empty_like(z), np.empty_like(z)
         below = ~past
-        value[below], derivative[below] = self._split_jet(z[below], level[below])
-        value[past], derivative[past] = self._split_jet(z[past], None)
+        value[below], derivative[below] = self._checked(self._far_jet, z[below], level[below])
+        value[past], derivative[past] = self._checked(self._direct_jet, z[past])
         return value, derivative, _finite(z)
 
 

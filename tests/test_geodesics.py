@@ -714,6 +714,20 @@ class TestAreaRoutes:
             area_with_bound(f, rho, E)
         assert exc_info.value.estimate == exc_info.value.error_bound == math.inf
 
+    def test_cancelled_pole_inside_in_the_plane(self):
+        # the divisor lists the zero and the pole 0.5 of an unreduced
+        # quotient both; they cancel, and the area is that of the reduced map
+        r = math.tanh(1.0)
+        for f, exact in (
+            (Quotient(BlaschkeDisc((0.5, 0.3)), BlaschkeDisc((0.5,))), blaschke_one_zero_area(0.3, r)),
+            (Quotient(PowerSeries((-0.25, 0.0, 1.0)), PowerSeries((-0.5, 1.0))), math.pi * r * r),
+        ):
+            value, bound = area_with_bound(f, 2.0, E)
+            assert bound >= abs(value - exact)
+        # one zero cancels only one of two poles at 0.5
+        with pytest.raises(PrecisionError, match=r"pole at \(0\.5\+0j\)"):
+            area_with_bound(Quotient(BlaschkeDisc((0.5,)), BlaschkeDisc((0.5, 0.5))), 2.0, E)
+
 
 class TestArea:
     def test_identity_euclidean_disc_area(self):
