@@ -31,12 +31,13 @@ Green's theorem gives
 
     A(r) = int_0^{2 pi} 2 Re(z f'(z) dPhi/dw(f(z))) dtheta  [+ 4 pi n(r, inf)]
 
-the bracket for the sphere, n(r, inf) the poles in |z| < r.  One circle
-rule (_circle_rule) takes that integral and the nested route's inner
-theta-integrals, and certifies each circle on the Fourier tail of its
-samples; a circle it cannot certify within _MAX_PANELS points raises
-PrecisionError with its best estimate, and nothing falls back to the
-nested route.
+the bracket for the sphere, n(r, inf) the poles in |z| < r.  One function,
+_on_circles, takes that integral for areas here and for the S and T of
+nevanlinna, all radii in one call.  One circle rule (_circle_rule) takes
+it and the nested route's inner theta-integrals, and certifies each
+circle on the Fourier tail of its samples; a circle it cannot certify
+within _MAX_PANELS points raises PrecisionError with its best estimate,
+and nothing falls back to the nested route.
 """
 
 from __future__ import annotations
@@ -127,8 +128,9 @@ class QuadConfig:
     max_segments: int = 20000
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ConstructionError("tolerances must be positive")
+        # written so that a NaN tolerance fails too
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ConstructionError("tolerances must be positive and finite")
         if self.max_depth < 1:
             raise ConstructionError("max_depth must be at least 1")
 
@@ -510,8 +512,7 @@ def _sphere_chart(f: MapExpr, rs, finite_origin: bool):
     else:
         swap = served and origin.is_pole
     if swap:
-        g0 = 0j if origin.is_pole or origin.value == 0 else 1.0 / origin.value
-        return g, g0, g_routes, g_first
+        return g, evaluate(g, np.zeros(1))[0][0], g_routes, g_first
     return f, origin.value if served else None, routes, first
 
 
@@ -675,20 +676,78 @@ def _circle_rule(sample, r, scale, shift, abs_tol, rel_tol, first, cap=_MAX_PANE
         del merged, new  # h alone holds the samples through the transform
 
 
-def _boundary_area(f, r, target, poles, first, cfg):
-    """(area, bound) of f over |z| < r by the circle rule on |z| = r."""
-    value0, _, _ = evaluate(f, np.zeros(1))
-    slope0 = _slope(target, value0)[0]
+def _on_circles(f: MapExpr, rs, target: MetricId, cfg: QuadConfig, want=("A",)):
+    """The quantities in want at the radii rs by the circle rule on |z| = r:
+    one list per quantity, in the order of want, of (value, error bound),
+    None at each radius that takes the nested route.  "A" is the image area
+    in the target over |z| < r over 4 pi, S(r) for the sphere, and "T" the
+    Ahlfors-Shimizu characteristic, for the sphere alone.  Only the
+    quantities asked for are sampled and certified, all radii in one call
+    of the circle rule, to cfg's tolerances on 4 pi times each value.
 
-    def sample(z, _):
-        h, size = _area_terms(evaluate(f, z), z, target, slope0)
-        return h[:, None], size[:, None]
+    The map g sampled is f, or for the sphere the chart f or 1/f that
+    _sphere_chart picks (S and T do not change), g(0) finite when T is
+    wanted.  With Phi the target's area potential (see _slope) and b the
+    poles of g in |z| < r, which only the sphere admits,
 
-    shift = np.array([[2.0 * len(poles)]])
+        A(r)/4pi = (1/4pi) int 2 Re(z g' dPhi/dw(g)) dtheta + n(r, inf)
+        T(r) = (1/4pi) int log(1 + |g|^2) dtheta - log(1 + |g(0)|^2)/2
+               + sum log(r/|b|),
+
+    Green's theorem and the Ahlfors-Shimizu first main theorem (Hayman,
+    Meromorphic Functions, 1964, sec. 1.5).  T's second form is less its
+    linear part at g(0) on the circles with no pole inside, where that
+    part integrates to 0; elsewhere its two forms are one."""
+    if target is MetricId.SPHERICAL:
+        g, g0, routes, first = _sphere_chart(f, rs, "T" in want)
+    else:
+        g, g0, (routes, first) = f, None, _boundary_route(f, rs, target)
+    out = tuple([None] * len(rs) for _ in want)
+    on = [i for i, poles in enumerate(routes) if poles is not None]
+    if not on:
+        return out
+    if g0 is None:
+        g0 = evaluate(g, np.zeros(1))[0][0]
+    slope0 = _slope(target, np.array([g0]))[0]
+    scale0 = 1.0 + _abs2(g0)
+    linear = np.array([not routes[i] for i in on])
+
+    def log_ratio(jets, rows):
+        w = jets[0]
+        diff = w - g0
+        # log1p of (|g|^2 - |g0|^2)/(1 + |g0|^2), exact to rounding near g0
+        plain = np.log1p((diff * np.conj(w + g0)).real / scale0)
+        part = np.where(linear[rows, None], 2.0 * (slope0 * diff).real, 0.0)
+        size = np.abs(diff) * (np.abs(w) + abs(g0)) / (1.0 + _abs2(w)) + np.abs(plain)
+        return np.stack((plain, plain - part)), np.stack((size, size + np.abs(part)))
+
+    def sample(z, rows):
+        jets = evaluate(g, z)
+        terms = [
+            _area_terms(jets, z, target, slope0) if q == "A" else log_ratio(jets, rows)
+            for q in want
+        ]
+        if len(terms) == 1:
+            return terms[0][0][:, None], terms[0][1][:, None]
+        return np.stack([h for h, _ in terms], axis=1), np.stack([m for _, m in terms], axis=1)
+
+    shifts = {
+        "A": lambda i: 2.0 * len(routes[i]),
+        "T": lambda i: 2.0 * math.fsum(math.log(rs[i] / abs(b)) for b in routes[i]),
+    }
     values, bounds = _circle_rule(
-        sample, np.array([r]), 2.0 * math.pi, shift, cfg.abs_tol, cfg.rel_tol, first
+        sample,
+        np.array([rs[i] for i in on]),
+        0.5,
+        np.array([[shifts[q](i) for i in on] for q in want]),
+        cfg.abs_tol / (4.0 * math.pi),
+        cfg.rel_tol,
+        first,
     )
-    return values[0, 0].item(), bounds[0, 0].item()
+    for k, column in enumerate(out):
+        for j, i in enumerate(on):
+            column[i] = values[k, j].item(), bounds[k, j].item()
+    return out
 
 
 def area_with_bound(
@@ -713,12 +772,9 @@ def area_with_bound(
     r = 1.0 if math.isinf(rho) else math.tanh(rho / 2.0)
     hyperbolic = target in (MetricId.HYPERBOLIC_DISC, MetricId.HYPERBOLIC_HALF_PLANE)
     if not (math.isinf(rho) and hyperbolic):
-        if target is MetricId.SPHERICAL:
-            g, _, routes, first = _sphere_chart(f, [r], False)
-        else:
-            g, (routes, first) = f, _boundary_route(f, [r], target)
-        if routes[0] is not None:
-            return _boundary_area(g, r, target, routes[0], first, cfg)
+        on = _on_circles(f, [r], target, cfg)[0][0]
+        if on is not None:
+            return 4.0 * math.pi * on[0], 4.0 * math.pi * on[1]
     radial = _radial(f, target, cfg)
     if not math.isinf(rho):
         return adaptive_integrate(radial, 0.0, rho, cfg)

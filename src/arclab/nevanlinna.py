@@ -6,15 +6,15 @@ S(r) is the normalised spherical image area A_S/(4 pi) over |z| < r and
     T(r) = int_0^r S(t)/t dt.
 
 S and T take one of two routes, chosen per radius from the divisor alone
-of f or 1/f, whichever geodesics._sphere_chart picks; both certify each
-circle by geodesics._circle_rule, or raise PrecisionError:
+of f or 1/f; both certify each circle by the circle rule of geodesics, or
+raise PrecisionError:
 
 - the boundary route, for a disc map with a known divisor and no pole or
   essential point on the circle |z| = r (nor an essential point inside):
-  one periodic integral on |z| = r gives S by Green's theorem and T by
-  the Ahlfors-Shimizu first main theorem (see _boundary_characteristic);
-- the nested route otherwise: S from the nested image area, and T by
-  exchanging the order of its two integrals (see _nested_T).
+  geodesics._on_circles, the owner of the image areas' circle integrals,
+  gives S as the spherical A_S/(4 pi) of one periodic integral on
+  |z| = r, and T by the Ahlfors-Shimizu first main theorem;
+- the nested route otherwise: one radial quadrature (see _nested).
 
 The decomposition writes a map f, analytic across the closed disc apart
 from interior zeros and poles, as f0/finf with |f0|^2 + |finf|^2 = 1 on
@@ -40,14 +40,11 @@ from .errors import (
 )
 from .geodesics import (
     AREA_DEFAULT,
+    DISC_RHO_MAX,
     QuadConfig,
-    _area_terms,
-    _circle_rule,
+    _on_circles,
     _radial,
-    _slope,
-    _sphere_chart,
     adaptive_integrate,
-    area_with_bound,
 )
 from .maps import BlaschkeDisc, MapExpr, evaluate
 from .metrics import MetricId, _abs2, chordal, is_infinite
@@ -66,94 +63,26 @@ def rho_of_r(r: float) -> float:
     return math.log1p(r) - math.log1p(-r)
 
 
-def _sphere_terms(g, g0, linear, want):
-    """sample(z, rows) for the circle rule: the integrands of the quantities
-    in want, "S" the spherical area integrand of g and "T" the log ratio
-    log((1 + |g|^2)/(1 + |g0|^2)), g0 = g(0).  The second form of the log
-    ratio is less its linear part at g0 on the circles where linear[row]
-    holds, those with no pole of g inside, where that part integrates to
-    0; elsewhere the two forms are one."""
-    slope0 = complex(_slope(MetricId.SPHERICAL, np.array([g0]))[0])
-    scale = 1.0 + _abs2(g0)
+def _nested(f: MapExpr, r: float, cfg: QuadConfig, want: str = "S") -> float:
+    """S(r), or T(r) when want is "T", by the nested route: one radial
+    quadrature over the hyperbolic radius rho = rho_of_r(r) of sinh v Q(v),
+    Q(v) the theta-integral of the squared spherical derivative norm.
+    Exchanging the order of integration in int_0^r S(t)/t dt gives T the
+    kernel log(r / tanh(v/2)):
 
-    def log_ratio(jets, rows):
-        w = jets[0]
-        diff = w - g0
-        # log1p of (|g|^2 - |g0|^2)/(1 + |g0|^2), exact to rounding near g0
-        plain = np.log1p((diff * np.conj(w + g0)).real / scale)
-        part = np.where(linear[rows, None], 2.0 * (slope0 * diff).real, 0.0)
-        size = np.abs(diff) * (np.abs(w) + abs(g0)) / (1.0 + _abs2(w)) + np.abs(plain)
-        return np.stack((plain, plain - part)), np.stack((size, size + np.abs(part)))
+        T(r) = (1/4pi) int_0^rho sinh v Q(v) log(r / tanh(v/2)) dv.
 
-    def sample(z, rows):
-        jets = evaluate(g, z)
-        terms = [
-            _area_terms(jets, z, MetricId.SPHERICAL, slope0) if q == "S" else log_ratio(jets, rows)
-            for q in want
-        ]
-        return np.stack([h for h, _ in terms], axis=1), np.stack([m for _, m in terms], axis=1)
+    S keeps the image area's cap: rho past DISC_RHO_MAX raises ValueError."""
+    rho, kernel = rho_of_r(r), None
+    if want == "T":
+        log_r = math.log(r)
 
-    return sample
+        def kernel(vs):
+            return log_r - np.log(np.tanh(vs / 2.0))
 
-
-def _boundary_characteristic(f: MapExpr, rs, cfg: QuadConfig, want=("S", "T")):
-    """The quantities in want ("S", "T" or both) at the radii rs by the
-    circle rule on |z| = r: one list per quantity, in the order of want, of
-    (value, error bound), None at each radius that takes the nested route.
-    Only the quantities asked for are sampled and certified.
-
-    With g the chart that geodesics._sphere_chart picks, f or 1/f (S and
-    T do not change), g(0) finite when T is wanted, and its poles b in
-    |z| < r:
-
-        S(r) = (1/4pi) int 2 Re(z g' conj(g)) / (1 + |g|^2) dtheta + n(r, inf)
-        T(r) = (1/4pi) int log(1 + |g|^2) dtheta - log(1 + |g(0)|^2)/2
-               + sum log(r/|b|),
-
-    Green's theorem and the Ahlfors-Shimizu first main theorem (Hayman,
-    Meromorphic Functions, 1964, sec. 1.5)."""
-    out = tuple([None] * len(rs) for _ in want)
-    g, g0, routes, first = _sphere_chart(f, rs, "T" in want)
-    on = [i for i, poles in enumerate(routes) if poles is not None]
-    if on:
-        shifts = {
-            "S": lambda i: 2.0 * len(routes[i]),
-            "T": lambda i: 2.0 * math.fsum(math.log(rs[i] / abs(b)) for b in routes[i]),
-        }
-        values, bounds = _circle_rule(
-            _sphere_terms(g, g0, np.array([not routes[i] for i in on]), want),
-            np.array([rs[i] for i in on]),
-            0.5,
-            np.array([[shifts[q](i) for i in on] for q in want]),
-            cfg.abs_tol / (4.0 * math.pi),
-            cfg.rel_tol,
-            first,
-        )
-        for k, column in enumerate(out):
-            for j, i in enumerate(on):
-                column[i] = values[k, j].item(), bounds[k, j].item()
-    return out
-
-
-def _nested_S(f, r, cfg):
-    a, _ = area_with_bound(f, rho_of_r(r), MetricId.SPHERICAL, cfg)
-    return a / (4.0 * math.pi)
-
-
-def _nested_T(f, r, cfg):
-    """T(r) by one radial quadrature: exchanging the order of integration
-    in int_0^r S(t)/t dt gives, with r = tanh(rho/2),
-
-        T(r) = (1/4pi) int_0^rho sinh v Q(v) log(r / tanh(v/2)) dv,
-
-    Q(v) the theta-integral of the squared spherical derivative norm."""
-    log_r = math.log(r)
-
-    def kernel(vs):
-        return log_r - np.log(np.tanh(vs / 2.0))
-
-    radial = _radial(f, MetricId.SPHERICAL, cfg, kernel)
-    val, _ = adaptive_integrate(radial, 0.0, rho_of_r(r), cfg)
+    elif rho > DISC_RHO_MAX:
+        raise ValueError(f"rho must be in (0, {DISC_RHO_MAX}] or infinite")
+    val, _ = adaptive_integrate(_radial(f, MetricId.SPHERICAL, cfg, kernel), 0.0, rho, cfg)
     return val / (4.0 * math.pi)
 
 
@@ -161,16 +90,16 @@ def shimizu_S(f: MapExpr, r: float, config: QuadConfig = None) -> float:
     """Normalised spherical image area over |z| < r, counting multiplicity."""
     cfg = config or AREA_DEFAULT
     rho_of_r(r)  # checks r
-    s = _boundary_characteristic(f, [r], cfg, want=("S",))[0][0]
-    return _nested_S(f, r, cfg) if s is None else s[0]
+    s = _on_circles(f, [r], MetricId.SPHERICAL, cfg)[0][0]
+    return _nested(f, r, cfg) if s is None else s[0]
 
 
 def shimizu_T(f: MapExpr, r: float, config: QuadConfig = None) -> float:
     """Ahlfors-Shimizu characteristic int_0^r S(t)/t dt."""
     cfg = config or AREA_DEFAULT
     rho_of_r(r)  # checks r
-    t = _boundary_characteristic(f, [r], cfg, want=("T",))[0][0]
-    return _nested_T(f, r, cfg) if t is None else t[0]
+    t = _on_circles(f, [r], MetricId.SPHERICAL, cfg, ("T",))[0][0]
+    return _nested(f, r, cfg, "T") if t is None else t[0]
 
 
 def _check_radii(radii):
@@ -205,11 +134,13 @@ def characteristic_curve(
     # cheap grid validation up front; quadrature below is the expensive part
     _check_radii(rs)
     cfg = config or AREA_DEFAULT
-    S, T = _boundary_characteristic(f, rs, cfg)
+    S, T = _on_circles(f, rs, MetricId.SPHERICAL, cfg, ("A", "T"))
+    # T needs a chart finite at 0; where S is off the route on that chart,
+    # shimizu_S may still find the circle on the route on 1/f
     return CharacteristicCurve(
         rs,
-        tuple(_nested_S(f, r, cfg) if s is None else s[0] for r, s in zip(rs, S)),
-        tuple(_nested_T(f, r, cfg) if t is None else t[0] for r, t in zip(rs, T)),
+        tuple(shimizu_S(f, r, cfg) if s is None else s[0] for r, s in zip(rs, S)),
+        tuple(_nested(f, r, cfg, "T") if t is None else t[0] for r, t in zip(rs, T)),
     )
 
 

@@ -472,7 +472,9 @@ def scenario_blaschke_quotient(n_max: int = 40, config: QuadConfig = None):
     between numerator and denominator, change the quotient by less than
     16/(3N) <= 1e-3 on the sampled region.  Returns (samples, report),
     report.fit being the exponential fit of the samples at rho >= 2 log 10
-    (all samples when fewer than four lie there)."""
+    (all samples when fewer than four lie there).  The length ratios to
+    2 pi n are judged at n >= 30 only, where they have settled, so below
+    n_max = 30 the report is INAPPLICABLE."""
     if n_max < 10:
         raise ValueError("n_max must be at least 10")
     y_top = float(n_max * n_max)
@@ -510,18 +512,23 @@ def scenario_blaschke_quotient(n_max: int = 40, config: QuadConfig = None):
         and all(0.85 <= v <= 1.15 for v in ratios.values())
         and 0.45 <= fit.exponent <= 0.55
     )
+    details = (
+        ("axis_modulus_deviation", modulus_dev),
+        ("fit_rate", fit.exponent),
+        ("fit_residual", fit.residual),
+        ("tail_bound", tail),
+        ("kept_factors", n_factors),
+    )
+    status = "PASS" if ok else "FAIL"
+    if not ratios:
+        status = "INAPPLICABLE"
+        details = (("reason", "no settled length ratio: n_max is below 30"),) + details
     report = VerdictReport(
         "blaschke_quotient_exponential_growth",
-        "PASS" if ok else "FAIL",
+        status,
         samples[-1].length / (2.0 * math.pi * n_max),
         n_max,
-        (
-            ("axis_modulus_deviation", modulus_dev),
-            ("fit_rate", fit.exponent),
-            ("fit_residual", fit.residual),
-            ("tail_bound", tail),
-            ("kept_factors", n_factors),
-        ),
+        details,
         fit,
     )
     return samples, report

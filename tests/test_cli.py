@@ -487,6 +487,13 @@ class TestScenario:
         assert code == 0
         assert "symmetric_blaschke_linear_growth | PASS |" in out
 
+    def test_blaschke_quotient_below_the_ratio_window(self, capsys):
+        # the length ratios are judged at n >= 30: no verdict below that
+        code, out, _ = run(capsys, "scenario", "blaschke-quotient", "--n-max", "12")
+        assert code == 2
+        assert "blaschke_quotient_exponential_growth | INAPPLICABLE |" in out
+        assert "# reason = " in out
+
     @pytest.mark.parametrize("levels", ["512", "600", "1023"])
     def test_symmetric_blaschke_top_levels(self, capsys, levels):
         # heights up to 2^1023: no factor derivative may overflow

@@ -98,6 +98,16 @@ class TestArcs:
             disc_arc(2.0).point(2.5)
 
 
+class TestQuadConfig:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-9])
+    def test_tolerances_must_be_positive_and_finite(self, bad):
+        # a NaN tolerance makes every tolerance test false, so the
+        # quadrature would return after its first panels
+        for kwargs in ({"abs_tol": bad}, {"rel_tol": bad}, {"abs_tol": bad, "rel_tol": bad}):
+            with pytest.raises(ConstructionError, match="positive and finite"):
+                QuadConfig(**kwargs)
+
+
 class TestAdaptiveIntegrate:
     def test_polynomial_exact(self):
         val, err = adaptive_integrate(lambda t: 3 * t**2, 0.0, 2.0, CFG)

@@ -12,7 +12,13 @@ from arclab.errors import (
     ResolutionError,
     StructureError,
 )
-from arclab.geodesics import AREA_DEFAULT, QuadConfig, adaptive_integrate
+from arclab.geodesics import (
+    AREA_DEFAULT,
+    QuadConfig,
+    _on_circles,
+    adaptive_integrate,
+    area_with_bound,
+)
 from arclab.maps import (
     BlaschkeDisc,
     Compose,
@@ -29,11 +35,10 @@ from arclab.maps import (
     evaluate,
     inv_cayley_map,
 )
-from arclab.metrics import INFINITY, MobiusTransform, chordal
+from arclab.metrics import INFINITY, MetricId, MobiusTransform, chordal
 from arclab.nevanlinna import (
     CharacteristicCurve,
     Decomposition,
-    _boundary_characteristic,
     _circle,
     _log_chordal,
     _power_series,
@@ -47,6 +52,7 @@ from arclab.nevanlinna import (
 )
 
 CFG = QuadConfig(abs_tol=1e-10, rel_tol=1e-10, max_depth=40, max_segments=20000)
+SPHERICAL = MetricId.SPHERICAL
 
 
 class TestRhoOfR:
@@ -117,13 +123,13 @@ class TestBoundaryCharacteristic:
 
     @staticmethod
     def _covered(f, radii, oracle, cfg, oracle_T=None):
-        S, T = _boundary_characteristic(f, radii, cfg)
+        S, T = _on_circles(f, radii, SPHERICAL, cfg, ("A", "T"))
         for r, s, t in zip(radii, S, T):
             assert s[1] >= abs(s[0] - oracle.S(r))
             assert t[1] >= abs(t[0] - (oracle_T or oracle).T(r))
             # shimizu_S and shimizu_T certify only the quantity they return
-            s = _boundary_characteristic(f, [r], cfg, want=("S",))[0][0]
-            t = _boundary_characteristic(f, [r], cfg, want=("T",))[0][0]
+            s = _on_circles(f, [r], SPHERICAL, cfg)[0][0]
+            t = _on_circles(f, [r], SPHERICAL, cfg, ("T",))[0][0]
             assert s[1] >= abs(s[0] - oracle.S(r))
             assert t[1] >= abs(t[0] - (oracle_T or oracle).T(r))
             assert shimizu_S(f, r, cfg) == s[0] and shimizu_T(f, r, cfg) == t[0]
@@ -159,11 +165,29 @@ class TestBoundaryCharacteristic:
         f, radii = MobiusMap(MobiusTransform(1, 0, 1, -0.5)), [0.3, 0.5]
         oracle = Rational([0], [0.5])
         exact = [oracle.S(0.3), (1 + 1 / math.sqrt(5)) / 2]
-        for (value, bound), s in zip(_boundary_characteristic(f, radii, CFG, ("S",))[0], exact):
+        for (value, bound), s in zip(_on_circles(f, radii, SPHERICAL, CFG)[0], exact):
             assert bound >= abs(value - s)
-        S, T = _boundary_characteristic(f, radii, CFG)
+        S, T = _on_circles(f, radii, SPHERICAL, CFG, ("A", "T"))
         assert S[0] is not None and T[0] is not None and S[1] is None and T[1] is None
         assert shimizu_T(f, 0.5, CFG) == pytest.approx(oracle.T(0.5), abs=1e-8)
+        # the curve takes S at 0.5 as shimizu_S does, on the reciprocal
+        assert characteristic_curve(f, radii, CFG).S_values[1] == shimizu_S(f, 0.5, CFG)
+
+    @pytest.mark.parametrize(
+        "f, rho",
+        [
+            (KOEBE_HALF, 2.0),
+            # the pole on |z| = 0.5 puts both on the chart 1/f
+            (MobiusMap(MobiusTransform(1, 0, 1, -0.5)), rho_of_r(0.5)),
+            (Quotient(BlaschkeDisc((0.3 + 0.2j, -0.5j)), BlaschkeDisc((0.6 - 0.1j,))), 2.0),
+        ],
+        ids=["own-chart", "reciprocal-chart", "interior-pole"],
+    )
+    def test_spherical_area_is_4pi_S(self, f, rho):
+        # one circle integral serves both, so they agree to the last bit
+        assert area_with_bound(f, rho, SPHERICAL)[0] == 4.0 * math.pi * shimizu_S(
+            f, math.tanh(rho / 2.0)
+        )
 
     def test_small_radii_off_the_origin(self):
         f = Compose(Shift(0.3 + 0.2j), Scale(0.7))
@@ -190,7 +214,7 @@ class TestBoundaryCharacteristic:
         # product whose zeros solve B(z) = 0.5, B the inner product
         a, b, w = 0.3, -0.4, 0.5
         f = Compose(BlaschkeDisc((w,)), BlaschkeDisc((a, b)))
-        assert _boundary_characteristic(f, [0.5], CFG) == ([None], [None])
+        assert _on_circles(f, [0.5], SPHERICAL, CFG, ("A", "T")) == ([None], [None])
         curve = characteristic_curve(f, (0.3, 0.6), CFG)
         with mpmath.workdps(30):
             # B(z) = -(a - z)(b - z)/((1 - a z)(1 - b z)) for a > 0 > b

@@ -316,6 +316,13 @@ class TestScenarios:
         assert report.fit == growth_fit(samples, GrowthModel.EXPONENTIAL)
         assert details["fit_rate"] == report.fit.exponent
 
+    def test_blaschke_quotient_inapplicable_below_the_ratio_window(self):
+        # the ratios to 2 pi n are judged at n >= 30 only; at n_max = 12 none
+        # is, and the fit of all samples is not the settled rate either
+        _, report = scenario_blaschke_quotient(12)
+        assert report.status == "INAPPLICABLE"
+        assert "below 30" in dict(report.details)["reason"]
+
     def test_blaschke_quotient_validation(self):
         with pytest.raises(ValueError):
             scenario_blaschke_quotient(9)
