@@ -52,6 +52,7 @@ class PrecisionError(ArclabError):
     """
 
     def __init__(self, message, estimate, error_bound):
+        self.reason = message
         self.estimate = estimate
         self.error_bound = error_bound
         super().__init__(f"{message} (best estimate {estimate!r}, error bound {error_bound!r})")

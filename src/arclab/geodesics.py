@@ -679,11 +679,11 @@ def _circle_rule(sample, r, scale, shift, abs_tol, rel_tol, first, cap=_MAX_PANE
 def _on_circles(f: MapExpr, rs, target: MetricId, cfg: QuadConfig, want=("A",)):
     """The quantities in want at the radii rs by the circle rule on |z| = r:
     one list per quantity, in the order of want, of (value, error bound),
-    None at each radius that takes the nested route.  "A" is the image area
-    in the target over |z| < r over 4 pi, S(r) for the sphere, and "T" the
-    Ahlfors-Shimizu characteristic, for the sphere alone.  Only the
-    quantities asked for are sampled and certified, all radii in one call
-    of the circle rule, to cfg's tolerances on 4 pi times each value.
+    None at each radius that takes the nested route; a PrecisionError
+    carries the same units.  "A" is the image area in the target over
+    |z| < r over 4 pi, S(r) for the sphere, and "T" the Ahlfors-Shimizu
+    characteristic, for the sphere alone.  All radii are certified in one
+    call of the circle rule, to cfg's tolerances on 4 pi times each value.
 
     The map g sampled is f, or for the sphere the chart f or 1/f that
     _sphere_chart picks (S and T do not change), g(0) finite when T is
@@ -772,9 +772,13 @@ def area_with_bound(
     r = 1.0 if math.isinf(rho) else math.tanh(rho / 2.0)
     hyperbolic = target in (MetricId.HYPERBOLIC_DISC, MetricId.HYPERBOLIC_HALF_PLANE)
     if not (math.isinf(rho) and hyperbolic):
-        on = _on_circles(f, [r], target, cfg)[0][0]
+        unit = 4.0 * math.pi  # _on_circles works in the units of S, area/4pi
+        try:
+            on = _on_circles(f, [r], target, cfg)[0][0]
+        except PrecisionError as exc:
+            raise PrecisionError(exc.reason, unit * exc.estimate, unit * exc.error_bound) from None
         if on is not None:
-            return 4.0 * math.pi * on[0], 4.0 * math.pi * on[1]
+            return unit * on[0], unit * on[1]
     radial = _radial(f, target, cfg)
     if not math.isinf(rho):
         return adaptive_integrate(radial, 0.0, rho, cfg)
