@@ -45,6 +45,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,8 +132,11 @@ class QuadConfig:
         # written so that a NaN tolerance fails too
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ConstructionError("tolerances must be positive and finite")
-        if self.max_depth < 1:
-            raise ConstructionError("max_depth must be at least 1")
+        # a NaN budget would bound nothing: depth >= nan is never true
+        for name in ("max_depth", "max_segments"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+                raise ConstructionError(f"{name} must be an integer at least 1")
 
 
 LENGTH_DEFAULT = QuadConfig()

@@ -159,6 +159,19 @@ class MapExpr:
         return poles, essential, len(zeros) + len(poles)
 
 
+def _check_domain(dom: MetricId, flat):
+    """Raise DomainError at the first of the 1-d points flat outside the
+    closure of the tagged domain dom; an untagged domain takes any point."""
+    if dom is MetricId.HYPERBOLIC_DISC:
+        bad, where = np.abs(flat) > _DISC_RADIUS, "closed unit disc"
+    elif dom is MetricId.HYPERBOLIC_HALF_PLANE:
+        bad, where = flat.imag < -_HALF_PLANE_SLACK, "closed upper half-plane"
+    else:
+        return
+    if bad.any():
+        raise DomainError(f"{complex(flat[bad][0])} is outside the {where}")
+
+
 def evaluate(f: MapExpr, z):
     """Evaluate the jet of f at a finite point z, or at an array of them.
 
@@ -170,15 +183,7 @@ def evaluate(f: MapExpr, z):
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.reshape(-1)
-    dom = f.domain
-    if dom is MetricId.HYPERBOLIC_DISC:
-        bad, where = np.abs(flat) > _DISC_RADIUS, "closed unit disc"
-    elif dom is MetricId.HYPERBOLIC_HALF_PLANE:
-        bad, where = flat.imag < -_HALF_PLANE_SLACK, "closed upper half-plane"
-    else:
-        bad = None
-    if bad is not None and bad.any():
-        raise DomainError(f"{complex(flat[bad][0])} is outside the {where}")
+    _check_domain(f.domain, flat)
     value, derivative, pole = f._jet(flat)
     if zs.ndim:
         return value.reshape(zs.shape), derivative.reshape(zs.shape), pole.reshape(zs.shape)
@@ -420,13 +425,16 @@ def _block_jet(block, n, factor_jets, total=np.sum):
     """_combined_product_jet of factor_jets(block) for the column of points
     block and n factors, one value and derivative per point."""
     k = len(block)
-    if k * n == 1:
-        # numpy rounds complex products of one element in place or
-        # broadcast without the fused multiply-add of its array loops;
-        # the point taken twice rounds as it does in a batch
-        block = np.repeat(block, 2, axis=0)
-    v, d = _combined_product_jet(*factor_jets(block), total)
+    v, d = _combined_product_jet(*factor_jets(_as_batch(block, n)), total)
     return v[:k], d[:k]
+
+
+def _as_batch(block, n):
+    """The column of points block, taken twice when it is one point and
+    there is one factor: numpy rounds complex products of one element in
+    place or broadcast without the fused multiply-add of its array loops,
+    and the point taken twice rounds as it does in a batch."""
+    return np.repeat(block, 2, axis=0) if len(block) * n == 1 else block
 
 
 def _check_factors(den, block, maybe, what):
@@ -473,13 +481,17 @@ class BlaschkeDisc(MapExpr):
         object.__setattr__(self, "_norm", norm)
         object.__setattr__(self, "_norm_sq_drop", norm * (np.abs(a) ** 2 - 1.0))
 
-    def _factor_jets(self, z):
+    def _factor_values(self, z):
+        """The factors' values and denominators at a column of points z,
+        one row per point."""
         den = 1.0 - self._conj_a * z
         # the singular points 1/conj(a) lie outside the unit disc
         _check_factors(den, z, np.abs(z) > 1.0, "Blaschke factor")
-        vals = self._norm * (self._a - z) / den
-        ders = self._norm_sq_drop / (den * den)
-        return vals, ders
+        return self._norm * (self._a - z) / den, den
+
+    def _factor_jets(self, z):
+        vals, den = self._factor_values(z)
+        return vals, self._norm_sq_drop / (den * den)
 
     def _jet(self, z):
         return _product_jet(z, len(self._a), self._factor_jets)

@@ -26,6 +26,7 @@ from the boundary values to 0 and to infinity.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +47,7 @@ from .geodesics import (
     _radial,
     adaptive_integrate,
 )
-from .maps import BlaschkeDisc, MapExpr, evaluate
+from .maps import BlaschkeDisc, MapExpr, _as_batch, _check_domain, evaluate
 from .metrics import MetricId, _abs2, chordal, is_infinite
 
 _BOUNDARY_GAP = 1e-6
@@ -170,9 +171,14 @@ def _gate(f: MapExpr):
     )
 
 
+@functools.cache
 def _circle(m: int):
-    """The m equispaced sample points exp(2 pi i j / m) of the unit circle."""
-    return np.exp(2j * np.pi * np.arange(m) / m)
+    """The m equispaced sample points exp(2 pi i j / m) of the unit circle,
+    read-only and made once per m: the boundary sampling asks only for
+    powers of two from 256 to 65536, so the cache stays small."""
+    z = np.exp(2j * np.pi * np.arange(m) / m)
+    z.setflags(write=False)
+    return z
 
 
 def _log_chordal(jets, sides: int = 2):
@@ -213,18 +219,19 @@ def _tail_ok(coeffs: np.ndarray, m: int) -> bool:
 
 
 def _power_series(blocks, z):
-    """sum_n c_n z^n at the 1-d points z, with blocks[j, i] = c[K j + i]: one
-    matrix product of blocks with the powers z^0..z^(K-1) gives the block
-    sums q_j, and one row-wise reduction adds up q_j w^j with the powers of
-    w = z^K (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973)."""
-    out = np.empty(z.shape, dtype=complex)
+    """sum_n c_n z^n at the 1-d points z, with blocks[..., j, i] = c[K j + i]
+    and one series per leading index, shaped blocks.shape[:-2] + z.shape:
+    one matrix product of blocks with the powers z^0..z^(K-1) gives the
+    block sums q_j, and one row-wise reduction adds up q_j w^j with the
+    powers of w = z^K (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973)."""
+    out = np.empty(blocks.shape[:-2] + z.shape, dtype=complex)
     for lo in range(0, len(z), _ROWS):
         zb = z[lo : lo + _ROWS]
         powers = np.repeat(zb[:, None], _K, axis=1)
         powers[:, 0] = 1.0
         q = blocks @ np.cumprod(powers, axis=1, out=powers).T
-        w = np.vander(powers[:, -1] * zb, len(blocks), increasing=True)
-        out[lo : lo + _ROWS] = np.einsum("jr,rj->r", q, w)
+        w = np.vander(powers[:, -1] * zb, blocks.shape[-2], increasing=True)
+        out[..., lo : lo + _ROWS] = np.einsum("...jr,rj->...r", q, w)
     return out
 
 
@@ -248,40 +255,59 @@ class Decomposition:
     quotient_phase: float
 
     def __post_init__(self):
-        # each side is scale * B(z) * exp(g(z)); its Blaschke node and
-        # polynomial are built once (non-field attributes stay out of
-        # equality and repr).  g(z) = c_0 + 2 sum_{n >= 1} c_n z^n: Re g is
-        # the harmonic extension of the boundary data, Im g its conjugate
-        # with g(0) real
-        for name, points, coeffs, scale in (
-            ("_f0", self.b0_zeros, self.u0_fourier,
-             0.5 * cmath.exp(1j * self.quotient_phase)),
-            ("_finf", self.binf_poles, self.uinf_fourier, 0.5),
-        ):
-            poly = np.array(coeffs, dtype=complex)
-            poly[1:] *= 2.0
-            blocks = np.pad(poly, (0, -len(poly) % _K)).reshape(-1, _K)
-            object.__setattr__(self, name, (scale, BlaschkeDisc(points), blocks))
+        # the sides f0 and finf are scale * B(z) * exp(g(z)), built once
+        # (non-field attributes stay out of equality and repr): the scales,
+        # the Blaschke products, whose constructor checks the points, and
+        # the polynomials g(z) = c_0 + 2 sum_{n >= 1} c_n z^n in blocks of
+        # _K coefficients, the shorter zero-padded, one (2, J, _K) array for
+        # one power-series pass.  Re g is the harmonic extension of the
+        # boundary data, Im g its conjugate with g(0) real
+        sides = (self.u0_fourier, self.uinf_fourier)
+        blocks = np.zeros((2, -(-max(map(len, sides)) // _K) * _K), dtype=complex)
+        for row, coeffs in zip(blocks, sides):
+            row[: len(coeffs)] = coeffs
+        blocks[:, 1:] *= 2.0
+        object.__setattr__(self, "_blocks", blocks.reshape(2, -1, _K))
+        object.__setattr__(
+            self, "_scales", np.array([0.5 * cmath.exp(1j * self.quotient_phase), 0.5])
+        )
+        object.__setattr__(
+            self, "_blaschke", (BlaschkeDisc(self.b0_zeros), BlaschkeDisc(self.binf_poles))
+        )
 
-    @staticmethod
-    def _side(side, z):
-        scale, b, blocks = side
+    def _at(self, z, sides):
+        """Values at z of the sides that the slice sides picks from (f0, finf):
+        a list of complex at a point, and at an array one array of its shape
+        per side, stacked.  The Blaschke values come without derivatives,
+        then one power-series call and one exp serve all the sides.  Points
+        off the closed disc raise DomainError."""
         zs = np.asarray(z, dtype=complex)
         flat = zs.reshape(-1)
-        vals = scale * evaluate(b, flat)[0] * np.exp(_power_series(blocks, flat))
-        return vals.reshape(zs.shape) if zs.ndim else complex(vals[0])
+        _check_domain(MetricId.HYPERBOLIC_DISC, flat)
+        column = flat[:, None]
+        vals = np.empty((sides.stop - sides.start, len(flat)), dtype=complex)
+        for out, scale, b in zip(vals, self._scales[sides], self._blaschke[sides]):
+            factors, _ = b._factor_values(_as_batch(column, len(b.zeros)))
+            np.multiply(scale, np.prod(factors, axis=1)[: len(flat)], out=out)
+        # not in place: numpy rounds a product of one element in place
+        # without the fused multiply-add of its array loops
+        vals = vals * np.exp(_power_series(self._blocks[sides], flat))
+        if zs.ndim:
+            return vals.reshape(vals.shape[:1] + zs.shape)
+        return [complex(v) for v in vals[:, 0]]
 
     def f0_at(self, z):
         """f0 at a point or, elementwise, at an array of points."""
-        return self._side(self._f0, z)
+        return self._at(z, slice(0, 1))[0]
 
     def finf_at(self, z):
         """finf at a point or, elementwise, at an array of points."""
-        return self._side(self._finf, z)
+        return self._at(z, slice(1, 2))[0]
 
     def quotient_at(self, z):
         """f0/finf at a point or, elementwise, at an array of points."""
-        return self._side(self._f0, z) / self._side(self._finf, z)
+        f0, finf = self._at(z, slice(0, 2))
+        return f0 / finf
 
     def residuals(self, f: MapExpr):
         """(pythagoras, quotient, origin) residuals of this decomposition of
@@ -292,8 +318,7 @@ class Decomposition:
         zeros, _, origin = _gate(f)
         circle = _circle(self.boundary_samples)
         w, _, pole = jets = evaluate(f, circle)
-        v0 = self._side(self._f0, circle)
-        vinf = self._side(self._finf, circle)
+        v0, vinf = self._at(circle, slice(0, 2))
         pyth = np.max(np.abs(np.abs(v0) ** 2 + np.abs(vinf) ** 2 - 1.0), initial=0.0)
         keep = ~pole
         quot = np.max(np.abs(v0[keep] / vinf[keep] - w[keep]), initial=0.0)

@@ -107,6 +107,17 @@ class TestQuadConfig:
             with pytest.raises(ConstructionError, match="positive and finite"):
                 QuadConfig(**kwargs)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.5, 40.0, 0, -3, True, "40", None])
+    @pytest.mark.parametrize("name", ["max_depth", "max_segments"])
+    def test_budgets_must_be_integers_at_least_one(self, name, bad):
+        # depth >= nan is never true, so a NaN budget would bound nothing
+        with pytest.raises(ConstructionError, match=f"{name} must be an integer at least 1"):
+            QuadConfig(**{name: bad})
+
+    def test_budgets_accept_integers_at_least_one(self):
+        cfg = QuadConfig(max_depth=1, max_segments=np.int64(4))
+        assert (cfg.max_depth, cfg.max_segments) == (1, 4)
+
 
 class TestAdaptiveIntegrate:
     def test_polynomial_exact(self):

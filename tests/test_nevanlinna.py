@@ -8,6 +8,7 @@ from circle_oracle import ExpMobius, Rational, mpmath
 from arclab.errors import (
     BoundarySingularityError,
     DataError,
+    DomainError,
     NormalizationError,
     ResolutionError,
     StructureError,
@@ -53,6 +54,26 @@ from arclab.nevanlinna import (
 
 CFG = QuadConfig(abs_tol=1e-10, rel_tol=1e-10, max_depth=40, max_segments=20000)
 SPHERICAL = MetricId.SPHERICAL
+EPS = np.finfo(float).eps
+
+
+def _blaschke(points, z):
+    """prod (|a|/a) (a - z) / (1 - conj(a) z) at the points z, from the zeros."""
+    out = np.ones_like(z)
+    for a in points:
+        out = out * (abs(a) / a) * (a - z) / (1 - a.conjugate() * z)
+    return out
+
+
+def _criterion_10(n_zeros, n_poles):
+    """A criterion-10 quotient: n_zeros zeros over n_poles poles, moduli in
+    [0.15, 0.8], as (f, zeros, poles)."""
+    rng = np.random.default_rng(10 * n_zeros + n_poles)
+    points = rng.uniform(0.15, 0.8, n_zeros + n_poles) * np.exp(
+        2j * np.pi * rng.random(n_zeros + n_poles)
+    )
+    zeros, poles = tuple(points[:n_zeros].tolist()), tuple(points[n_zeros:].tolist())
+    return Quotient(BlaschkeDisc(zeros), BlaschkeDisc(poles)), zeros, poles
 
 
 class TestRhoOfR:
@@ -530,6 +551,61 @@ class TestDecomposition:
             ]
 
 
+class TestOnePassEvaluator:
+    """f0_at, finf_at and quotient_at share one values-only pass: the
+    Blaschke values without derivatives, one power-series call over both
+    sides' stacked blocks and one exp."""
+
+    @pytest.mark.parametrize(
+        "n_zeros,n_poles", [(z, p) for z in range(5) for p in range(5) if z or p]
+    )
+    def test_quotient_reproduces_criterion_10_maps(self, n_zeros, n_poles):
+        f, zeros, poles = _criterion_10(n_zeros, n_poles)
+        dec = fatou_decompose(f)
+        rng = np.random.default_rng(n_zeros + 10 * n_poles)
+        circle = np.exp(2j * np.pi * (np.arange(16) + rng.random()) / 16)
+        inside = []
+        while len(inside) < 16:
+            z = 0.95 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+            # away from the zeros and poles, where relative error is not defined
+            if all(abs(z - p) > 0.05 for p in zeros + poles):
+                inside.append(z)
+        pts = np.concatenate([circle, inside])
+        want = _blaschke(zeros, pts) / _blaschke(poles, pts)
+        got = dec.quotient_at(pts)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+        split = dec.f0_at(pts) / dec.finf_at(pts)
+        assert np.all(np.abs(split - got) <= 4 * EPS * np.abs(got))
+        for z in pts.tolist():
+            q = dec.quotient_at(z)
+            assert abs(dec.f0_at(z) / dec.finf_at(z) - q) <= 4 * EPS * abs(q)
+
+    def test_points_off_the_closed_disc_raise(self):
+        f, _, _ = _criterion_10(2, 1)
+        dec = fatou_decompose(f, 256)
+        mixed = np.array([[0.2 + 0.1j, 0.5j], [1.5 + 0j, -0.3 + 0j]])
+        for at in (dec.f0_at, dec.finf_at, dec.quotient_at):
+            for z in (1.5, mixed):
+                with pytest.raises(DomainError, match=r"\(1\.5\+0j\) is outside the closed unit disc"):
+                    at(z)
+
+    @pytest.mark.parametrize("n_zeros,n_poles", [(0, 1), (1, 0), (1, 1), (2, 3), (4, 2)])
+    def test_a_lone_point_agrees_with_the_batch(self, n_zeros, n_poles):
+        # not bit for bit: BLAS block sizes and numpy's one-element loops
+        # round apart in the last bit at many points
+        f, _, _ = _criterion_10(n_zeros, n_poles)
+        dec = fatou_decompose(f)
+        rng = np.random.default_rng(7)
+        pts = np.concatenate([
+            np.exp(2j * np.pi * rng.random(50)),
+            0.99 * np.sqrt(rng.random(250)) * np.exp(2j * np.pi * rng.random(250)),
+        ])
+        for at in (dec.f0_at, dec.finf_at, dec.quotient_at):
+            batch = at(pts)
+            lone = np.array([at(z) for z in pts.tolist()])
+            assert np.all(np.abs(lone - batch) <= 4 * EPS * np.abs(batch))
+
+
 class TestPowerSeriesKernel:
     @pytest.mark.parametrize("count", [1, 64, 65, 130])
     @pytest.mark.parametrize("nblocks", [1, 2, 32, 33])
@@ -553,6 +629,31 @@ class TestPowerSeriesKernel:
             got = _power_series(blocks, z)
             assert got.shape == z.shape
             assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("count", [1, 65])
+    @pytest.mark.parametrize("lengths", [(64, 64), (2048, 1), (59, 130), (1, 2048)])
+    def test_stacked_sides_match_each_side_alone(self, lengths, count):
+        # Decomposition stacks its two sides into one (2, J, 64) array, the
+        # shorter one zero-padded; each row of the stacked sum is its side's
+        # series within the same bound
+        rng = np.random.default_rng(sum(lengths) + count)
+        nblocks = -(-max(lengths) // 64)
+        blocks = np.zeros((2, nblocks * 64), dtype=complex)
+        series = []
+        for row, n in zip(blocks, lengths):
+            coeffs = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / (1.0 + np.arange(n))
+            row[:n] = coeffs
+            series.append(coeffs)
+        blocks = blocks.reshape(2, nblocks, 64)
+        radii = np.where(np.arange(count) % 2 == 0, 1.0, rng.random(count))
+        z = radii * np.exp(2j * np.pi * rng.random(count))
+        got = _power_series(blocks, z)
+        assert got.shape == (2, count)
+        for side, coeffs, row in zip(got, series, blocks):
+            scale = np.polynomial.polynomial.polyval(np.abs(z), np.abs(coeffs))
+            alone = _power_series(row[: -(-len(coeffs) // 64)], z)
+            assert np.all(np.abs(side - np.polynomial.polynomial.polyval(z, coeffs)) <= 1e-14 * scale)
+            assert np.all(np.abs(side - alone) <= 1e-14 * scale)
 
 
 class TestUniformDelta:
