@@ -16,28 +16,28 @@ nested route, use a global adaptive Gauss(7)/Kronrod(15) scheme; the rule
 never evaluates interval endpoints, so integrable endpoint singularities
 need no special casing beyond a split point.
 
-An area over |z| < r = tanh(rho/2) (r = 1 at rho = inf) takes the
-boundary route instead when _boundary_route allows it from the divisor
-alone: a disc map with a known divisor, no pole or essential point on the
-circle |z| = r, no essential point inside and, for the Euclidean and the
-two hyperbolic targets, no pole inside; rho = inf in the hyperbolic
-targets stays nested.  A known pole inside the circle that no zero
-cancels makes the Euclidean area infinite, which raises PrecisionError
-before any quadrature.  For the
-sphere the map is f or 1/f, whichever
-_sphere_chart picks.  With Phi a potential whose Laplacian is the squared
-target density (|w|^2/4, log(1 + |w|^2), -log(1 - |w|^2), -log Im w),
-Green's theorem gives
+One function, _on_circles, owns the image areas over |z| < r =
+tanh(rho/2) (r = 1 at rho = inf) here and the S and T of nevanlinna, all
+radii in one call.  It takes each radius by the boundary route when
+_boundary_route allows it from the divisor alone: a disc map with a known
+divisor, no pole or essential point on the circle |z| = r, no essential
+point inside and, for the Euclidean and the two hyperbolic targets, no
+pole inside that a zero does not cancel; r = 1 in the hyperbolic targets
+takes the nested route.  Such a pole makes the Euclidean area infinite,
+which raises PrecisionError before any quadrature.  For the sphere the
+map is f or 1/f, whichever _sphere_chart picks.  With Phi a potential
+whose Laplacian is the squared target density (|w|^2/4, log(1 + |w|^2),
+-log(1 - |w|^2), -log Im w), Green's theorem gives
 
     A(r) = int_0^{2 pi} 2 Re(z f'(z) dPhi/dw(f(z))) dtheta  [+ 4 pi n(r, inf)]
 
-the bracket for the sphere, n(r, inf) the poles in |z| < r.  One function,
-_on_circles, takes that integral for areas here and for the S and T of
-nevanlinna, all radii in one call.  One circle rule (_circle_rule) takes
-it and the nested route's inner theta-integrals, and certifies each
-circle on the Fourier tail of its samples; a circle it cannot certify
-within _MAX_PANELS points raises PrecisionError with its best estimate,
-and nothing falls back to the nested route.
+the bracket for the sphere, n(r, inf) the poles in |z| < r.  Every other
+radius takes the nested route, _nested.  One circle rule (_circle_rule)
+takes the boundary integrals and the nested route's inner
+theta-integrals, and certifies each circle on the Fourier tail of its
+samples; a circle it cannot certify within _MAX_PANELS points raises
+PrecisionError with its best estimate, and no route falls back to the
+other.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .errors import (
     RangeError,
     StructureError,
 )
-from .maps import Compose, ConstMap, MapExpr, Quotient, evaluate, inv_cayley_map
+from .maps import Compose, ConstMap, MapExpr, Quotient, _cancelled, evaluate, inv_cayley_map
 from .metrics import MetricId, _abs2, density, is_infinite, norm_from_jet
 
 # 15-point Kronrod nodes on [-1, 1] (symmetric half) and weights, with the
@@ -422,76 +422,51 @@ def circle_energy(
     return _circle_energies(f, np.array([t], dtype=float), target, rel_tol, max_panels)[0].item()
 
 
-def _radial(f: MapExpr, target: MetricId, cfg: QuadConfig, kernel=None):
-    """The outer integrand sinh t Q(t) of an image area, times kernel(t)
-    when one is given, as a vectorised function of t.  Q(t) is the circle
-    energy of f, a half-plane map taken to the disc first, certified to a
-    hundredth of cfg's relative tolerance within _MAX_PANELS points."""
-    if f.domain is MetricId.HYPERBOLIC_HALF_PLANE:
-        # transport through the disc -> half-plane isometry
-        f = Compose(f, inv_cayley_map())
-    rel_tol = 0.01 * cfg.rel_tol
-
-    def radial(ts):
-        q = np.sinh(ts) * _circle_energies(f, ts, target, rel_tol, _MAX_PANELS)
-        return q if kernel is None else q * kernel(ts)
-
-    return radial
-
-
 def _boundary_route(f: MapExpr, rs, target: MetricId):
     """(routes, first): for each radius r of rs, the poles of f in |z| < r
     when its area in the target over |z| < r takes the boundary route, else
-    None for the nested quadrature; and the point count the circle rule
-    starts at, _first_points of the number of f's zeros and poles.
+    None for the nested route; and the point count the circle rule starts
+    at, _first_points of the number of f's zeros and poles.
 
     The route needs a disc map whose divisor() is known, read through
     polar_divisor(), with no pole or essential point on the closed disc
-    |z| <= r, apart from poles strictly inside for the spherical target;
-    points within _ON_CIRCLE of the circle, relative to r, count as on
-    it.  A pole inside that band that no zero cancels makes the Euclidean
-    area infinite: that target raises PrecisionError for it at once."""
+    |z| <= r, apart from poles strictly inside for the spherical target,
+    and r < 1 for the hyperbolic targets.  Points within _ON_CIRCLE of the
+    circle, relative to r, count as on it, all the poles listed included.
+    Inside, a pole counts only where _cancelled leaves it: divisor() is
+    read for that only when a pole lies inside the largest circle.  A pole
+    that counts, deeper than that band, makes the Euclidean area infinite:
+    that target raises PrecisionError for it at once."""
     if f.domain is MetricId.HYPERBOLIC_HALF_PLANE:
         return [None] * len(rs), None
     try:
         poles, essential, degree = f.polar_divisor()
     except StructureError:
         return [None] * len(rs), None
+    counted = poles
+    if any(abs(p) < max(rs) for p in poles):
+        zeros, listed, _ = f.divisor()
+        counted = _cancelled(zeros, listed)[1]
+    hyperbolic = target in (MetricId.HYPERBOLIC_DISC, MetricId.HYPERBOLIC_HALF_PLANE)
     routes = []
     for r in rs:
-        inside = [p for p in poles if abs(p) < r]
-        if target is MetricId.EUCLIDEAN:
-            _raise_on_deep_pole(f, [p for p in inside if abs(p) < r * (1.0 - _ON_CIRCLE)], r)
+        inside = [p for p in counted if abs(p) < r]
+        deep = [p for p in inside if abs(p) < r * (1.0 - _ON_CIRCLE)]
+        if deep and target is MetricId.EUCLIDEAN:
+            raise PrecisionError(
+                f"the pole at {deep[0]!r} makes the Euclidean area over |z| < {r!r} infinite",
+                estimate=math.inf,
+                error_bound=math.inf,
+            )
         if (
-            any(not is_infinite(p) and abs(p) <= r * (1.0 + _ON_CIRCLE) for p in essential)
+            (hyperbolic and r == 1.0)
+            or any(not is_infinite(p) and abs(p) <= r * (1.0 + _ON_CIRCLE) for p in essential)
             or any(abs(abs(p) - r) <= r * _ON_CIRCLE for p in poles)
             or (inside and target is not MetricId.SPHERICAL)
         ):
             inside = None
         routes.append(inside)
     return routes, _first_points(degree)
-
-
-def _raise_on_deep_pole(f: MapExpr, deep, r):
-    """Raise PrecisionError, estimate and error_bound inf, for the first
-    pole of deep that f's zeros do not cancel: divisor() lists a quotient's
-    zeros and poles without cancelling them, so a pole counts only where it
-    outnumbers the zeros within _ON_CIRCLE of it, relative to r.  Without
-    divisor() nothing is raised."""
-    if not deep:
-        return
-    try:
-        zeros, poles, _ = f.divisor()
-    except StructureError:
-        return
-    tol = r * _ON_CIRCLE
-    for p in deep:
-        if sum(abs(q - p) <= tol for q in poles) > sum(abs(q - p) <= tol for q in zeros):
-            raise PrecisionError(
-                f"the pole at {p!r} makes the Euclidean area over |z| < {r!r} infinite",
-                estimate=math.inf,
-                error_bound=math.inf,
-            )
 
 
 def _sphere_chart(f: MapExpr, rs, finite_origin: bool):
@@ -681,18 +656,22 @@ def _circle_rule(sample, r, scale, shift, abs_tol, rel_tol, first, cap=_MAX_PANE
 
 
 def _on_circles(f: MapExpr, rs, target: MetricId, cfg: QuadConfig, want=("A",)):
-    """The quantities in want at the radii rs by the circle rule on |z| = r:
-    one list per quantity, in the order of want, of (value, error bound),
-    None at each radius that takes the nested route; a PrecisionError
-    carries the same units.  "A" is the image area in the target over
-    |z| < r over 4 pi, S(r) for the sphere, and "T" the Ahlfors-Shimizu
-    characteristic, for the sphere alone.  All radii are certified in one
-    call of the circle rule, to cfg's tolerances on 4 pi times each value.
+    """The quantities in want at the radii rs: one list per quantity, in
+    the order of want, of (value, error bound) at every radius, in the
+    units of S, as are the numbers a PrecisionError or DivergenceError
+    carries.  "A" is the image area in the target over |z| < r over 4 pi
+    (r = 1 for the whole disc), S(r) for the sphere, and "T" the
+    Ahlfors-Shimizu characteristic, for the sphere alone at r < 1.
 
-    The map g sampled is f, or for the sphere the chart f or 1/f that
-    _sphere_chart picks (S and T do not change), g(0) finite when T is
-    wanted.  With Phi the target's area potential (see _slope) and b the
-    poles of g in |z| < r, which only the sphere admits,
+    The radii on the boundary route (_boundary_route) are certified in one
+    call of the circle rule, to cfg's tolerances on 4 pi times each value;
+    every other radius takes the nested route (_nested).  The map g
+    sampled is f, or for the sphere the chart f or 1/f that _sphere_chart
+    picks (S and T do not change), g(0) finite when T is wanted; where
+    that chart leaves S off the route, S comes from one call for "A" alone
+    on those radii, whose chart may take them.  With Phi the target's area
+    potential (see _slope) and b the poles of g in |z| < r, which only the
+    sphere admits,
 
         A(r)/4pi = (1/4pi) int 2 Re(z g' dPhi/dw(g)) dtheta + n(r, inf)
         T(r) = (1/4pi) int log(1 + |g|^2) dtheta - log(1 + |g(0)|^2)/2
@@ -707,6 +686,14 @@ def _on_circles(f: MapExpr, rs, target: MetricId, cfg: QuadConfig, want=("A",)):
     else:
         g, g0, (routes, first) = f, None, _boundary_route(f, rs, target)
     out = tuple([None] * len(rs) for _ in want)
+    off = [i for i, poles in enumerate(routes) if poles is None]
+    for q, column in zip(want, out):
+        if off and q == "A" and "T" in want:
+            values = _on_circles(f, [rs[i] for i in off], target, cfg)[0]
+        else:
+            values = [_nested(f, rs[i], target, cfg, q) for i in off]
+        for i, value in zip(off, values):
+            column[i] = value
     on = [i for i, poles in enumerate(routes) if poles is not None]
     if not on:
         return out
@@ -754,6 +741,70 @@ def _on_circles(f: MapExpr, rs, target: MetricId, cfg: QuadConfig, want=("A",)):
     return out
 
 
+def _scaled(exc, factor):
+    """The PrecisionError or DivergenceError exc anew, its estimate and
+    error bound or its partial sums times factor."""
+    if isinstance(exc, DivergenceError):
+        return DivergenceError(str(exc), [factor * s for s in exc.partial_sums])
+    return PrecisionError(exc.reason, factor * exc.estimate, factor * exc.error_bound)
+
+
+def _nested(f: MapExpr, r: float, target: MetricId, cfg: QuadConfig, quantity: str):
+    """The quantity "A" or "T" of _on_circles at the radius r by the
+    nested route, as (value, error bound) in the units of S, as are the
+    numbers a PrecisionError or DivergenceError carries.
+
+    The outer G7K15 rule integrates sinh v Q(v) over the hyperbolic radius
+    v, Q(v) the circle energy of f, a half-plane map taken to the disc
+    first, certified to a hundredth of cfg's relative tolerance.  For T
+    the integrand carries the kernel log(r / tanh(v/2)), from exchanging
+    the order of integration in int_0^r S(t)/t dt.  At r < 1 it runs over
+    [0, rho], rho the hyperbolic radius of |z| = r; the area keeps its cap,
+    and r past tanh(DISC_RHO_MAX/2) raises ValueError.  At r = 1 the area is
+    summed over radial windows of width 5 with a Cauchy stopping rule, and
+    declared divergent after two consecutive growing increments; the last
+    window's increment is the tail allowance, a heuristic."""
+    if quantity == "A" and math.tanh(DISC_RHO_MAX / 2.0) < r < 1.0:
+        raise ValueError(f"rho must be in (0, {DISC_RHO_MAX}] or infinite")
+    if f.domain is MetricId.HYPERBOLIC_HALF_PLANE:
+        # transport through the disc -> half-plane isometry
+        f = Compose(f, inv_cayley_map())
+    rel_tol, log_r, unit = 0.01 * cfg.rel_tol, math.log(r), 4.0 * math.pi
+
+    def radial(ts):
+        q = np.sinh(ts) * _circle_energies(f, ts, target, rel_tol, _MAX_PANELS)
+        return q if quantity == "A" else q * (log_r - np.log(np.tanh(ts / 2.0)))
+
+    try:
+        if r < 1.0:
+            rho = math.log1p(r) - math.log1p(-r)
+            value, err = adaptive_integrate(radial, 0.0, rho, cfg)
+            return value / unit, err / unit
+        total = err = lo = 0.0
+        partials, prev_inc, rising = [], math.inf, 0
+        while lo < DISC_RHO_MAX:
+            hi = min(lo + 5.0, DISC_RHO_MAX)
+            inc, inc_err = adaptive_integrate(radial, lo, hi, cfg)
+            total, err, lo = total + inc, err + inc_err, hi
+            partials.append(total)
+            rising = rising + 1 if inc > prev_inc else 0
+            if rising >= 2:
+                raise DivergenceError(
+                    "area increments keep growing; the improper area diverges",
+                    partial_sums=tuple(partials),
+                )
+            if abs(inc) <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+                return total / unit, (err + abs(inc)) / unit
+            prev_inc = inc
+        raise PrecisionError(
+            f"window increments still material at rho = {DISC_RHO_MAX}",
+            estimate=total,
+            error_bound=err + abs(prev_inc),
+        )
+    except (PrecisionError, DivergenceError) as exc:
+        raise _scaled(exc, 1.0 / unit) from None
+
+
 def area_with_bound(
     f: MapExpr,
     rho: float,
@@ -761,62 +812,18 @@ def area_with_bound(
     config: QuadConfig = None,
 ):
     """Image area counting multiplicity over the hyperbolic disc of radius
-    rho; rho may be math.inf.  Returns (area, error_bound).
-
-    On the boundary route (see the module docstring) the area is one
-    certified circle integral on |z| = tanh(rho/2), or on |z| = 1 at
-    rho = inf.  On the nested route improper areas are summed over radial
-    windows of width 5 with a Cauchy stopping rule, and declared divergent
-    after two consecutive growing increments; the last window's increment
-    is the tail allowance, a heuristic.
-    """
-    cfg = config or AREA_DEFAULT
+    rho; rho may be math.inf.  Returns (area, error_bound): 4 pi times
+    the "A" of _on_circles on |z| = tanh(rho/2), or |z| = 1 at rho = inf,
+    whose PrecisionError or DivergenceError carries area units too."""
     if not (math.isinf(rho) or 0.0 < rho <= DISC_RHO_MAX):
         raise ValueError(f"rho must be in (0, {DISC_RHO_MAX}] or infinite")
     r = 1.0 if math.isinf(rho) else math.tanh(rho / 2.0)
-    hyperbolic = target in (MetricId.HYPERBOLIC_DISC, MetricId.HYPERBOLIC_HALF_PLANE)
-    if not (math.isinf(rho) and hyperbolic):
-        unit = 4.0 * math.pi  # _on_circles works in the units of S, area/4pi
-        try:
-            on = _on_circles(f, [r], target, cfg)[0][0]
-        except PrecisionError as exc:
-            raise PrecisionError(exc.reason, unit * exc.estimate, unit * exc.error_bound) from None
-        if on is not None:
-            return unit * on[0], unit * on[1]
-    radial = _radial(f, target, cfg)
-    if not math.isinf(rho):
-        return adaptive_integrate(radial, 0.0, rho, cfg)
-
-    total = 0.0
-    err = 0.0
-    partials = []
-    prev_inc = None
-    rising = 0
-    lo = 0.0
-    while lo < DISC_RHO_MAX:
-        hi = min(lo + 5.0, DISC_RHO_MAX)
-        inc, inc_err = adaptive_integrate(radial, lo, hi, cfg)
-        total += inc
-        err += inc_err
-        partials.append(total)
-        if prev_inc is not None and inc > prev_inc:
-            rising += 1
-            if rising >= 2:
-                raise DivergenceError(
-                    "area increments keep growing; the improper area diverges",
-                    partial_sums=tuple(partials),
-                )
-        else:
-            rising = 0
-        if abs(inc) <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-            return total, err + abs(inc)
-        prev_inc = inc
-        lo = hi
-    raise PrecisionError(
-        f"window increments still material at rho = {DISC_RHO_MAX}",
-        estimate=total,
-        error_bound=err + abs(prev_inc if prev_inc is not None else total),
-    )
+    unit = 4.0 * math.pi
+    try:
+        value, bound = _on_circles(f, [r], target, config or AREA_DEFAULT)[0][0]
+    except (PrecisionError, DivergenceError) as exc:
+        raise _scaled(exc, unit) from None
+    return unit * value, unit * bound
 
 
 def area(

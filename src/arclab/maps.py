@@ -159,6 +159,20 @@ class MapExpr:
         return poles, essential, len(zeros) + len(poles)
 
 
+def _cancelled(zeros, poles):
+    """(zeros, poles) less one zero for each pole equal to it: divisor()
+    does not reduce a quotient, and a pole that a zero cancels is
+    removable.  Equal means equal as complex numbers, with no tolerance,
+    so a pole a rounding error away from a zero stays a pole."""
+    zeros, kept = list(zeros), []
+    for p in poles:
+        if p in zeros:
+            zeros.remove(p)
+        else:
+            kept.append(p)
+    return zeros, kept
+
+
 def _check_domain(dom: MetricId, flat):
     """Raise DomainError at the first of the 1-d points flat outside the
     closure of the tagged domain dom; an untagged domain takes any point."""

@@ -5,16 +5,14 @@ S(r) is the normalised spherical image area A_S/(4 pi) over |z| < r and
 
     T(r) = int_0^r S(t)/t dt.
 
-S and T take one of two routes, chosen per radius from the divisor alone
-of f or 1/f; both certify each circle by the circle rule of geodesics, or
-raise PrecisionError:
-
-- the boundary route, for a disc map with a known divisor and no pole or
-  essential point on the circle |z| = r (nor an essential point inside):
-  geodesics._on_circles, the owner of the image areas' circle integrals,
-  gives S as the spherical A_S/(4 pi) of one periodic integral on
-  |z| = r, and T by the Ahlfors-Shimizu first main theorem;
-- the nested route otherwise: one radial quadrature (see _nested).
+geodesics._on_circles gives S and T at every radius, each by one of two
+routes, chosen per radius from the divisor alone of f or 1/f: the boundary
+route, one periodic integral on |z| = r (S as the spherical A_S/(4 pi),
+T by the Ahlfors-Shimizu first main theorem), for a disc map with a known
+divisor and no pole or essential point on the circle nor an essential
+point inside; the nested route, one radial quadrature, otherwise.  Both
+certify each circle by the circle rule of geodesics, or raise
+PrecisionError.
 
 The decomposition writes a map f, analytic across the closed disc apart
 from interior zeros and poles, as f0/finf with |f0|^2 + |finf|^2 = 1 on
@@ -39,15 +37,10 @@ from .errors import (
     ResolutionError,
     StructureError,
 )
-from .geodesics import (
-    AREA_DEFAULT,
-    DISC_RHO_MAX,
-    QuadConfig,
-    _on_circles,
-    _radial,
-    adaptive_integrate,
-)
-from .maps import BlaschkeDisc, MapExpr, _as_batch, _check_domain, evaluate
+# adaptive_integrate is not called here; perfbench's tracer self-test
+# checks that this module's binding of it is the wrapped geodesics one
+from .geodesics import AREA_DEFAULT, QuadConfig, _on_circles, adaptive_integrate  # noqa: F401
+from .maps import BlaschkeDisc, MapExpr, _as_batch, _cancelled, _check_domain, evaluate
 from .metrics import MetricId, _abs2, chordal, is_infinite
 
 _BOUNDARY_GAP = 1e-6
@@ -64,43 +57,16 @@ def rho_of_r(r: float) -> float:
     return math.log1p(r) - math.log1p(-r)
 
 
-def _nested(f: MapExpr, r: float, cfg: QuadConfig, want: str = "S") -> float:
-    """S(r), or T(r) when want is "T", by the nested route: one radial
-    quadrature over the hyperbolic radius rho = rho_of_r(r) of sinh v Q(v),
-    Q(v) the theta-integral of the squared spherical derivative norm.
-    Exchanging the order of integration in int_0^r S(t)/t dt gives T the
-    kernel log(r / tanh(v/2)):
-
-        T(r) = (1/4pi) int_0^rho sinh v Q(v) log(r / tanh(v/2)) dv.
-
-    S keeps the image area's cap: rho past DISC_RHO_MAX raises ValueError."""
-    rho, kernel = rho_of_r(r), None
-    if want == "T":
-        log_r = math.log(r)
-
-        def kernel(vs):
-            return log_r - np.log(np.tanh(vs / 2.0))
-
-    elif rho > DISC_RHO_MAX:
-        raise ValueError(f"rho must be in (0, {DISC_RHO_MAX}] or infinite")
-    val, _ = adaptive_integrate(_radial(f, MetricId.SPHERICAL, cfg, kernel), 0.0, rho, cfg)
-    return val / (4.0 * math.pi)
-
-
 def shimizu_S(f: MapExpr, r: float, config: QuadConfig = None) -> float:
     """Normalised spherical image area over |z| < r, counting multiplicity."""
-    cfg = config or AREA_DEFAULT
     rho_of_r(r)  # checks r
-    s = _on_circles(f, [r], MetricId.SPHERICAL, cfg)[0][0]
-    return _nested(f, r, cfg) if s is None else s[0]
+    return _on_circles(f, [r], MetricId.SPHERICAL, config or AREA_DEFAULT)[0][0][0]
 
 
 def shimizu_T(f: MapExpr, r: float, config: QuadConfig = None) -> float:
     """Ahlfors-Shimizu characteristic int_0^r S(t)/t dt."""
-    cfg = config or AREA_DEFAULT
     rho_of_r(r)  # checks r
-    t = _on_circles(f, [r], MetricId.SPHERICAL, cfg, ("T",))[0][0]
-    return _nested(f, r, cfg, "T") if t is None else t[0]
+    return _on_circles(f, [r], MetricId.SPHERICAL, config or AREA_DEFAULT, ("T",))[0][0][0]
 
 
 def _check_radii(radii):
@@ -134,24 +100,18 @@ def characteristic_curve(
     rs = tuple(float(r) for r in radii)
     # cheap grid validation up front; quadrature below is the expensive part
     _check_radii(rs)
-    cfg = config or AREA_DEFAULT
-    S, T = _on_circles(f, rs, MetricId.SPHERICAL, cfg, ("A", "T"))
-    # T needs a chart finite at 0; where S is off the route on that chart,
-    # shimizu_S may still find the circle on the route on 1/f
-    return CharacteristicCurve(
-        rs,
-        tuple(shimizu_S(f, r, cfg) if s is None else s[0] for r, s in zip(rs, S)),
-        tuple(_nested(f, r, cfg, "T") if t is None else t[0] for r, t in zip(rs, T)),
-    )
+    S, T = _on_circles(f, rs, MetricId.SPHERICAL, config or AREA_DEFAULT, ("A", "T"))
+    return CharacteristicCurve(rs, tuple(s for s, _ in S), tuple(t for t, _ in T))
 
 
 def _gate(f: MapExpr):
-    """Zeros and poles of f inside the unit disc, with multiplicity, and
-    the value f(0).
+    """Zeros and poles of f inside the unit disc, with multiplicity, less
+    the pairs that _cancelled removes, and the value f(0).
 
     Raises StructureError when f is not meromorphic somewhere on the
-    closed disc, BoundarySingularityError when a zero or pole lies on or
-    near the circle, NormalizationError when f(0) is 0 or infinity."""
+    closed disc, BoundarySingularityError when a listed zero or pole,
+    cancelled or not, lies on or near the circle, NormalizationError when
+    f(0) is 0 or infinity."""
     zeros, poles, essential = f.divisor()
     for p in essential:
         if not is_infinite(p) and abs(p) <= 1.0 + _BOUNDARY_GAP:
@@ -164,6 +124,7 @@ def _gate(f: MapExpr):
     origin = evaluate(f, 0.0)
     if origin.is_pole or origin.value == 0:
         raise NormalizationError("f(0) must be neither 0 nor infinity")
+    zeros, poles = _cancelled(zeros, poles)
     return (
         [p for p in zeros if abs(p) < 1.0],
         [p for p in poles if abs(p) < 1.0],

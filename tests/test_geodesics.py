@@ -730,7 +730,7 @@ class TestAreaRoutes:
         # the area is infinite: the divisor shows the pole 0.5 inside, so
         # it raises before any quadrature, naming the pole
         f = Quotient(BlaschkeDisc((0.3,)), BlaschkeDisc((0.5,)))
-        monkeypatch.setattr(geodesics, "_radial", None)
+        monkeypatch.setattr(geodesics, "_nested", None)
         monkeypatch.setattr(geodesics, "_circle_rule", None)
         with pytest.raises(PrecisionError, match=r"pole at \(0\.5\+0j\)") as exc_info:
             area_with_bound(f, rho, E)
@@ -749,6 +749,20 @@ class TestAreaRoutes:
         # one zero cancels only one of two poles at 0.5
         with pytest.raises(PrecisionError, match=r"pole at \(0\.5\+0j\)"):
             area_with_bound(Quotient(BlaschkeDisc((0.5,)), BlaschkeDisc((0.5, 0.5))), 2.0, E)
+
+    @pytest.mark.parametrize("rho", [2.0, math.inf])
+    def test_a_zero_near_a_pole_does_not_cancel_it(self, rho):
+        # (z - 0.500000001)/(z - 0.5) has a pole at 0.5 that no zero
+        # cancels: its Euclidean area is infinite
+        f = Quotient(Shift(-0.500000001), Shift(-0.5))
+        with pytest.raises(PrecisionError, match=r"pole at \(0\.5-0j\)") as exc_info:
+            area_with_bound(f, rho, E)
+        assert exc_info.value.estimate == exc_info.value.error_bound == math.inf
+        # on the sphere the image covers all but a speck of it
+        value, bound = area_with_bound(f, rho, S)
+        r = 1.0 if math.isinf(rho) else math.tanh(rho / 2)
+        assert bound >= abs(value - Rational([0.500000001], [0.5]).area(r, "S"))
+        assert value == 12.566370614359172
 
 
 class TestArea:

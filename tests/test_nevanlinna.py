@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from circle_oracle import ExpMobius, Rational, mpmath
 
+from arclab import geodesics
 from arclab.errors import (
     BoundarySingularityError,
     DataError,
@@ -55,6 +56,19 @@ from arclab.nevanlinna import (
 CFG = QuadConfig(abs_tol=1e-10, rel_tol=1e-10, max_depth=40, max_segments=20000)
 SPHERICAL = MetricId.SPHERICAL
 EPS = np.finfo(float).eps
+
+
+def _spy_nested(monkeypatch):
+    """The (r, quantity) of every call of the nested route from here on."""
+    calls = []
+    nested = geodesics._nested
+
+    def spy(f, r, target, cfg, quantity):
+        calls.append((r, quantity))
+        return nested(f, r, target, cfg, quantity)
+
+    monkeypatch.setattr(geodesics, "_nested", spy)
+    return calls
 
 
 def _blaschke(points, z):
@@ -177,22 +191,42 @@ class TestBoundaryCharacteristic:
         f = MobiusMap(MobiusTransform(1, 0.5, 1, 0))
         self._covered(f, [0.2, 0.7], Rational([-0.5], [0]), CFG, Rational([0], [-0.5]))
 
-    def test_pole_on_a_circle_takes_the_reciprocal_for_S_alone(self):
+    def test_pole_on_a_circle_takes_the_reciprocal_for_S_alone(self, monkeypatch):
         # z/(z - 0.5) has its pole on |z| = 0.5, a zero of the reciprocal,
         # which stays on the route there; T needs a chart finite at 0, and
-        # the reciprocal has a pole at 0, so T at 0.5 stays nested.  The
-        # image of |z| < 0.5 is the half-plane Re w < 1/2, which covers
-        # (1 + 1/sqrt 5)/2 of the sphere
+        # the reciprocal has a pole at 0, so T at 0.5 takes the nested
+        # route.  The image of |z| < 0.5 is the half-plane Re w < 1/2,
+        # which covers (1 + 1/sqrt 5)/2 of the sphere
         f, radii = MobiusMap(MobiusTransform(1, 0, 1, -0.5)), [0.3, 0.5]
         oracle = Rational([0], [0.5])
         exact = [oracle.S(0.3), (1 + 1 / math.sqrt(5)) / 2]
         for (value, bound), s in zip(_on_circles(f, radii, SPHERICAL, CFG)[0], exact):
             assert bound >= abs(value - s)
+        calls = _spy_nested(monkeypatch)
         S, T = _on_circles(f, radii, SPHERICAL, CFG, ("A", "T"))
-        assert S[0] is not None and T[0] is not None and S[1] is None and T[1] is None
+        assert calls == [(0.5, "T")]
+        # S at 0.5 is the reciprocal's, as for S alone
+        assert S[1] == _on_circles(f, [0.5], SPHERICAL, CFG)[0][0]
         assert shimizu_T(f, 0.5, CFG) == pytest.approx(oracle.T(0.5), abs=1e-8)
-        # the curve takes S at 0.5 as shimizu_S does, on the reciprocal
         assert characteristic_curve(f, radii, CFG).S_values[1] == shimizu_S(f, 0.5, CFG)
+
+    def test_radii_on_and_off_the_route_in_one_call(self, monkeypatch):
+        # (z - 0.5i)/(z - 0.5) has a zero and a pole on |z| = 0.5, so both
+        # charts leave that circle off the route; the image of |z| < 0.5 is
+        # a half-plane whose edge runs through 0, half the sphere
+        f, radii = MobiusMap(MobiusTransform(1, -0.5j, 1, -0.5)), [0.3, 0.5, 0.7]
+        calls = _spy_nested(monkeypatch)
+        S, T = _on_circles(f, radii, SPHERICAL, CFG, ("A", "T"))
+        assert sorted(calls) == [(0.5, "A"), (0.5, "T")]
+        for i, r in enumerate(radii):
+            assert (S[i], T[i]) == tuple(
+                column[0] for column in _on_circles(f, [r], SPHERICAL, CFG, ("A", "T"))
+            )
+        assert S[1][1] >= abs(S[1][0] - 0.5)
+        oracle = Rational([0.5j], [0.5])
+        for i in (0, 2):
+            assert S[i][1] >= abs(S[i][0] - oracle.S(radii[i]))
+            assert T[i][1] >= abs(T[i][0] - oracle.T(radii[i]))
 
     @pytest.mark.parametrize(
         "f, rho",
@@ -229,14 +263,15 @@ class TestBoundaryCharacteristic:
                 exact = 0.5 * math.log1p(c * c * r * r)
                 assert shimizu_T(Scale(c), r) == pytest.approx(exact, rel=1e-14, abs=1e-17)
 
-    def test_nested_route_where_the_divisor_is_unknown(self):
+    def test_nested_route_where_the_divisor_is_unknown(self, monkeypatch):
         # divisor() raises StructureError through an inner product of two
         # zeros, which is not Moebius; the composition is the Blaschke
         # product whose zeros solve B(z) = 0.5, B the inner product
         a, b, w = 0.3, -0.4, 0.5
         f = Compose(BlaschkeDisc((w,)), BlaschkeDisc((a, b)))
-        assert _on_circles(f, [0.5], SPHERICAL, CFG, ("A", "T")) == ([None], [None])
+        calls = _spy_nested(monkeypatch)
         curve = characteristic_curve(f, (0.3, 0.6), CFG)
+        assert sorted(calls) == [(0.3, "A"), (0.3, "T"), (0.6, "A"), (0.6, "T")]
         with mpmath.workdps(30):
             # B(z) = -(a - z)(b - z)/((1 - a z)(1 - b z)) for a > 0 > b
             a, b, w = (mpmath.mpf(x) for x in (a, b, w))
@@ -245,6 +280,41 @@ class TestBoundaryCharacteristic:
         for r, s, t in zip(curve.radii, curve.S_values, curve.T_values):
             assert s == pytest.approx(oracle.S(r), abs=1e-10)
             assert t == pytest.approx(oracle.T(r), abs=1e-10)
+
+
+class TestCancelledPole:
+    """B([0.5, 0.3])/B([0.5]) lists the zero and the pole 0.5 both; they
+    cancel, and every quantity is that of B([0.3])."""
+
+    F = Quotient(BlaschkeDisc((0.5, 0.3)), BlaschkeDisc((0.5,)))
+    ORACLE = Rational.blaschke([0.3])
+
+    def test_spherical_area_of_the_disc(self):
+        # a one-zero factor maps the disc onto itself, half the sphere
+        value, bound = area_with_bound(self.F, math.inf, SPHERICAL)
+        assert bound >= abs(value - 2 * math.pi)
+
+    def test_characteristic_curve(self):
+        curve = characteristic_curve(self.F, (0.3, 0.76))
+        for r, s, t in zip(curve.radii, curve.S_values, curve.T_values):
+            assert s == pytest.approx(self.ORACLE.S(r), abs=1e-12)
+            assert t == pytest.approx(self.ORACLE.T(r), abs=1e-12)
+
+    def test_a_circle_through_the_cancelled_pair(self):
+        # the pair on |z| = 0.5 keeps that circle off the route, whose
+        # samples would hit the removable point
+        assert shimizu_S(self.F, 0.5) == pytest.approx(self.ORACLE.S(0.5), abs=1e-12)
+
+    def test_decomposition_and_origin_identity(self):
+        dec = fatou_decompose(self.F)
+        assert dec.b0_zeros == (0.3,) and dec.binf_poles == ()
+        # the gate reads the listed points: a cancelled pair near the circle
+        # still sits on it
+        near = Quotient(BlaschkeDisc((0.9999999, 0.3)), BlaschkeDisc((0.9999999,)))
+        with pytest.raises(BoundarySingularityError):
+            fatou_decompose(near)
+        # T(1) = -log 0.3 + log k(-0.3, 0) - log k(1, 0), k(w, 0) = 2|w|/sqrt(1 + |w|^2)
+        assert origin_identity_T(self.F) == pytest.approx(0.5 * math.log(2 / 1.09), abs=1e-14)
 
 
 class TestCharacteristicCurve:
