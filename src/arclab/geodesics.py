@@ -422,31 +422,33 @@ def circle_energy(
     return _circle_energies(f, np.array([t], dtype=float), target, rel_tol, max_panels)[0].item()
 
 
-def _boundary_route(f: MapExpr, rs, target: MetricId):
-    """(routes, first): for each radius r of rs, the poles of f in |z| < r
-    when its area in the target over |z| < r takes the boundary route, else
-    None for the nested route; and the point count the circle rule starts
-    at, _first_points of the number of f's zeros and poles.
+def _boundary_route(f: MapExpr, rs, target: MetricId, reach: float = 1.0):
+    """(routes, first, counted): for each radius r of rs, the poles of f in
+    |z| < r when its area in the target over |z| < r takes the boundary
+    route, else None for the nested route; the point count the circle rule
+    starts at, _first_points of the number of f's zeros and poles; and the
+    poles of f that count, which _cancelled leaves, in |z| < reach max(rs).
 
     The route needs a disc map whose divisor() is known, read through
     polar_divisor(), with no pole or essential point on the closed disc
     |z| <= r, apart from poles strictly inside for the spherical target,
     and r < 1 for the hyperbolic targets.  Points within _ON_CIRCLE of the
     circle, relative to r, count as on it, all the poles listed included.
-    Inside, a pole counts only where _cancelled leaves it: divisor() is
-    read for that only when a pole lies inside the largest circle.  A pole
-    that counts, deeper than that band, makes the Euclidean area infinite:
-    that target raises PrecisionError for it at once."""
+    A pole counts only where _cancelled leaves it: divisor() is read for
+    that only when a pole lies inside reach times the largest circle.  A
+    pole that counts, inside deeper than that band, makes the Euclidean
+    area infinite: that target raises PrecisionError for it at once."""
     if f.domain is MetricId.HYPERBOLIC_HALF_PLANE:
-        return [None] * len(rs), None
+        return [None] * len(rs), None, []
     try:
         poles, essential, degree = f.polar_divisor()
     except StructureError:
-        return [None] * len(rs), None
-    counted = poles
-    if any(abs(p) < max(rs) for p in poles):
+        return [None] * len(rs), None, []
+    near = reach * max(rs)
+    counted = [p for p in poles if abs(p) < near]
+    if counted:
         zeros, listed, _ = f.divisor()
-        counted = _cancelled(zeros, listed)[1]
+        counted = [p for p in _cancelled(zeros, listed)[1] if abs(p) < near]
     hyperbolic = target in (MetricId.HYPERBOLIC_DISC, MetricId.HYPERBOLIC_HALF_PLANE)
     routes = []
     for r in rs:
@@ -466,33 +468,34 @@ def _boundary_route(f: MapExpr, rs, target: MetricId):
         ):
             inside = None
         routes.append(inside)
-    return routes, _first_points(degree)
+    return routes, _first_points(degree), counted
 
 
-def _sphere_chart(f: MapExpr, rs, finite_origin: bool):
-    """(g, g0, routes, first): the chart g, f or 1/f, which the spherical
-    metric does not tell apart, for the spherical area, S and T of f on the
-    circles |z| = r of rs; g0 = g(0), 0 at a pole, and routes, first from
-    _boundary_route(g, rs, SPHERICAL).  g is 1/f when f(0) is infinite, and
-    when 1/f is on the route at more radii than f (a pole of f on a circle
-    is a zero of 1/f) unless finite_origin asks for g(0) finite and f(0)
-    is 0.  1/f is tried only then: its divisor may cost a root finding."""
-    routes, first = _boundary_route(f, rs, MetricId.SPHERICAL)
+def _sphere_chart(f: MapExpr, rs, finite_origin: bool, reach: float):
+    """(g, g0, routes, first, counted): the chart g, f or 1/f, which the
+    spherical metric does not tell apart, for the spherical area, S and T
+    of f on the circles |z| = r of rs; g0 = g(0), 0 at a pole, and routes,
+    first, counted from _boundary_route(g, rs, SPHERICAL, reach).  g is 1/f
+    when f(0) is infinite, and when 1/f is on the route at more radii than
+    f (a pole of f on a circle is a zero of 1/f) unless finite_origin asks
+    for g(0) finite and f(0) is 0.  1/f is tried only then: its divisor
+    may cost a root finding."""
+    routes, first, counted = _boundary_route(f, rs, MetricId.SPHERICAL, reach)
     served = sum(p is not None for p in routes)
     # a map on the route at some radius is meromorphic at 0
     origin = evaluate(f, 0.0) if served else None
     if served == len(rs) and not origin.is_pole:
-        return f, origin.value, routes, first
+        return f, origin.value, routes, first, counted
     g = Quotient(ConstMap(1.0), f)
-    g_routes, g_first = _boundary_route(g, rs, MetricId.SPHERICAL)
-    if sum(p is not None for p in g_routes) > served:
+    g_route = _boundary_route(g, rs, MetricId.SPHERICAL, reach)
+    if sum(p is not None for p in g_route[0]) > served:
         origin = evaluate(f, 0.0)
         swap = origin.is_pole or origin.value != 0 or not finite_origin
     else:
         swap = served and origin.is_pole
     if swap:
-        return g, evaluate(g, np.zeros(1))[0][0], g_routes, g_first
-    return f, origin.value if served else None, routes, first
+        return (g, evaluate(g, np.zeros(1))[0][0], *g_route)
+    return f, origin.value if served else None, routes, first, counted
 
 
 def _first_points(degree):
@@ -661,7 +664,8 @@ def _on_circles(f: MapExpr, rs, target: MetricId, cfg: QuadConfig, want=("A",)):
     units of S, as are the numbers a PrecisionError or DivergenceError
     carries.  "A" is the image area in the target over |z| < r over 4 pi
     (r = 1 for the whole disc), S(r) for the sphere, and "T" the
-    Ahlfors-Shimizu characteristic, for the sphere alone at r < 1.
+    Ahlfors-Shimizu characteristic, for the sphere alone; T at r = 1 takes
+    the boundary route or raises StructureError.
 
     The radii on the boundary route (_boundary_route) are certified in one
     call of the circle rule, to cfg's tolerances on 4 pi times each value;
@@ -680,13 +684,33 @@ def _on_circles(f: MapExpr, rs, target: MetricId, cfg: QuadConfig, want=("A",)):
     Green's theorem and the Ahlfors-Shimizu first main theorem (Hayman,
     Meromorphic Functions, 1964, sec. 1.5).  T's second form is less its
     linear part at g(0) on the circles with no pole inside, where that
-    part integrates to 0; elsewhere its two forms are one."""
+    part integrates to 0, nor a peeled pole outside, whose peak that part
+    keeps; elsewhere its two forms are one.
+
+    T's samples take a Jensen peel.  Near a pole b of g, log(1 + |g|^2)
+    is about -log|z - b|^2, and on a circle a relative distance d from b
+    the trapezoid rule needs about 4 log(1/tol)/d points.  So each pole
+    that counts, inside or outside, closer than band = 4 log(1/tol) /
+    _MAX_PANELS (relative to r, tol the circle rule's absolute tolerance),
+    where the circle could not certify without the peel, adds
+    log|z - b|^2 to both forms, and its circle mean 2 log max(r, |b|)
+    (Jensen's formula) leaves through the shift.  Poles farther out are not
+    peeled: on |z| = 1 a Blaschke quotient's integrand is constant, and
+    the peel would make it vary."""
+    band = 0.0
+    if "T" in want:
+        band = max(0.0, 4.0 * math.log(4.0 * math.pi / cfg.abs_tol) / _MAX_PANELS)
     if target is MetricId.SPHERICAL:
-        g, g0, routes, first = _sphere_chart(f, rs, "T" in want)
+        g, g0, routes, first, counted = _sphere_chart(f, rs, "T" in want, 1.0 + band)
     else:
-        g, g0, (routes, first) = f, None, _boundary_route(f, rs, target)
+        g, g0, (routes, first, counted) = f, None, _boundary_route(f, rs, target)
     out = tuple([None] * len(rs) for _ in want)
     off = [i for i, poles in enumerate(routes) if poles is None]
+    if "T" in want and any(rs[i] == 1.0 for i in off):
+        raise StructureError(
+            "T at r = 1 takes the boundary route alone: a disc map with a known"
+            " divisor and no pole or essential point on the circle"
+        )
     for q, column in zip(want, out):
         if off and q == "A" and "T" in want:
             values = _on_circles(f, [rs[i] for i in off], target, cfg)[0]
@@ -701,36 +725,56 @@ def _on_circles(f: MapExpr, rs, target: MetricId, cfg: QuadConfig, want=("A",)):
         g0 = evaluate(g, np.zeros(1))[0][0]
     slope0 = _slope(target, np.array([g0]))[0]
     scale0 = 1.0 + _abs2(g0)
-    linear = np.array([not routes[i] for i in on])
+    peeled = [[b for b in counted if abs(abs(b) - rs[i]) < band * rs[i]] for i in on]
+    linear = np.array([not routes[i] and not near for i, near in zip(on, peeled)])
+    peeling = any(peeled)
 
-    def log_ratio(jets, rows):
+    def log_ratio(jets, z, rows):
         w = jets[0]
         diff = w - g0
         # log1p of (|g|^2 - |g0|^2)/(1 + |g0|^2), exact to rounding near g0
-        plain = np.log1p((diff * np.conj(w + g0)).real / scale0)
-        part = np.where(linear[rows, None], 2.0 * (slope0 * diff).real, 0.0)
+        ratio = (diff * np.conj(w + g0)).real / scale0
+        plain = np.log1p(ratio)
         size = np.abs(diff) * (np.abs(w) + abs(g0)) / (1.0 + _abs2(w)) + np.abs(plain)
+        # where |g| is well below |g0|, which needs |g0| > 1, log1p would
+        # swell the rounding of the ratio up to 1 + |g0|^2 times: there the
+        # two logs go apart
+        if scale0 > 2.0:
+            low = ratio < -0.5
+            logs = np.log1p(_abs2(w[low]))
+            plain[low], size[low] = logs - math.log(scale0), logs + math.log(scale0)
+        if peeling:
+            for k, j in enumerate(rows):
+                for b in peeled[j]:
+                    term = np.log(_abs2(z[k] - b))
+                    plain[k] += term
+                    size[k] += np.abs(term)
+        part = np.where(linear[rows, None], 2.0 * (slope0 * diff).real, 0.0)
         return np.stack((plain, plain - part)), np.stack((size, size + np.abs(part)))
 
     def sample(z, rows):
         jets = evaluate(g, z)
         terms = [
-            _area_terms(jets, z, target, slope0) if q == "A" else log_ratio(jets, rows)
+            _area_terms(jets, z, target, slope0) if q == "A" else log_ratio(jets, z, rows)
             for q in want
         ]
         if len(terms) == 1:
             return terms[0][0][:, None], terms[0][1][:, None]
         return np.stack([h for h, _ in terms], axis=1), np.stack([m for _, m in terms], axis=1)
 
+    def t_shift(j, i):
+        jensen = [-math.log(max(rs[i], abs(b))) for b in peeled[j]]
+        return 2.0 * math.fsum([math.log(rs[i] / abs(b)) for b in routes[i]] + jensen)
+
     shifts = {
-        "A": lambda i: 2.0 * len(routes[i]),
-        "T": lambda i: 2.0 * math.fsum(math.log(rs[i] / abs(b)) for b in routes[i]),
+        "A": lambda j, i: 2.0 * len(routes[i]),
+        "T": t_shift,
     }
     values, bounds = _circle_rule(
         sample,
         np.array([rs[i] for i in on]),
         0.5,
-        np.array([[shifts[q](i) for i in on] for q in want]),
+        np.array([[shifts[q](j, i) for j, i in enumerate(on)] for q in want]),
         cfg.abs_tol / (4.0 * math.pi),
         cfg.rel_tol,
         first,

@@ -12,7 +12,8 @@ T by the Ahlfors-Shimizu first main theorem), for a disc map with a known
 divisor and no pole or essential point on the circle nor an essential
 point inside; the nested route, one radial quadrature, otherwise.  Both
 certify each circle by the circle rule of geodesics, or raise
-PrecisionError.
+PrecisionError.  T's samples take a Jensen peel for the poles near the
+circle.  origin_identity_T is T(1) on the boundary route alone.
 
 The decomposition writes a map f, analytic across the closed disc apart
 from interior zeros and poles, as f0/finf with |f0|^2 + |finf|^2 = 1 on
@@ -44,6 +45,9 @@ from .maps import BlaschkeDisc, MapExpr, _as_batch, _cancelled, _check_domain, e
 from .metrics import MetricId, _abs2, chordal, is_infinite
 
 _BOUNDARY_GAP = 1e-6
+# origin_identity_T certifies T(1) to 1e-12: the circle rule's tolerance
+# on T is abs_tol / (4 pi)
+_ORIGIN_CFG = QuadConfig(abs_tol=4e-12 * math.pi, rel_tol=1e-12)
 # a block of powers is _ROWS points x _K coefficients, 64 KiB of complex:
 # 256-point blocks raised peak memory by more than they saved time
 _K = 64
@@ -142,20 +146,18 @@ def _circle(m: int):
     return z
 
 
-def _log_chordal(jets, sides: int = 2):
+def _log_chordal(jets):
     """log k(f, 0) and log k(f, infinity) from f's jets at an array of
-    points, as evaluate gives them; with sides = 1 the second is None.
-    Values off the closed unit disc go through w -> 1/w, under which the
-    chordal distance is invariant, so nothing overflows; a pole is the
-    point 1/0 of that chart."""
+    points, as evaluate gives them.  Values off the closed unit disc go
+    through w -> 1/w, under which the chordal distance is invariant, so
+    nothing overflows; a pole is the point 1/0 of that chart."""
     value, _, pole = jets
     big = np.abs(value) > 1.0
     u = np.where(big, 1.0 / np.where(big, value, 1.0), value)
     big |= pole
     root = np.sqrt(1.0 + _abs2(u))
     near, far = 2.0 * np.abs(u) / root, 2.0 / root
-    u0 = np.log(np.where(big, far, near))
-    return u0, (np.log(np.where(big, near, far)) if sides == 2 else None)
+    return np.log(np.where(big, far, near)), np.log(np.where(big, near, far))
 
 
 def _origin_T(zeros, origin, u0) -> float:
@@ -284,7 +286,7 @@ class Decomposition:
         keep = ~pole
         quot = np.max(np.abs(v0[keep] / vinf[keep] - w[keep]), initial=0.0)
         lhs = abs(self.f0_at(0j)) ** 2 + abs(self.finf_at(0j)) ** 2
-        u0, _ = _log_chordal(jets, sides=1)
+        u0, _ = _log_chordal(jets)
         origin_gap = abs(math.exp(-2.0 * _origin_T(zeros, origin, u0)) - lhs)
         return float(pyth), float(quot), origin_gap
 
@@ -312,20 +314,17 @@ class Decomposition:
         return "\n".join(lines) + "\n"
 
 
-def _boundary_data(f: MapExpr, boundary_samples: int, sides: int = 2):
-    """(m, u0, c0, cinf): log k(f, 0) at m circle points and the rfft / m of
-    log k(f, 0) and of log k(f, infinity), m doubling from boundary_samples
-    until both Fourier tails resolve.  With sides = 1 only the zero side
-    is transformed and gated, and cinf is None."""
+def _boundary_data(f: MapExpr, boundary_samples: int):
+    """(m, c0, cinf): the rfft / m of log k(f, 0) and of log k(f, infinity)
+    at m circle points, m doubling from boundary_samples until both
+    Fourier tails resolve."""
     m = int(boundary_samples)
     if m < 256 or m & (m - 1):
         raise ValueError("boundary_samples must be a power of two, at least 256")
     while True:
-        u0, uinf = _log_chordal(evaluate(f, _circle(m)), sides)
-        c0 = np.fft.rfft(u0) / m
-        cinf = None if uinf is None else np.fft.rfft(uinf) / m
-        if _tail_ok(c0, m) and (cinf is None or _tail_ok(cinf, m)):
-            return m, u0, c0, cinf
+        c0, cinf = (np.fft.rfft(u) / m for u in _log_chordal(evaluate(f, _circle(m))))
+        if _tail_ok(c0, m) and _tail_ok(cinf, m):
+            return m, c0, cinf
         m *= 2
         if m > 65536:
             raise ResolutionError(
@@ -341,7 +340,7 @@ def fatou_decompose(f: MapExpr, boundary_samples: int = 4096) -> Decomposition:
     them close to the circle and f(0) neither 0 nor infinity.
     """
     zeros, poles, origin = _gate(f)
-    m, _, c0, cinf = _boundary_data(f, boundary_samples)
+    m, c0, cinf = _boundary_data(f, boundary_samples)
 
     # the Nyquist coefficient is below the tail gate; drop it for a clean
     # analytic completion
@@ -364,17 +363,14 @@ def fatou_decompose(f: MapExpr, boundary_samples: int = 4096) -> Decomposition:
     )
 
 
-def origin_identity_T(f: MapExpr, boundary_samples: int = 4096) -> float:
-    """T(1) for a map analytic across the closed circle, via the origin
-    identity: minus the log moduli of the zeros, plus the boundary mean of
-    log of the chordal ratio k(f(0), 0)/k(f(zeta), 0), on samples that
-    double as in fatou_decompose until they resolve, or raise
-    ResolutionError past 65536.  Only log k(f, 0) is transformed and
-    gated: the infinity side, which the value does not read, may resolve
-    later."""
-    zeros, _, origin = _gate(f)
-    _, u0, _, _ = _boundary_data(f, boundary_samples, sides=1)
-    return _origin_T(zeros, origin, u0)
+def origin_identity_T(f: MapExpr) -> float:
+    """T(1) for a map analytic across the closed circle apart from zeros
+    and poles: the Ahlfors-Shimizu T of geodesics._on_circles at r = 1,
+    certified by the circle rule to 1e-12 or PrecisionError, with the
+    Jensen peel for poles near the circle.  The gate in front raises for
+    the maps fatou_decompose refuses."""
+    _gate(f)
+    return _on_circles(f, [1.0], MetricId.SPHERICAL, _ORIGIN_CFG, ("T",))[0][0][0]
 
 
 def uniform_characteristic_delta(f, probe_points, boundary_samples: int = 4096):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from circle_oracle import ExpMobius, Rational, mpmath
 
-from arclab import geodesics
+from arclab import geodesics, nevanlinna
 from arclab.errors import (
     BoundarySingularityError,
     DataError,
@@ -88,6 +88,14 @@ def _criterion_10(n_zeros, n_poles):
     )
     zeros, poles = tuple(points[:n_zeros].tolist()), tuple(points[n_zeros:].tolist())
     return Quotient(BlaschkeDisc(zeros), BlaschkeDisc(poles)), zeros, poles
+
+
+def _certified_T1(f, oracle):
+    """origin_identity_T(f) is the T(1) of _on_circles, within its bound
+    and 1e-12 of the oracle."""
+    value, bound = _on_circles(f, [1.0], SPHERICAL, nevanlinna._ORIGIN_CFG, ("T",))[0][0]
+    assert origin_identity_T(f) == value
+    assert abs(value - oracle.T(1)) <= min(bound, 1e-12)
 
 
 class TestRhoOfR:
@@ -411,19 +419,17 @@ class TestDecomposition:
     def test_origin_identity_resolves_near_the_circle(self):
         # f = z - a, with its zero at a, has
         # T(1) = log((2 + a^2 + sqrt(4 + a^4))/2)/2 - log(1 + a^2)/2; the
-        # boundary data of a = 0.999 need 16 384 samples, of 0.9995 32 768
-        for a in (0.5, 0.99, 0.999, 0.9995):
+        # zero side is smooth on the circle, so no a needs many samples
+        for a in (0.5, 0.99, 0.999, 0.9995, 0.9999, 0.99999):
             expect = 0.5 * math.log((2 + a * a + math.sqrt(4 + a**4)) / 2)
             expect -= 0.5 * math.log(1 + a * a)
             assert origin_identity_T(Shift(-a)) == pytest.approx(expect, abs=1e-10)
-        with pytest.raises(ResolutionError, match="65536"):
-            origin_identity_T(Shift(-0.9999))
 
     def test_origin_identity_reads_only_the_zero_side(self):
-        # f = 1/(z - p) with its pole just outside the circle: log k(f, 0)
-        # is smooth there and resolves at 4 096 samples, log k(f, inf) has
-        # a log singularity at p and does not resolve by 65 536, and
-        # T(1, f) = T(1, z - p) has the closed form above
+        # f = 1/(z - p) with its pole just outside the circle: T's
+        # integrand log(1 + |f|^2) peaks at p, and the Jensen peel makes it
+        # smooth; log k(f, inf) has a log singularity at p and does not
+        # resolve by 65 536, and T(1, f) = T(1, z - p) has the closed form above
         for p in (1.001, 1.0001):
             f = MobiusMap(MobiusTransform(0, 1, 1, -p))
             expect = 0.5 * math.log((2 + p * p + math.sqrt(4 + p**4)) / 2)
@@ -432,9 +438,81 @@ class TestDecomposition:
         with pytest.raises(ResolutionError, match="65536"):
             fatou_decompose(f)
 
-    def test_origin_identity_sample_count_is_a_power_of_two(self):
-        with pytest.raises(ValueError, match="power of two"):
-            origin_identity_T(BlaschkeDisc((0.5 + 0j,)), 100)
+    @pytest.mark.parametrize(
+        "n_zeros,n_poles", [(z, p) for z in range(5) for p in range(5) if z or p]
+    )
+    def test_origin_identity_on_criterion_10_maps(self, n_zeros, n_poles):
+        # |f| = 1 on the circle: T's integrand is constant there, and none of
+        # the poles 1/conj(b) is close enough to it to be peeled
+        f, zeros, poles = _criterion_10(n_zeros, n_poles)
+        top, bottom = Rational.blaschke(zeros), Rational.blaschke(poles)
+        oracle = Rational(top.zeros + bottom.poles, top.poles + bottom.zeros,
+                          top.scale / bottom.scale)
+        _certified_T1(f, oracle)
+
+    def test_origin_identity_with_a_pole_near_the_circle(self):
+        # (z - 0.999)/(z + 1.001): the unpeeled integrand peaks at -1.001
+        f = MobiusMap(MobiusTransform(1, -0.999, 1, 1.001))
+        _certified_T1(f, Rational([0.999], [-1.001]))
+
+    @pytest.mark.parametrize("p", [1.001, 1.0001, 1.003, 1.01, 1.05, 1.2, 2.0])
+    def test_origin_identity_with_a_pole_outside(self, p):
+        # the poles closer than the band are peeled, the others are not
+        _certified_T1(MobiusMap(MobiusTransform(0, 1, 1, -p)), Rational([], [p]))
+
+    @pytest.mark.parametrize("r", [0.899, 0.8995, 0.9005])
+    def test_T_beside_a_pole_takes_the_peel(self, r):
+        # z/(z - 0.9) on circles a relative 1e-3 or less from its pole,
+        # inside and outside it
+        f = MobiusMap(MobiusTransform(1, 0, 1, -0.9))
+        value, bound = _on_circles(f, [r], SPHERICAL, AREA_DEFAULT, ("T",))[0][0]
+        assert bound >= abs(value - Rational([0], [0.9]).T(r))
+        assert shimizu_T(f, r) == value
+
+    @pytest.mark.parametrize("a", [1e-3, 1e-6])
+    def test_T_with_a_large_value_at_the_origin_keeps_its_precision(self, a):
+        # f = 1/B with B's zero at a has |f(0)| = 1/a and |f| = 1 on the
+        # unit circle: log1p of T's log ratio, near -1 there, would swell
+        # its rounding by up to 1 + 1/a^2 (2e-5 at a = 1e-6)
+        f = Quotient(ConstMap(1.0), BlaschkeDisc((a,)))
+        top = Rational.blaschke([a])
+        oracle = Rational(top.poles, top.zeros, 1 / top.scale)
+        _certified_T1(f, oracle)
+        value, bound = _on_circles(f, [0.9], SPHERICAL, AREA_DEFAULT, ("T",))[0][0]
+        assert abs(value - oracle.T(0.9)) <= min(bound, AREA_DEFAULT.abs_tol / (4 * math.pi))
+
+    def test_T_with_no_pole_near_reads_the_divisor_once(self, monkeypatch):
+        # Koebe . scale(0.5) has its pole at 2, outside the peel's band of
+        # every circle: polar_divisor's read is the only one, as for areas
+        calls = []
+        divisor = Compose.divisor
+        monkeypatch.setattr(Compose, "divisor", lambda self: calls.append(1) or divisor(self))
+        for r in (0.5, 0.95):
+            shimizu_T(KOEBE_HALF, r)
+        assert len(calls) == 2
+
+    def test_T_beside_a_pole_keeps_the_plain_form(self):
+        # the pole at a, a relative 8e-4 outside |z| = 0.9, is peeled; the
+        # linear part at g(0) keeps its peak, so the form less that part
+        # would not certify, although its first samples are the smaller
+        a, inner = 0.043381 - 0.899667j, (-0.312071 - 0.042939j, 0.475351 - 0.467783j)
+        f = Quotient(BlaschkeDisc(inner), BlaschkeDisc((a,)))
+        top, bottom = Rational.blaschke(inner), Rational.blaschke([a])
+        oracle = Rational(top.zeros + bottom.poles, top.poles + bottom.zeros,
+                          top.scale / bottom.scale)
+        value, bound = _on_circles(f, [0.9], SPHERICAL, AREA_DEFAULT, ("T",))[0][0]
+        assert bound >= abs(value - oracle.T(0.9))
+
+    def test_T_at_one_off_the_route_raises(self, monkeypatch):
+        # the divisor of the composition raises, so |z| = 1 is off the
+        # route; the nested route's r = 1 branch is the area window loop,
+        # which T must never reach, S with it or not
+        f = Compose(BlaschkeDisc((0.5,)), BlaschkeDisc((0.3, -0.4)))
+        calls = _spy_nested(monkeypatch)
+        for want in (("T",), ("A", "T")):
+            with pytest.raises(StructureError, match="r = 1"):
+                _on_circles(f, [1.0], SPHERICAL, CFG, want)
+        assert calls == []
 
     def test_vanishing_at_origin_rejected(self):
         with pytest.raises(NormalizationError):
