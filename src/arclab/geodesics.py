@@ -23,11 +23,12 @@ _boundary_route allows it from the divisor alone: a disc map with a known
 divisor, no pole or essential point on the circle |z| = r, no essential
 point inside and, for the Euclidean and the two hyperbolic targets, no
 pole inside that a zero does not cancel; r = 1 in the hyperbolic targets
-takes the nested route.  Such a pole makes the Euclidean area infinite,
-which raises PrecisionError before any quadrature.  For the sphere the
-map is f or 1/f, whichever _sphere_chart picks.  With Phi a potential
-whose Laplacian is the squared target density (|w|^2/4, log(1 + |w|^2),
--log(1 - |w|^2), -log Im w), Green's theorem gives
+takes the nested route.  Such a pole, or one that counts on the circle,
+makes the Euclidean area infinite, which raises PrecisionError before any
+quadrature.  For the sphere the map is f or 1/f, whichever _sphere_chart
+picks.  With Phi a potential whose Laplacian is the squared target
+density (|w|^2/4, log(1 + |w|^2), -log(1 - |w|^2), -log Im w), Green's
+theorem gives
 
     A(r) = int_0^{2 pi} 2 Re(z f'(z) dPhi/dw(f(z))) dtheta  [+ 4 pi n(r, inf)]
 
@@ -422,12 +423,13 @@ def circle_energy(
     return _circle_energies(f, np.array([t], dtype=float), target, rel_tol, max_panels)[0].item()
 
 
-def _boundary_route(f: MapExpr, rs, target: MetricId, reach: float = 1.0):
+def _boundary_route(f: MapExpr, rs, target: MetricId, reach: float = 1.0, cfg=None):
     """(routes, first, counted): for each radius r of rs, the poles of f in
     |z| < r when its area in the target over |z| < r takes the boundary
     route, else None for the nested route; the point count the circle rule
     starts at, _first_points of the number of f's zeros and poles; and the
-    poles of f that count, which _cancelled leaves, in |z| < reach max(rs).
+    poles of f that count, which _cancelled leaves, in |z| < reach max(rs),
+    and for the Euclidean target on and just past the circle too.
 
     The route needs a disc map whose divisor() is known, read through
     polar_divisor(), with no pole or essential point on the closed disc
@@ -435,16 +437,24 @@ def _boundary_route(f: MapExpr, rs, target: MetricId, reach: float = 1.0):
     and r < 1 for the hyperbolic targets.  Points within _ON_CIRCLE of the
     circle, relative to r, count as on it, all the poles listed included.
     A pole counts only where _cancelled leaves it: divisor() is read for
-    that only when a pole lies inside reach times the largest circle.  A
-    pole that counts, inside deeper than that band, makes the Euclidean
-    area infinite: that target raises PrecisionError for it at once."""
+    that only when a pole lies inside the window.  Near a pole p of order
+    k, |f'|^2 grows as |z - p|^(-2k-2), so the Euclidean target raises
+    PrecisionError at once, error bound inf, for a pole that counts:
+    - inside deeper than that band: the area is infinite, as is the
+      estimate;
+    - else in the band: the area is infinite, or beyond certifying when
+      the pole lies just outside.  The estimate is the area over
+      |z| < r/2 to cfg's tolerances, or that circle's best estimate, a
+      lower bound, since no pole that counts lies inside."""
     if f.domain is MetricId.HYPERBOLIC_HALF_PLANE:
         return [None] * len(rs), None, []
     try:
         poles, essential, degree = f.polar_divisor()
     except StructureError:
         return [None] * len(rs), None, []
-    near = reach * max(rs)
+    euclidean = target is MetricId.EUCLIDEAN
+    # the Euclidean window takes in the band of the largest circle
+    near = max(rs) * (1.0 + 2.0 * _ON_CIRCLE if euclidean else reach)
     counted = [p for p in poles if abs(p) < near]
     if counted:
         zeros, listed, _ = f.divisor()
@@ -454,10 +464,24 @@ def _boundary_route(f: MapExpr, rs, target: MetricId, reach: float = 1.0):
     for r in rs:
         inside = [p for p in counted if abs(p) < r]
         deep = [p for p in inside if abs(p) < r * (1.0 - _ON_CIRCLE)]
-        if deep and target is MetricId.EUCLIDEAN:
+        if deep and euclidean:
             raise PrecisionError(
                 f"the pole at {deep[0]!r} makes the Euclidean area over |z| < {r!r} infinite",
                 estimate=math.inf,
+                error_bound=math.inf,
+            )
+        edge = [p for p in counted if abs(p) <= r * (1.0 + _ON_CIRCLE)]
+        if edge and euclidean:
+            try:
+                estimate = _on_circles(f, [0.5 * r], target, cfg)[0][0][0]
+            except PrecisionError as exc:
+                estimate = exc.estimate
+            raise PrecisionError(
+                f"the Euclidean area over |z| < {r!r} did not certify: the pole at"
+                f" {edge[0]!r} lies on the circle up to a relative {_ON_CIRCLE}, which"
+                " makes the area infinite, or beyond certifying if it lies just outside;"
+                f" the estimate is the area over |z| < {0.5 * r!r}",
+                estimate=estimate,
                 error_bound=math.inf,
             )
         if (
@@ -703,7 +727,7 @@ def _on_circles(f: MapExpr, rs, target: MetricId, cfg: QuadConfig, want=("A",)):
     if target is MetricId.SPHERICAL:
         g, g0, routes, first, counted = _sphere_chart(f, rs, "T" in want, 1.0 + band)
     else:
-        g, g0, (routes, first, counted) = f, None, _boundary_route(f, rs, target)
+        g, g0, (routes, first, counted) = f, None, _boundary_route(f, rs, target, cfg=cfg)
     out = tuple([None] * len(rs) for _ in want)
     off = [i for i, poles in enumerate(routes) if poles is None]
     if "T" in want and any(rs[i] == 1.0 for i in off):
@@ -807,7 +831,9 @@ def _nested(f: MapExpr, r: float, target: MetricId, cfg: QuadConfig, quantity: s
     and r past tanh(DISC_RHO_MAX/2) raises ValueError.  At r = 1 the area is
     summed over radial windows of width 5 with a Cauchy stopping rule, and
     declared divergent after two consecutive growing increments; the last
-    window's increment is the tail allowance, a heuristic."""
+    window's increment is the tail allowance, a heuristic.  A stall inside
+    a window raises PrecisionError with the windows done as the estimate,
+    a lower bound, and bound inf."""
     if quantity == "A" and math.tanh(DISC_RHO_MAX / 2.0) < r < 1.0:
         raise ValueError(f"rho must be in (0, {DISC_RHO_MAX}] or infinite")
     if f.domain is MetricId.HYPERBOLIC_HALF_PLANE:
@@ -828,7 +854,11 @@ def _nested(f: MapExpr, r: float, target: MetricId, cfg: QuadConfig, quantity: s
         partials, prev_inc, rising = [], math.inf, 0
         while lo < DISC_RHO_MAX:
             hi = min(lo + 5.0, DISC_RHO_MAX)
-            inc, inc_err = adaptive_integrate(radial, lo, hi, cfg)
+            try:
+                inc, inc_err = adaptive_integrate(radial, lo, hi, cfg)
+            except PrecisionError as exc:
+                # the windows done are a lower bound: the integrand is >= 0
+                raise PrecisionError(exc.reason, estimate=total, error_bound=math.inf) from None
             total, err, lo = total + inc, err + inc_err, hi
             partials.append(total)
             rising = rising + 1 if inc > prev_inc else 0

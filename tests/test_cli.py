@@ -299,7 +299,8 @@ class TestArea:
         assert value == pytest.approx(4 * math.pi, rel=1e-4)
 
     def test_unsettled_area_exits_one_with_its_best_estimate(self, capsys):
-        # the Koebe circle energy in E never settles past t = 6.5
+        # the Koebe pole z = 1 lies on the circle, so the Euclidean area is
+        # infinite; it raises from the divisor, with the area over |z| < 1/2
         code, out, err = run(
             capsys, "area", "--func", "koebe()", "--target", "E", "--rho", "inf"
         )
@@ -310,6 +311,23 @@ class TestArea:
         estimates = [l for l in lines if l.startswith("best estimate: ")]
         assert len(estimates) == 1
         assert math.isfinite(float(estimates[0].split(": ")[1]))
+
+    def test_nested_stall_estimates_an_area(self, capsys):
+        # a degree-2 Blaschke product off the boundary route (its inner
+        # product is not Moebius), whose area is 2 pi: a circle stalls past
+        # the first windows, and the estimate is the windows done, not the
+        # energy of the circle that stalled
+        f = (
+            "blaschke_disc([0.5+0i]) . "
+            "blaschke_disc([0.9988075016431207+0.048576997584143834i,-0.4+0i])"
+        )
+        code, out, err = run(capsys, "area", "--func", f, "--target", "E", "--rho", "inf")
+        assert code == 1
+        assert out == ""
+        estimates = [l for l in err.splitlines() if l.startswith("best estimate: ")]
+        assert len(estimates) == 1
+        assert 0 < float(estimates[0].split(": ")[1]) <= 2 * math.pi * (1 + 1e-9)
+        assert "error bound inf" in err
 
     def test_divergent_improper_exits_one(self, capsys):
         code, out, err = run(

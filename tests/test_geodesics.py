@@ -34,6 +34,7 @@ from arclab.maps import (
     BlaschkeDisc,
     BlaschkeHalfPlane,
     Compose,
+    ConstMap,
     Identity,
     Koebe,
     MobiusMap,
@@ -764,6 +765,59 @@ class TestAreaRoutes:
         assert bound >= abs(value - Rational([0.500000001], [0.5]).area(r, "S"))
         assert value == 12.566370614359172
 
+    @staticmethod
+    def _raises_from_the_divisor(f, rho, monkeypatch):
+        """The PrecisionError of f's Euclidean area at rho, a pole on the
+        circle: bound inf, the estimate the area over half the radius, as
+        _on_circles certifies it, and no nested work; returns that area's
+        (value, bound)."""
+        r = 1.0 if math.isinf(rho) else math.tanh(rho / 2)
+        half = [4 * math.pi * v for v in geodesics._on_circles(f, [0.5 * r], E, AREA_DEFAULT)[0][0]]
+        monkeypatch.setattr(geodesics, "_nested", None)
+        monkeypatch.setattr(geodesics, "_circle_energies", None)
+        with pytest.raises(PrecisionError, match="did not certify") as exc_info:
+            area_with_bound(f, rho, E)
+        assert math.isinf(exc_info.value.error_bound)
+        assert exc_info.value.estimate == half[0]
+        return half
+
+    @pytest.mark.parametrize("turn", [0.0, 1.0])
+    def test_koebe_pole_on_the_circle_raises_from_the_divisor(self, turn, monkeypatch):
+        # |f'|^2 grows as |z - p|^-6 at the double pole p = e^{-i turn}, so
+        # the area is infinite; the estimate, the area over |z| < 1/2, is
+        # pi x (1 + 4x + x^2)/(1 - x)^4 at x = 1/4 in closed form
+        f = Compose(Koebe(), Scale(cmath.exp(1j * turn))) if turn else Koebe()
+        value, bound = self._raises_from_the_divisor(f, math.inf, monkeypatch)
+        assert _koebe_area(0.25) == pytest.approx(5.1196324725167, abs=1e-12)
+        assert abs(value - _koebe_area(0.25)) <= bound
+
+    def test_pole_just_inside_the_circle_raises_from_the_divisor(self, monkeypatch):
+        # 1/(z - 1/2) at rho = ln 3, whose circle passes a rounding outside
+        # the pole: -2 sum (2z)^n has area 4 pi y/(1 - y)^2 over |z| < s,
+        # y = 4 s^2, which is r^2 at s = r/2
+        rho = math.log(3.0)
+        assert math.tanh(rho / 2) == 0.5000000000000001
+        f = Quotient(ConstMap(1.0), Shift(-0.5))
+        value, bound = self._raises_from_the_divisor(f, rho, monkeypatch)
+        y = math.tanh(rho / 2) ** 2
+        assert abs(value - 4 * math.pi * y / (1 - y) ** 2) <= bound
+
+    @pytest.mark.parametrize("rho", [math.log(3.0), math.inf])
+    def test_a_cancelled_pair_on_the_circle_keeps_its_route(self, rho):
+        # (z - p)(z - 0.3)/(z - p) with p on the circle is z - 0.3: the
+        # pair cancels, so nothing raises, and the nested route gives pi r^2
+        r = 1.0 if math.isinf(rho) else math.tanh(rho / 2)
+        p = 1.0 if math.isinf(rho) else 0.5
+        f = Quotient(Product(Shift(-p), Shift(-0.3)), Shift(-p))
+        value, bound = area_with_bound(f, rho, E)
+        assert bound >= abs(value - math.pi * r * r)
+
+    def test_a_pole_past_the_band_keeps_its_value(self):
+        # koebe() . scale(1/1.01) has its double pole at 1.01: finite area
+        s = 1 / 1.01
+        value, bound = area_with_bound(Compose(Koebe(), Scale(s)), math.inf, E)
+        assert abs(value - _koebe_area(s * s)) <= bound
+
 
 class TestArea:
     def test_identity_euclidean_disc_area(self):
@@ -805,9 +859,8 @@ class TestArea:
         assert len(sums) >= 2 and sums[-1] > sums[0]
 
     def test_unresolvable_euclidean_area_is_precision_error(self):
-        # the integrand near the boundary outruns the angular panel budget
-        # before the window comparison can settle; the stall is reported
-        # as a precision failure carrying the best estimate, not a value
+        # the pole z = 1 on the circle makes the area infinite; the divisor
+        # shows it, and the failure carries a lower estimate, not a value
         with pytest.raises(PrecisionError) as exc_info:
             area(Koebe(), math.inf, E, AREA_DEFAULT)
         assert exc_info.value.estimate > 0
