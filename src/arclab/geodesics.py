@@ -495,7 +495,7 @@ def _boundary_route(f: MapExpr, rs, target: MetricId, reach: float = 1.0, cfg=No
     return routes, _first_points(degree), counted
 
 
-def _sphere_chart(f: MapExpr, rs, finite_origin: bool, reach: float):
+def _sphere_chart(f: MapExpr, rs, finite_origin: bool, reach: float, origin=None):
     """(g, g0, routes, first, counted): the chart g, f or 1/f, which the
     spherical metric does not tell apart, for the spherical area, S and T
     of f on the circles |z| = r of rs; g0 = g(0), 0 at a pole, and routes,
@@ -503,17 +503,20 @@ def _sphere_chart(f: MapExpr, rs, finite_origin: bool, reach: float):
     when f(0) is infinite, and when 1/f is on the route at more radii than
     f (a pole of f on a circle is a zero of 1/f) unless finite_origin asks
     for g(0) finite and f(0) is 0.  1/f is tried only then: its divisor
-    may cost a root finding."""
+    may cost a root finding.  origin is the Jet of f at 0 when the caller
+    has it, else evaluated here where needed."""
     routes, first, counted = _boundary_route(f, rs, MetricId.SPHERICAL, reach)
     served = sum(p is not None for p in routes)
     # a map on the route at some radius is meromorphic at 0
-    origin = evaluate(f, 0.0) if served else None
+    if served and origin is None:
+        origin = evaluate(f, 0.0)
     if served == len(rs) and not origin.is_pole:
         return f, origin.value, routes, first, counted
     g = Quotient(ConstMap(1.0), f)
     g_route = _boundary_route(g, rs, MetricId.SPHERICAL, reach)
     if sum(p is not None for p in g_route[0]) > served:
-        origin = evaluate(f, 0.0)
+        if origin is None:
+            origin = evaluate(f, 0.0)
         swap = origin.is_pole or origin.value != 0 or not finite_origin
     else:
         swap = served and origin.is_pole
@@ -682,14 +685,15 @@ def _circle_rule(sample, r, scale, shift, abs_tol, rel_tol, first, cap=_MAX_PANE
         del merged, new  # h alone holds the samples through the transform
 
 
-def _on_circles(f: MapExpr, rs, target: MetricId, cfg: QuadConfig, want=("A",)):
+def _on_circles(f: MapExpr, rs, target: MetricId, cfg: QuadConfig, want=("A",), origin=None):
     """The quantities in want at the radii rs: one list per quantity, in
     the order of want, of (value, error bound) at every radius, in the
     units of S, as are the numbers a PrecisionError or DivergenceError
     carries.  "A" is the image area in the target over |z| < r over 4 pi
     (r = 1 for the whole disc), S(r) for the sphere, and "T" the
     Ahlfors-Shimizu characteristic, for the sphere alone; T at r = 1 takes
-    the boundary route or raises StructureError.
+    the boundary route or raises StructureError.  origin, the Jet of f at
+    0 when the caller has it, spares _sphere_chart evaluating it again.
 
     The radii on the boundary route (_boundary_route) are certified in one
     call of the circle rule, to cfg's tolerances on 4 pi times each value;
@@ -725,7 +729,7 @@ def _on_circles(f: MapExpr, rs, target: MetricId, cfg: QuadConfig, want=("A",)):
     if "T" in want:
         band = max(0.0, 4.0 * math.log(4.0 * math.pi / cfg.abs_tol) / _MAX_PANELS)
     if target is MetricId.SPHERICAL:
-        g, g0, routes, first, counted = _sphere_chart(f, rs, "T" in want, 1.0 + band)
+        g, g0, routes, first, counted = _sphere_chart(f, rs, "T" in want, 1.0 + band, origin)
     else:
         g, g0, (routes, first, counted) = f, None, _boundary_route(f, rs, target, cfg=cfg)
     out = tuple([None] * len(rs) for _ in want)

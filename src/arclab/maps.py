@@ -393,8 +393,9 @@ def _running_sum(terms, axis):
 
 
 def _combined_product_jet(vals: np.ndarray, ders: np.ndarray, total=np.sum):
-    """Jets of finite products from per-factor jets, one product per row,
-    robust near zeros; total(terms, axis) sums the log-derivative terms."""
+    """Jets of finite products from per-factor jets, point-major: one
+    product per row, robust near zeros; total(terms, axis) sums the
+    log-derivative terms."""
     rows = np.arange(len(vals))
     k = np.argmin(np.abs(vals), axis=1)
     small = np.abs(vals[rows, k]) < 1e-8
@@ -421,17 +422,41 @@ def _combined_product_jet(vals: np.ndarray, ders: np.ndarray, total=np.sum):
     return value, derivative
 
 
-def _product_jet(z, n, factor_jets):
-    """Jets at the points z of a product of n factors; factor_jets(block)
-    gives the factors' values and derivatives at a column of points, one
-    row per point.  Rows go in blocks of at most _BLOCK elements."""
+def _tree(op, rows):
+    """rows[0] op rows[1] op ... over the rows of a 2-d array, by a
+    pairwise tree of elementwise calls: each level takes row i op row
+    half + i for the first half of the rows in one call, an odd last row
+    carried over, so that n rows take about log2(n) calls.  numpy reduces
+    a complex axis in an order that depends on the length of the other
+    axis, and rounds an in-place product of one element without the fused
+    multiply-add of its array loops; the tree uses neither, so a point
+    rounds alike alone and in any batch.  One row comes back as a view."""
+    while len(rows) > 1:
+        half = len(rows) // 2
+        pairs = op(rows[:half], rows[half : 2 * half])
+        rows = np.concatenate((pairs, rows[2 * half :])) if len(rows) % 2 else pairs
+    return rows[0]
+
+
+def _point_blocks(count, n):
+    """Slices of count points in blocks of at most _BLOCK point-factor
+    elements for n factors."""
+    step = max(1, _BLOCK // n)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _product_jet(z, n, block_jet):
+    """Jets at the points z of a product of n factors; block_jet(block)
+    gives the value and derivative at a block of the points, each block
+    of at most _BLOCK point-factor elements."""
     if n == 0:
         return np.ones_like(z), np.zeros_like(z), _finite(z)
+    parts = _point_blocks(len(z), n)
+    if len(parts) == 1:
+        return (*block_jet(z), _finite(z))
     value, derivative = np.empty_like(z), np.empty_like(z)
-    step = max(1, _BLOCK // n)
-    for lo in range(0, len(z), step):
-        rows = slice(lo, lo + step)
-        value[rows], derivative[rows] = _block_jet(z[rows, None], n, factor_jets)
+    for part in parts:
+        value[part], derivative[part] = block_jet(z[part])
     return value, derivative, _finite(z)
 
 
@@ -451,13 +476,14 @@ def _as_batch(block, n):
     return np.repeat(block, 2, axis=0) if len(block) * n == 1 else block
 
 
-def _check_factors(den, block, maybe, what):
-    """Raise at the first point of the column block where a factor's
-    denominator vanishes; only rows where maybe holds can have one."""
+def _check_factors(den, z, maybe, what, axis):
+    """Raise at the first of the points z where a factor's denominator
+    vanishes, den holding the factors along axis; only points where maybe
+    holds can have one."""
     if maybe.any():
-        hit = np.any(den == 0, axis=1)
+        hit = np.any(den == 0, axis=axis)
         if hit.any():
-            raise EvaluationError(f"{what} singular at {complex(block[hit][0, 0])}")
+            raise EvaluationError(f"{what} singular at {complex(z.reshape(-1)[hit][0])}")
 
 
 @dataclass(frozen=True)
@@ -467,6 +493,12 @@ class BlaschkeDisc(MapExpr):
     Factor for a zero a: (|a|/a) (a - z)/(1 - conj(a) z), the normaliser
     being skipped when a = 0 (that factor is plain -z).  An empty product
     is the constant 1.
+
+    The factors are evaluated factor-major: one row per factor, the points
+    along the contiguous last axis, and reduced over the factors by a
+    pairwise tree of elementwise calls (_tree), so that a point rounds
+    alike alone and in any batch.  The normalisers multiply into one
+    unimodular constant.
     """
 
     zeros: tuple
@@ -490,32 +522,65 @@ class BlaschkeDisc(MapExpr):
         # stays 1 to a ulp even for subnormal zeros, where a division-based
         # form loses precision or overflows outright
         norm[nz] = np.exp(-1j * np.arctan2(a[nz].imag, a[nz].real))
-        object.__setattr__(self, "_a", a)
-        object.__setattr__(self, "_conj_a", np.conj(a))
+        # columns, one row per factor, which broadcast against the points
+        object.__setattr__(self, "_a", a[:, None])
+        object.__setattr__(self, "_conj_a", np.conj(a)[:, None])
+        # the derivative of (a - z)/(1 - conj(a) z) is this over den^2
+        object.__setattr__(self, "_drop", (_abs2(a) - 1.0).astype(complex)[:, None])
         object.__setattr__(self, "_norm", norm)
-        object.__setattr__(self, "_norm_sq_drop", norm * (np.abs(a) ** 2 - 1.0))
+        object.__setattr__(self, "_unit", complex(np.prod(norm)))
 
-    def _factor_values(self, z):
-        """The factors' values and denominators at a column of points z,
-        one row per point."""
-        den = 1.0 - self._conj_a * z
+    def _factor_values(self, z, factors=slice(None)):
+        """(a - z)/(1 - conj(a) z), a - z and 1 - conj(a) z at the 1-d points
+        z for the zeros a that the slice factors picks, factor-major: one
+        row per factor, the points along the contiguous last axis."""
+        # a row, as the columns are 2-d: numpy rounds a product of one
+        # element broadcast to a new axis without the fused multiply-add of
+        # its array loops
+        row = z[None]
+        den = 1.0 - self._conj_a[factors] * row
         # the singular points 1/conj(a) lie outside the unit disc
-        _check_factors(den, z, np.abs(z) > 1.0, "Blaschke factor")
-        return self._norm * (self._a - z) / den, den
+        _check_factors(den, z, np.abs(z) > 1.0, "Blaschke factor", 0)
+        diff = self._a[factors] - row
+        return diff / den, diff, den
 
-    def _factor_jets(self, z):
-        vals, den = self._factor_values(z)
-        return vals, self._norm_sq_drop / (den * den)
+    def _block_jet(self, z):
+        """Value and derivative at the 1-d points z, robust near zeros:
+        the product times the sum of the factors' log-derivatives
+        (|a|^2 - 1)/((a - z)(1 - conj(a) z)).  A point with a factor within
+        1e-8 of zero splits it off, so that the sum stays tame, and a
+        second exact zero makes value and derivative vanish; each point
+        takes that branch on its own."""
+        vals, diff, den = self._factor_values(z)
+        size = np.abs(vals)
+        split = np.flatnonzero(size.min(axis=0) < 1e-8) if size.min(initial=1.0) < 1e-8 else ()
+        if len(split):
+            k = np.argmin(size[:, split], axis=0)
+            vk, dk = vals[k, split], self._drop[k, 0] / (den[k, split] * den[k, split])
+            vals[k, split] = diff[k, split] = 1.0
+            double = split[np.any(vals[:, split] == 0, axis=0)]
+            vals[:, double] = diff[:, double] = 1.0
+        terms = self._drop / (diff * den)
+        if len(split):
+            terms[k, split] = 0.0
+        s = _tree(np.add, terms)
+        value = self._unit * _tree(np.multiply, vals)
+        derivative = value * s
+        if len(split):
+            derivative[split] = value[split] * (dk + vk * s[split])
+            value[split] = vk * value[split]
+            value[double] = derivative[double] = 0.0
+        return value, derivative
 
     def _jet(self, z):
-        return _product_jet(z, len(self._a), self._factor_jets)
+        return _product_jet(z, len(self._a), self._block_jet)
 
     @property
     def transform(self):
         """A lone factor as the Moebius map it is, which Compose.divisor
         pulls back through; None for any other number of zeros."""
         if len(self.zeros) == 1:
-            n, a = self._norm[0].item(), self.zeros[0]
+            n, a = self._unit, self.zeros[0]
             return MobiusTransform(-n, n * a, -a.conjugate(), 1)
 
     def divisor(self):
@@ -659,7 +724,7 @@ class BlaschkeHalfPlane(MapExpr):
         half_z = 0.5 * z
         den = iy + half_z
         # the singular points -iy lie below the real axis
-        _check_factors(den, z, z.imag < 0, "half-plane Blaschke factor")
+        _check_factors(den, z, z.imag < 0, "half-plane Blaschke factor", 1)
         # in place, so that a long product allocates three arrays per block
         inv = np.reciprocal(den, out=den)
         vals = iy - half_z
@@ -701,7 +766,9 @@ class BlaschkeHalfPlane(MapExpr):
     def _direct_jet(self, z):
         """Jets at the points z past the top level, every factor explicit."""
         m, p = self._direct
-        return _product_jet(z, m, lambda block: self._factor_jets(m, p, block))[:2]
+        return _product_jet(
+            z, m, lambda block: _block_jet(block[:, None], m, lambda b: self._factor_jets(m, p, b))
+        )[:2]
 
     def _far_jet(self, z, level):
         """Jets at the points z below the top level: at each point the

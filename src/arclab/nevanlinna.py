@@ -41,7 +41,15 @@ from .errors import (
 # adaptive_integrate is not called here; perfbench's tracer self-test
 # checks that this module's binding of it is the wrapped geodesics one
 from .geodesics import AREA_DEFAULT, QuadConfig, _on_circles, adaptive_integrate  # noqa: F401
-from .maps import BlaschkeDisc, MapExpr, _as_batch, _cancelled, _check_domain, evaluate
+from .maps import (
+    BlaschkeDisc,
+    MapExpr,
+    _cancelled,
+    _check_domain,
+    _point_blocks,
+    _tree,
+    evaluate,
+)
 from .metrics import MetricId, _abs2, chordal, is_infinite
 
 _BOUNDARY_GAP = 1e-6
@@ -110,7 +118,7 @@ def characteristic_curve(
 
 def _gate(f: MapExpr):
     """Zeros and poles of f inside the unit disc, with multiplicity, less
-    the pairs that _cancelled removes, and the value f(0).
+    the pairs that _cancelled removes, and the Jet of f at 0.
 
     Raises StructureError when f is not meromorphic somewhere on the
     closed disc, BoundarySingularityError when a listed zero or pole,
@@ -132,7 +140,7 @@ def _gate(f: MapExpr):
     return (
         [p for p in zeros if abs(p) < 1.0],
         [p for p in poles if abs(p) < 1.0],
-        origin.value,
+        origin,
     )
 
 
@@ -183,19 +191,30 @@ def _tail_ok(coeffs: np.ndarray, m: int) -> bool:
 
 def _power_series(blocks, z):
     """sum_n c_n z^n at the 1-d points z, with blocks[..., j, i] = c[K j + i]
-    and one series per leading index, shaped blocks.shape[:-2] + z.shape:
-    one matrix product of blocks with the powers z^0..z^(K-1) gives the
-    block sums q_j, and one row-wise reduction adds up q_j w^j with the
-    powers of w = z^K (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973)."""
+    and one series per leading index, at most one, shaped blocks.shape[:-2]
+    + z.shape: the powers z^0..z^(K-1) times the block matrix give the
+    block sums q_j, and the powers of w = z^K times those add them up
+    (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973).  Both products are
+    stacked over the points, one vector-matrix product of one shape per
+    point and series: a matrix product over a batch of points picks its
+    BLAS kernel by the batch's size, and this way a point rounds alike
+    alone and in any batch."""
     out = np.empty(blocks.shape[:-2] + z.shape, dtype=complex)
     for lo in range(0, len(z), _ROWS):
         zb = z[lo : lo + _ROWS]
-        powers = np.repeat(zb[:, None], _K, axis=1)
-        powers[:, 0] = 1.0
-        q = blocks @ np.cumprod(powers, axis=1, out=powers).T
+        powers = np.vander(zb, _K, increasing=True)
+        q = np.matmul(powers[:, None, None, :], blocks.mT)[..., 0, :]
         w = np.vander(powers[:, -1] * zb, blocks.shape[-2], increasing=True)
-        out[..., lo : lo + _ROWS] = np.einsum("...jr,rj->...r", q, w)
+        out[..., lo : lo + _ROWS] = np.matmul(q, w[:, :, None])[..., 0].T
     return out
+
+
+def _shaped(z, values):
+    """The 1-d values at the points z in the shape of z, a complex at a
+    point.  Every operation runs on arrays, where numpy rounds a point
+    alike alone and in a batch, and Python's complex division does not."""
+    shape = np.shape(z)
+    return values.reshape(shape) if shape else complex(values[0])
 
 
 @dataclass(frozen=True)
@@ -219,10 +238,12 @@ class Decomposition:
 
     def __post_init__(self):
         # the sides f0 and finf are scale * B(z) * exp(g(z)), built once
-        # (non-field attributes stay out of equality and repr): the scales,
-        # the Blaschke products, whose constructor checks the points, and
-        # the polynomials g(z) = c_0 + 2 sum_{n >= 1} c_n z^n in blocks of
-        # _K coefficients, the shorter zero-padded, one (2, J, _K) array for
+        # (non-field attributes stay out of equality and repr): one Blaschke
+        # product on b0's zeros and then finf's poles, whose constructor
+        # checks the points, with the ends of each side's factors; the
+        # scales, each with its side's Blaschke normalisers; and the
+        # polynomials g(z) = c_0 + 2 sum_{n >= 1} c_n z^n in blocks of _K
+        # coefficients, the shorter zero-padded, one (2, J, _K) array for
         # one power-series pass.  Re g is the harmonic extension of the
         # boundary data, Im g its conjugate with g(0) real
         sides = (self.u0_fourier, self.uinf_fourier)
@@ -231,46 +252,46 @@ class Decomposition:
             row[: len(coeffs)] = coeffs
         blocks[:, 1:] *= 2.0
         object.__setattr__(self, "_blocks", blocks.reshape(2, -1, _K))
-        object.__setattr__(
-            self, "_scales", np.array([0.5 * cmath.exp(1j * self.quotient_phase), 0.5])
-        )
-        object.__setattr__(
-            self, "_blaschke", (BlaschkeDisc(self.b0_zeros), BlaschkeDisc(self.binf_poles))
-        )
+        b = BlaschkeDisc(self.b0_zeros + self.binf_poles)
+        n0 = len(self.b0_zeros)
+        ends = (0, n0, len(b.zeros))
+        units = [np.prod(b._norm[lo:hi]) for lo, hi in zip(ends, ends[1:])]
+        phase = cmath.exp(1j * self.quotient_phase)
+        object.__setattr__(self, "_scales", 0.5 * np.array([phase * units[0], units[1]]))
+        object.__setattr__(self, "_blaschke", b)
+        object.__setattr__(self, "_ends", ends)
 
     def _at(self, z, sides):
-        """Values at z of the sides that the slice sides picks from (f0, finf):
-        a list of complex at a point, and at an array one array of its shape
-        per side, stacked.  The Blaschke values come without derivatives,
-        then one power-series call and one exp serve all the sides.  Points
-        off the closed disc raise DomainError."""
-        zs = np.asarray(z, dtype=complex)
-        flat = zs.reshape(-1)
+        """Values at the points z, flattened, of the sides that the slice
+        sides picks from (f0, finf), one row per side.  The Blaschke values
+        come without derivatives, the sides' factors in one factor-major
+        pass and one tree product per side, then one power-series call and
+        one exp serve all the sides.  Points off the closed disc raise
+        DomainError."""
+        flat = np.asarray(z, dtype=complex).reshape(-1)
         _check_domain(MetricId.HYPERBOLIC_DISC, flat)
-        column = flat[:, None]
-        vals = np.empty((sides.stop - sides.start, len(flat)), dtype=complex)
-        for out, scale, b in zip(vals, self._scales[sides], self._blaschke[sides]):
-            factors, _ = b._factor_values(_as_batch(column, len(b.zeros)))
-            np.multiply(scale, np.prod(factors, axis=1)[: len(flat)], out=out)
-        # not in place: numpy rounds a product of one element in place
-        # without the fused multiply-add of its array loops
-        vals = vals * np.exp(_power_series(self._blocks[sides], flat))
-        if zs.ndim:
-            return vals.reshape(vals.shape[:1] + zs.shape)
-        return [complex(v) for v in vals[:, 0]]
+        ends = self._ends[sides.start : sides.stop + 1]
+        first, last = ends[0], ends[-1]
+        vals = np.ones((len(ends) - 1, len(flat)), dtype=complex)
+        for part in _point_blocks(len(flat), last - first) if last > first else ():
+            factors = self._blaschke._factor_values(flat[part], slice(first, last))[0]
+            for out, lo, hi in zip(vals, ends, ends[1:]):
+                if hi > lo:
+                    out[part] = _tree(np.multiply, factors[lo - first : hi - first])
+        return self._scales[sides, None] * vals * np.exp(_power_series(self._blocks[sides], flat))
 
     def f0_at(self, z):
         """f0 at a point or, elementwise, at an array of points."""
-        return self._at(z, slice(0, 1))[0]
+        return _shaped(z, self._at(z, slice(0, 1))[0])
 
     def finf_at(self, z):
         """finf at a point or, elementwise, at an array of points."""
-        return self._at(z, slice(1, 2))[0]
+        return _shaped(z, self._at(z, slice(1, 2))[0])
 
     def quotient_at(self, z):
         """f0/finf at a point or, elementwise, at an array of points."""
         f0, finf = self._at(z, slice(0, 2))
-        return f0 / finf
+        return _shaped(z, f0 / finf)
 
     def residuals(self, f: MapExpr):
         """(pythagoras, quotient, origin) residuals of this decomposition of
@@ -287,7 +308,7 @@ class Decomposition:
         quot = np.max(np.abs(v0[keep] / vinf[keep] - w[keep]), initial=0.0)
         lhs = abs(self.f0_at(0j)) ** 2 + abs(self.finf_at(0j)) ** 2
         u0, _ = _log_chordal(jets)
-        origin_gap = abs(math.exp(-2.0 * _origin_T(zeros, origin, u0)) - lhs)
+        origin_gap = abs(math.exp(-2.0 * _origin_T(zeros, origin.value, u0)) - lhs)
         return float(pyth), float(quot), origin_gap
 
     def to_manifest(self) -> str:
@@ -351,7 +372,7 @@ def fatou_decompose(f: MapExpr, boundary_samples: int = 4096) -> Decomposition:
     binf = BlaschkeDisc(tuple(poles))
     f0_raw = 0.5 * evaluate(b0, 0.0).value * cmath.exp(complex(c0[0]))
     finf_0 = 0.5 * evaluate(binf, 0.0).value * cmath.exp(complex(cinf[0]))
-    phase = cmath.phase(origin * finf_0 / f0_raw)
+    phase = cmath.phase(origin.value * finf_0 / f0_raw)
 
     return Decomposition(
         b0_zeros=tuple(zeros),
@@ -369,8 +390,8 @@ def origin_identity_T(f: MapExpr) -> float:
     certified by the circle rule to 1e-12 or PrecisionError, with the
     Jensen peel for poles near the circle.  The gate in front raises for
     the maps fatou_decompose refuses."""
-    _gate(f)
-    return _on_circles(f, [1.0], MetricId.SPHERICAL, _ORIGIN_CFG, ("T",))[0][0][0]
+    origin = _gate(f)[2]
+    return _on_circles(f, [1.0], MetricId.SPHERICAL, _ORIGIN_CFG, ("T",), origin)[0][0][0]
 
 
 def uniform_characteristic_delta(f, probe_points, boundary_samples: int = 4096):

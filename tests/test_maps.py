@@ -458,7 +458,7 @@ class TestBatchMasks:
             assert jet == evaluate(f, z), z
 
     @pytest.mark.parametrize("f, scale", [
-        (BlaschkeDisc((0.5 + 0.2j,)), 0.25),
+        (BlaschkeDisc((0.3 + 0.7j,)), 0.25),
         (BlaschkeHalfPlane((1.0,)), 1.0),
         (Compose(SQUARES_1000, Shift(1.0)), 1.0),
     ], ids=["disc-one-zero", "half-plane-one-height", "half-plane-one-near-height"])
@@ -674,6 +674,93 @@ FAR_FIELD_CASES = {
         + _level_boundaries((), [962]),
     ),
 }
+
+
+# zeros of the batch tests: two; four with one double and one at 0; seven
+BATCH_ZEROS = {
+    "two-zeros": (0.3 + 0.2j, -0.5 + 0.1j),
+    "four-zeros-double-and-origin": (0.5 + 0j, 0.5 + 0j, -0.3j, 0j),
+    "seven-zeros": (
+        0.3 + 0.2j, -0.5 + 0.1j, 0.7j, -0.2 - 0.6j, 0.85 + 0j, 0.05 - 0.1j, -0.4 - 0.4j,
+    ),
+}
+
+
+def _disc_points(rng, n):
+    """n random points of the closed unit disc, a quarter on the circle."""
+    z = np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    z[: n // 4] /= np.abs(z[: n // 4])
+    return z
+
+
+def _near_zeros(zeros, rng):
+    """Each zero itself and points 1e-12 to 9e-9 from it, in a shuffled
+    batch with ordinary points."""
+    near = [
+        a + d * cmath.exp(2j * math.pi * rng.random())
+        for a in zeros
+        for d in (0.0, 1e-12, 3e-9, 9e-9)
+    ]
+    z = np.concatenate([near, _disc_points(rng, 60)])
+    rng.shuffle(z)
+    return z
+
+
+def _words(values):
+    """The bits of complex values, as unsigned integers."""
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+class TestFactorMajorBlaschke:
+    """BlaschkeDisc evaluates factor-major and reduces over the factors by
+    an elementwise tree: every point rounds alike alone and in a batch."""
+
+    @pytest.mark.parametrize("batch", ["1001", "4096", "near-zeros"])
+    @pytest.mark.parametrize("name", BATCH_ZEROS)
+    def test_a_point_rounds_alike_alone_and_in_a_batch(self, name, batch):
+        zeros = BATCH_ZEROS[name]
+        f = BlaschkeDisc(zeros)
+        rng = np.random.default_rng(len(zeros) + len(batch))
+        z = _near_zeros(zeros, rng) if batch == "near-zeros" else _disc_points(rng, int(batch))
+        value, derivative, _ = evaluate(f, z)
+        alone = [evaluate(f, complex(p)) for p in z]
+        assert np.array_equal(_words([j.value for j in alone]), _words(value))
+        assert np.array_equal(_words([j.derivative for j in alone]), _words(derivative))
+
+    def test_double_zero_and_empty_batch(self):
+        f = BlaschkeDisc(BATCH_ZEROS["four-zeros-double-and-origin"])
+        value, derivative, _ = evaluate(f, np.array([0.5 + 0j, 0.1 + 0.2j, 0j]))
+        assert value[0] == derivative[0] == 0 and value[2] == 0 and derivative[2] != 0
+        value, derivative, pole = evaluate(f, np.array([], dtype=complex))
+        assert value.shape == derivative.shape == pole.shape == (0,)
+
+    def test_seven_zeros_match_mpmath_product(self):
+        # the reference multiplies the factors and sums the log-derivatives
+        # -1/(a - z) + conj(a)/(1 - conj(a) z) at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        zeros = BATCH_ZEROS["seven-zeros"]
+        rng = np.random.default_rng(7)
+        z = np.concatenate([
+            np.exp(2j * np.pi * (np.arange(200) + rng.random()) / 200),
+            0.99 * np.sqrt(rng.random(200)) * np.exp(2j * np.pi * rng.random(200)),
+        ])
+        value, derivative, _ = evaluate(BlaschkeDisc(zeros), z)
+        worst = 0.0
+        with mpmath.workdps(40):
+            zs = [mpmath.mpc(a.real, a.imag) for a in zeros]
+            for p, v, d in zip(z, value, derivative):
+                w = mpmath.mpc(p.real, p.imag)
+                ref, log_der = mpmath.mpc(1), mpmath.mpc(0)
+                for a in zs:
+                    ref *= (a - w) / (1 - mpmath.conj(a) * w) * (abs(a) / a if a else 1)
+                    log_der += -1 / (a - w) + mpmath.conj(a) / (1 - mpmath.conj(a) * w)
+                ref_der = ref * log_der
+                worst = max(
+                    worst,
+                    abs(mpmath.mpc(v) - ref) / abs(ref),
+                    abs(mpmath.mpc(d) - ref_der) / abs(ref_der),
+                )
+        assert worst <= 1e-14
 
 
 class TestHalfPlaneFarField:

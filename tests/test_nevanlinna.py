@@ -481,6 +481,16 @@ class TestDecomposition:
         value, bound = _on_circles(f, [0.9], SPHERICAL, AREA_DEFAULT, ("T",))[0][0]
         assert abs(value - oracle.T(0.9)) <= min(bound, AREA_DEFAULT.abs_tol / (4 * math.pi))
 
+    def test_origin_identity_evaluates_f_at_0_once(self, monkeypatch):
+        # the gate's f(0) serves the chart choice too
+        f, _, _ = _criterion_10(3, 2)
+        points = []
+        for module in (nevanlinna, geodesics):
+            spy = lambda g, z, one=module.evaluate: points.append(np.ndim(z)) or one(g, z)
+            monkeypatch.setattr(module, "evaluate", spy)
+        origin_identity_T(f)
+        assert points.count(0) == 1
+
     def test_T_with_no_pole_near_reads_the_divisor_once(self, monkeypatch):
         # Koebe . scale(0.5) has its pole at 2, outside the peel's band of
         # every circle: polar_divisor's read is the only one, as for areas
@@ -739,19 +749,22 @@ class TestOnePassEvaluator:
 
     @pytest.mark.parametrize("n_zeros,n_poles", [(0, 1), (1, 0), (1, 1), (2, 3), (4, 2)])
     def test_a_lone_point_agrees_with_the_batch(self, n_zeros, n_poles):
-        # not bit for bit: BLAS block sizes and numpy's one-element loops
-        # round apart in the last bit at many points
+        # bit for bit, on a batch of 1 001 points, 0 among them: the
+        # Blaschke factors go factor-major through an elementwise tree, the
+        # power series through one vector-matrix product per point, and
+        # the quotient divides arrays, not Python complex numbers
         f, _, _ = _criterion_10(n_zeros, n_poles)
         dec = fatou_decompose(f)
         rng = np.random.default_rng(7)
         pts = np.concatenate([
-            np.exp(2j * np.pi * rng.random(50)),
-            0.99 * np.sqrt(rng.random(250)) * np.exp(2j * np.pi * rng.random(250)),
+            [0j],
+            np.exp(2j * np.pi * rng.random(250)),
+            0.99 * np.sqrt(rng.random(750)) * np.exp(2j * np.pi * rng.random(750)),
         ])
         for at in (dec.f0_at, dec.finf_at, dec.quotient_at):
             batch = at(pts)
             lone = np.array([at(z) for z in pts.tolist()])
-            assert np.all(np.abs(lone - batch) <= 4 * EPS * np.abs(batch))
+            assert np.array_equal(lone.view(np.uint64), batch.view(np.uint64))
 
 
 class TestPowerSeriesKernel:
