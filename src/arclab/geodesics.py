@@ -115,6 +115,8 @@ _MAX_PANELS = 1 << 14
 _FIRST_POINTS = 64
 # rounding allowed per sample, relative to the size of the terms it is made of
 _ROUNDOFF = 16 * np.finfo(float).eps
+# the share by which _circle_rule's reduced form must be the smaller
+_FORM_MARGIN = 1e-9
 # divisor points within this relative distance of a circle count as on it
 _ON_CIRCLE = 1e-6
 
@@ -637,6 +639,9 @@ def _circle_rule(sample, r, scale, shift, abs_tol, rel_tol, first, cap=_MAX_PANE
     the smaller in mean modulus: at small r taking out the part of order r
     leaves a sum without its cancellation, and where that part dwarfs the
     integrand (|f| large on the sphere) its rounding would swamp the mean.
+    The second form must be smaller by the share _FORM_MARGIN: where the
+    part taken out is 0 to rounding, the two sums differ by rounding alone,
+    and the second form's rounding noise would cost doublings.
 
     The values are scale * (mean of h + shift), shift of shape
     (k, len(r)).  Each circle takes first points, doubling over the
@@ -651,7 +656,8 @@ def _circle_rule(sample, r, scale, shift, abs_tol, rel_tol, first, cap=_MAX_PANE
     n = first
     live = np.arange(len(r))
     forms, forms_size = _circle_samples(sample, r, live, np.arange(n), n)
-    reduced = np.abs(forms[-1]).sum(axis=-1) < np.abs(forms[0]).sum(axis=-1)
+    moduli = np.abs(forms).sum(axis=-1)
+    reduced = moduli[-1] < (1.0 - _FORM_MARGIN) * moduli[0]
     h, size = _pick(forms, forms_size, reduced)
     values = np.empty(shift.shape)
     bounds = np.empty(shift.shape)

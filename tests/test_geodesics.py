@@ -500,6 +500,37 @@ class TestCircleEnergiesKernel:
             )
 
 
+class TestCircleRuleForms:
+    def test_a_rounding_tie_keeps_the_plain_form(self, monkeypatch):
+        # a 4-zero Blaschke product has |f| = 1 on the unit circle: T's
+        # integrand is constant there, and its part linear at f(0) is 0 to
+        # rounding, so the two forms' first sums differ by 5.9e-15 relative.
+        # The reduced form's rounding noise took 256 points; the plain form
+        # certifies at 64
+        zeros = (-0.148288 - 0.579564j, -0.382265 + 0.386104j,
+                 -0.056479 + 0.588513j, 0.532401 - 0.306799j)
+        f = Quotient(BlaschkeDisc(zeros), ConstMap(1 + 0j))
+        points = []
+        samples = geodesics._circle_samples
+
+        def spy(sample, r, live, k, n):
+            points.append(len(live) * len(k))
+            return samples(sample, r, live, k, n)
+
+        monkeypatch.setattr(geodesics, "_circle_samples", spy)
+        # origin_identity_T's tolerances, 1e-12 on T
+        cfg = QuadConfig(abs_tol=4e-12 * math.pi, rel_tol=1e-12)
+        value, bound = geodesics._on_circles(f, [1.0], S, cfg, ("T",))[0][0]
+        assert points == [64]
+        # the origin identity: T(1) = sum log(1/|a|) + log k(f(0), 0) - log(2)/2,
+        # |f(0)| = prod |a| and k(w, 0) = 2|w| / sqrt(1 + |w|^2)
+        w0 = math.prod(abs(a) for a in zeros)
+        expect = -math.fsum(math.log(abs(a)) for a in zeros) + math.log(
+            2 * w0 / math.sqrt(1 + w0 * w0)
+        ) - 0.5 * math.log(2)
+        assert abs(value - expect) <= bound
+
+
 def _koebe_area(x):
     """Euclidean area of k(|z| < sqrt(x)), k(z) = z/(1 - z)^2, counting
     multiplicity: pi sum n^3 x^n."""

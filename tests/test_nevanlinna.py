@@ -671,6 +671,10 @@ class TestDecomposition:
         dec = fatou_decompose(f, 256)
         assert dec.boundary_samples == 2048
         assert all(r < 1e-6 for r in dec.residuals(f))
+        # those coefficients stay far above the chop up to the last of the
+        # 1 024, so the zero side keeps its whole series
+        assert dec._chop_bound[0] == 0.0
+        assert dec._depths[0] * 64 == len(dec.u0_fourier) == 1024
         with pytest.raises(ResolutionError, match="65536"):
             fatou_decompose(Shift(-0.99999), 256)
 
@@ -685,6 +689,39 @@ class TestDecomposition:
         assert "poles: 0" in lines
         assert any(line.startswith("u0_fourier:") for line in lines)
         assert any(line.startswith("uinf_fourier:") for line in lines)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: fatou_decompose(
+                Quotient(BlaschkeDisc((0.3 + 0.2j, -0.5j)), BlaschkeDisc((0.6 - 0.1j,))), 256
+            ),
+            lambda: fatou_decompose(Compose(Koebe(), Shift(0.25)), 512),
+            # fewer coefficients than frequencies, and an odd sample count
+            lambda: Decomposition((0.5 + 0j,), (), (0.25, 1 + 1j, -2j), (0j,), 9, 0.5),
+        ],
+        ids=["blaschke-quotient", "koebe-shifted", "short"],
+    )
+    def test_manifest_lines_follow_the_public_tuples(self, make):
+        # built here line by line: frequencies -m//2 to m//2 - 1, zero past
+        # the data, the negative ones the conjugates of the positive ones
+        dec = make()
+        m = dec.boundary_samples
+        want = [
+            f"boundary_samples: {m}",
+            f"quotient_phase: {dec.quotient_phase!r}",
+            f"zeros: {len(dec.b0_zeros)}",
+            *(f"{z.real!r} {z.imag!r}" for z in dec.b0_zeros),
+            f"poles: {len(dec.binf_poles)}",
+            *(f"{z.real!r} {z.imag!r}" for z in dec.binf_poles),
+        ]
+        for name, coeffs in (("u0_fourier", dec.u0_fourier), ("uinf_fourier", dec.uinf_fourier)):
+            want.append(f"{name}: {m}")
+            for n in range(-m // 2, m // 2):
+                c = coeffs[abs(n)] if abs(n) < len(coeffs) else 0j
+                c = c.conjugate() if n < 0 else c
+                want.append(f"{n} {c.real!r} {c.imag!r}")
+        assert dec.to_manifest() == "\n".join(want) + "\n"
 
     @pytest.mark.parametrize(
         "f",
@@ -765,6 +802,106 @@ class TestOnePassEvaluator:
             batch = at(pts)
             lone = np.array([at(z) for z in pts.tolist()])
             assert np.array_equal(lone.view(np.uint64), batch.view(np.uint64))
+
+
+def _dft_sides(oracle, zeros, poles, m, points):
+    """f0 and finf at the points from the 30-digit DFT of the exact
+    boundary data log k(f, 0) and log k(f, infinity) at m circle samples,
+    with every coefficient below the Nyquist one: the full series that
+    fatou_decompose rounds and Decomposition chops.  oracle is f as a
+    circle_oracle.Rational."""
+    with mpmath.workdps(30):
+        circle = [mpmath.expjpi(mpmath.mpf(2 * j) / m) for j in range(m)]
+        sq = [abs(oracle.value(z)) ** 2 for z in circle]
+        data = (
+            [mpmath.log(2 * mpmath.sqrt(w / (1 + w))) for w in sq],
+            [mpmath.log(2 / mpmath.sqrt(1 + w)) for w in sq],
+        )
+        phase = mpmath.expj(mpmath.arg(oracle.value(mpmath.mpc(0))))
+        sides = []
+        for u, points_in, scale in ((data[0], zeros, phase), (data[1], poles, 1)):
+            c = [mpmath.fsum(x * circle[(-j * n) % m] for j, x in enumerate(u)) / m
+                 for n in range(m // 2)]
+            blaschke = Rational.blaschke(points_in)
+            values = []
+            for z in points:
+                w, acc = mpmath.mpc(z.real, z.imag), mpmath.mpc(0)
+                for cn in reversed(c[1:]):
+                    acc = (acc + cn) * w
+                values.append(complex(scale * blaschke.value(w) * mpmath.exp(c[0] + 2 * acc) / 2))
+            sides.append(np.array(values))
+    return sides
+
+
+class TestChoppedSeries:
+    """Each side keeps its series up to the last coefficient whose dropped
+    tail 2 sum |c_n| passes _CHOP, and records that tail as its bound."""
+
+    @staticmethod
+    def _points(rng, avoid=()):
+        """0, 16 circle points and 16 interior points away from avoid."""
+        circle = np.exp(2j * np.pi * (np.arange(16) + rng.random()) / 16)
+        inside = []
+        while len(inside) < 16:
+            z = 0.95 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+            if all(abs(z - p) > 0.05 for p in avoid):
+                inside.append(z)
+        return np.concatenate([[0j], circle, inside])
+
+    @pytest.mark.parametrize(
+        "n_zeros,n_poles", [(z, p) for z in range(5) for p in range(5) if z or p]
+    )
+    def test_criterion_10_maps_lie_within_the_bound_of_the_full_series(self, n_zeros, n_poles):
+        # the full series of the rfft coefficients, summed by _power_series
+        # on the unchopped blocks; 8 eps of each side is rounding
+        f, zeros, poles = _criterion_10(n_zeros, n_poles)
+        dec = fatou_decompose(f)
+        pts = self._points(np.random.default_rng(n_zeros + 10 * n_poles), zeros + poles)
+        blocks = np.array([dec.u0_fourier, dec.uinf_fourier])
+        blocks[:, 1:] *= 2.0
+        series = np.exp(_power_series(blocks.reshape(2, -1, 64), pts))
+        blaschke = cmath.exp(1j * dec.quotient_phase) * _blaschke(zeros, pts), _blaschke(poles, pts)
+        for at, full, side, bound in zip(
+            (dec.f0_at, dec.finf_at), 0.5 * series * blaschke, (0, 1), dec._chop_bound
+        ):
+            assert dec._depths[side] == 0 and bound <= nevanlinna._CHOP
+            assert np.all(np.abs(at(pts) - full) <= (math.expm1(bound) + 8 * EPS) * np.abs(full))
+
+    def test_an_inner_quotient_keeps_c0_alone(self, monkeypatch):
+        # the quotient's boundary data are constant: past c_0 its
+        # coefficients are rounding noise, and no evaluation sums a series
+        f = Quotient(BlaschkeDisc((0.3 + 0.2j, -0.5j)), BlaschkeDisc((0.6 - 0.1j,)))
+        dec = fatou_decompose(f)
+        assert dec._depths == (0, 0)
+        assert all(0.0 < bound <= nevanlinna._CHOP for bound in dec._chop_bound)
+        monkeypatch.setattr(nevanlinna, "_power_series", None)
+        pts = self._points(np.random.default_rng(4), (0.3 + 0.2j, -0.5j))
+        want = _blaschke((0.3 + 0.2j, -0.5j), pts) / _blaschke((0.6 - 0.1j,), pts)
+        assert np.all(np.abs(dec.quotient_at(pts) - want) <= 1e-14 * np.abs(want))
+        assert all(r <= 1e-14 for r in dec.residuals(f))
+
+    @pytest.mark.parametrize(
+        "f, oracle, zeros, poles",
+        [
+            (Compose(Koebe(), Shift(0.25)), Rational([-0.25], [0.75, 0.75]), [-0.25], [0.75, 0.75]),
+            (Shift(-0.9), Rational([0.9]), [0.9], []),
+        ],
+        ids=["koebe-shifted", "shift"],
+    )
+    def test_chopped_sides_lie_within_the_bound_of_a_30_digit_reference(
+        self, f, oracle, zeros, poles
+    ):
+        # both maps drop true coefficients, not only rounding noise; the
+        # reference keeps every coefficient, and 16 eps of each side is
+        # rounding, of the float coefficients and of their sum
+        dec = fatou_decompose(f, 256)
+        assert dec.boundary_samples == 256
+        assert max(dec._chop_bound) > 0.0
+        pts = self._points(np.random.default_rng(3), zeros + poles)
+        for at, want, bound in zip(
+            (dec.f0_at, dec.finf_at), _dft_sides(oracle, zeros, poles, 256, pts), dec._chop_bound
+        ):
+            assert np.all(np.abs(at(pts) - want) <= (math.expm1(bound) + 16 * EPS) * np.abs(want))
 
 
 class TestPowerSeriesKernel:
