@@ -386,56 +386,56 @@ class LogMap(MapExpr):
         return np.log(z), 1.0 / z, _finite(z)
 
 
-def _running_sum(terms, axis):
-    """Row sums taken left to right: terms of 0 past a row's own ones leave
-    its sum as it is without them, which a pairwise np.sum does not."""
-    return np.cumsum(terms, axis=axis, out=terms)[:, -1]
-
-
-def _combined_product_jet(vals: np.ndarray, ders: np.ndarray, total=np.sum):
-    """Jets of finite products from per-factor jets, point-major: one
-    product per row, robust near zeros; total(terms, axis) sums the
-    log-derivative terms."""
-    rows = np.arange(len(vals))
-    k = np.argmin(np.abs(vals), axis=1)
-    small = np.abs(vals[rows, k]) < 1e-8
-    if not small.any():
-        prod = np.prod(vals, axis=1)
-        return prod, prod * total(ders / vals, axis=1)
-    value, derivative = np.empty_like(vals[:, 0]), np.empty_like(vals[:, 0])
-    value[~small], derivative[~small] = _combined_product_jet(
-        vals[~small], ders[~small], total
-    )
-    # rows with a factor within 1e-8 of zero split it off, so that the
-    # log-derivative sum stays tame; a second exact zero makes value and
-    # derivative vanish
-    rest_vals, rest_ders, k = vals[small], ders[small], k[small]
-    i = np.arange(len(k))
-    vk, dk = rest_vals[i, k], rest_ders[i, k]
-    rest_vals[i, k], rest_ders[i, k] = 1.0, 0.0
-    double = np.any(rest_vals == 0, axis=1)
-    rest_vals[double] = 1.0
-    rest = np.prod(rest_vals, axis=1)
-    s = total(rest_ders / rest_vals, axis=1)
-    value[small] = np.where(double, 0.0, vk * rest)
-    derivative[small] = np.where(double, 0.0, rest * (dk + vk * s))
-    return value, derivative
-
-
 def _tree(op, rows):
     """rows[0] op rows[1] op ... over the rows of a 2-d array, by a
-    pairwise tree of elementwise calls: each level takes row i op row
-    half + i for the first half of the rows in one call, an odd last row
-    carried over, so that n rows take about log2(n) calls.  numpy reduces
-    a complex axis in an order that depends on the length of the other
-    axis, and rounds an in-place product of one element without the fused
+    pairwise tree of elementwise calls.  n rows are the first n of 2^L
+    slots, the slots past them units, and each level takes slot i op slot
+    half + i for the first half of the slots in one call, a unit partner
+    leaving slot i as it is, so that n rows take L calls.  numpy reduces a
+    complex axis in an order that depends on the length of the other axis,
+    and rounds an in-place product of one element without the fused
     multiply-add of its array loops; the tree uses neither, so a point
-    rounds alike alone and in any batch.  One row comes back as a view."""
+    rounds alike alone and in any batch.  Rows of units (1 for a product,
+    0 for a sum) appended past the rows fill slots that held units, and
+    past 2^L add levels that pair every slot with a unit, so they leave
+    every bit of the result as it is.  One row comes back as a view."""
     while len(rows) > 1:
-        half = len(rows) // 2
-        pairs = op(rows[:half], rows[half : 2 * half])
-        rows = np.concatenate((pairs, rows[2 * half :])) if len(rows) % 2 else pairs
+        half = 1 << (len(rows) - 1).bit_length() - 1
+        pairs = op(rows[: len(rows) - half], rows[half:])
+        rows = np.concatenate((pairs, rows[len(pairs) : half])) if len(pairs) < half else pairs
     return rows[0]
+
+
+def _factor_jet(vals, num, lead, inv, unit):
+    """Value and derivative, at each column of factor-major factors num/den
+    with derivatives c/den^2, of unit times their product: the product
+    times the sum of the log-derivatives lead/num, lead = c/den, both
+    reduced over the factors by _tree.  vals holds the factors' values and
+    inv = 1/den.  A column with a factor within 1e-8 of zero splits it off,
+    so that the sum stays tame, and a second exact zero makes value and
+    derivative vanish; each column takes that branch on its own.  vals,
+    num and lead are changed in place: a fresh array per call costs a long
+    product more than the division itself, and numpy's complex division,
+    unlike its product, rounds one element in place as in a batch."""
+    size = np.abs(vals)
+    split = np.flatnonzero(size.min(axis=0) < 1e-8) if size.min(initial=1.0) < 1e-8 else ()
+    if len(split):
+        k = np.argmin(size[:, split], axis=0)
+        vk, dk = vals[k, split], lead[k, split] * inv[k, split]
+        vals[k, split] = num[k, split] = 1.0
+        double = split[np.any(vals[:, split] == 0, axis=0)]
+        vals[:, double] = num[:, double] = 1.0
+    terms = np.divide(lead, num, out=lead)
+    if len(split):
+        terms[k, split] = 0.0
+    s = _tree(np.add, terms)
+    value = unit * _tree(np.multiply, vals)
+    derivative = value * s
+    if len(split):
+        derivative[split] = value[split] * (dk + vk * s[split])
+        value[split] = vk * value[split]
+        value[double] = derivative[double] = 0.0
+    return value, derivative
 
 
 def _point_blocks(count, n):
@@ -460,30 +460,14 @@ def _product_jet(z, n, block_jet):
     return value, derivative, _finite(z)
 
 
-def _block_jet(block, n, factor_jets, total=np.sum):
-    """_combined_product_jet of factor_jets(block) for the column of points
-    block and n factors, one value and derivative per point."""
-    k = len(block)
-    v, d = _combined_product_jet(*factor_jets(_as_batch(block, n)), total)
-    return v[:k], d[:k]
-
-
-def _as_batch(block, n):
-    """The column of points block, taken twice when it is one point and
-    there is one factor: numpy rounds complex products of one element in
-    place or broadcast without the fused multiply-add of its array loops,
-    and the point taken twice rounds as it does in a batch."""
-    return np.repeat(block, 2, axis=0) if len(block) * n == 1 else block
-
-
-def _check_factors(den, z, maybe, what, axis):
+def _check_factors(den, z, maybe, what):
     """Raise at the first of the points z where a factor's denominator
-    vanishes, den holding the factors along axis; only points where maybe
-    holds can have one."""
+    vanishes, den holding one row per factor; only points where maybe holds
+    can have one."""
     if maybe.any():
-        hit = np.any(den == 0, axis=axis)
+        hit = np.any(den == 0, axis=0)
         if hit.any():
-            raise EvaluationError(f"{what} singular at {complex(z.reshape(-1)[hit][0])}")
+            raise EvaluationError(f"{what} singular at {complex(z[hit][0])}")
 
 
 @dataclass(frozen=True)
@@ -495,10 +479,9 @@ class BlaschkeDisc(MapExpr):
     is the constant 1.
 
     The factors are evaluated factor-major: one row per factor, the points
-    along the contiguous last axis, and reduced over the factors by a
-    pairwise tree of elementwise calls (_tree), so that a point rounds
-    alike alone and in any batch.  The normalisers multiply into one
-    unimodular constant.
+    along the contiguous last axis, and reduced over the factors by
+    _factor_jet, so that a point rounds alike alone and in any batch.  The
+    normalisers multiply into one unimodular constant.
     """
 
     zeros: tuple
@@ -531,46 +514,25 @@ class BlaschkeDisc(MapExpr):
         object.__setattr__(self, "_unit", complex(np.prod(norm)))
 
     def _factor_values(self, z, factors=slice(None)):
-        """(a - z)/(1 - conj(a) z), a - z and 1 - conj(a) z at the 1-d points
-        z for the zeros a that the slice factors picks, factor-major: one
-        row per factor, the points along the contiguous last axis."""
+        """(a - z)/(1 - conj(a) z), a - z and 1/(1 - conj(a) z) at the 1-d
+        points z for the zeros a that the slice factors picks, factor-major:
+        one row per factor, the points along the contiguous last axis."""
         # a row, as the columns are 2-d: numpy rounds a product of one
         # element broadcast to a new axis without the fused multiply-add of
         # its array loops
         row = z[None]
         den = 1.0 - self._conj_a[factors] * row
         # the singular points 1/conj(a) lie outside the unit disc
-        _check_factors(den, z, np.abs(z) > 1.0, "Blaschke factor", 0)
+        _check_factors(den, z, np.abs(z) > 1.0, "Blaschke factor")
+        inv = np.reciprocal(den, out=den)
         diff = self._a[factors] - row
-        return diff / den, diff, den
+        return diff * inv, diff, inv
 
     def _block_jet(self, z):
-        """Value and derivative at the 1-d points z, robust near zeros:
-        the product times the sum of the factors' log-derivatives
-        (|a|^2 - 1)/((a - z)(1 - conj(a) z)).  A point with a factor within
-        1e-8 of zero splits it off, so that the sum stays tame, and a
-        second exact zero makes value and derivative vanish; each point
-        takes that branch on its own."""
-        vals, diff, den = self._factor_values(z)
-        size = np.abs(vals)
-        split = np.flatnonzero(size.min(axis=0) < 1e-8) if size.min(initial=1.0) < 1e-8 else ()
-        if len(split):
-            k = np.argmin(size[:, split], axis=0)
-            vk, dk = vals[k, split], self._drop[k, 0] / (den[k, split] * den[k, split])
-            vals[k, split] = diff[k, split] = 1.0
-            double = split[np.any(vals[:, split] == 0, axis=0)]
-            vals[:, double] = diff[:, double] = 1.0
-        terms = self._drop / (diff * den)
-        if len(split):
-            terms[k, split] = 0.0
-        s = _tree(np.add, terms)
-        value = self._unit * _tree(np.multiply, vals)
-        derivative = value * s
-        if len(split):
-            derivative[split] = value[split] * (dk + vk * s[split])
-            value[split] = vk * value[split]
-            value[double] = derivative[double] = 0.0
-        return value, derivative
+        """Value and derivative at the 1-d points z: the factors' derivative
+        is (|a|^2 - 1)/(1 - conj(a) z)^2."""
+        vals, diff, inv = self._factor_values(z)
+        return _factor_jet(vals, diff, self._drop * inv, inv, self._unit)
 
     def _jet(self, z):
         return _product_jet(z, len(self._a), self._block_jet)
@@ -604,16 +566,16 @@ def _mirror(y, level):
     return np.searchsorted(y, np.ldexp(1.0, np.subtract(level, 54)))
 
 
-def _far_field(y, s, terms, top):
+def _far_field(y, terms, top):
     """Far-field tables of a half-plane product with heights y sorted
-    ascending and signs s, one per dyadic level 2^l, l = floor(log2 y_n),
-    up to the level 2^top.
+    ascending, one per dyadic level 2^l, l = floor(log2 y_n), up to the
+    level 2^top.
 
     Table j covers the far set of its level l, the factors with
-    y_n >= 2^l.  In w = -iz/2^l their log is -2 sum_{k odd} q_k w^k / k,
-    with the power sums q_k = sum (2^l/y_n)^k, and their signs multiply
-    to sign.  Returns the tables stacked, one entry per level:
-    (reach, near, mirror, sign, step, coef).  A point with |z| <= reach[j]
+    y_n >= 2^l, without their signs.  In w = -iz/2^l their log is
+    -2 sum_{k odd} q_k w^k / k, with the power sums q_k = sum (2^l/y_n)^k.
+    Returns the tables stacked, one entry per level:
+    (reach, near, mirror, step, coef).  A point with |z| <= reach[j]
     = 2^(l-1) has |w| <= 1/2 and may use table j; np.searchsorted(reach,
     |z|) is the first table it may use, len(reach) past every table.  The
     near[j] factors below the level stay explicit, the first mirror[j] of
@@ -637,14 +599,12 @@ def _far_field(y, s, terms, top):
     # far set, rescaled by 2^(l - l') exactly
     for j in range(len(lev) - 2, -1, -1):
         q[j] += np.ldexp(q[j + 1], -odd * (lev[j + 1] - lev[j]))
-    flips = np.cumsum((s < 0)[::-1])[::-1][starts] % 2
     # a point that uses table j lies past the level of table j - 1
     mirror = np.concatenate(([0], _mirror(y, lev[:-1])))
     return (
         np.ldexp(1.0, lev - 1),
         starts,
         mirror,
-        1.0 - 2.0 * flips,
         -1j * np.ldexp(1.0, -lev),
         np.hstack((-2.0 * q / odd, q))[:, ::-1],
     )
@@ -660,12 +620,14 @@ class BlaschkeHalfPlane(MapExpr):
     converge after truncation; they default to +1.
 
     At a point z the factors with y_n >= 2^l, for the first dyadic level
-    2^l >= 2|z| that holds a height, are far: their product is sign *
-    exp of one odd power series in w = -iz/2^l, |w| <= 1/2, truncated at
-    an error below 2^-56 in the log (a multipole expansion, after Greengard
-    and Rokhlin, J. Comput. Phys. 73, 1987).  The factors below stay
-    explicit.  Where the far set has no more factors than the series' degree,
-    every factor is explicit: the direct product.
+    2^l >= 2|z| that holds a height, are far: their product, without the
+    signs, is exp of one odd power series in w = -iz/2^l, |w| <= 1/2,
+    truncated at an error below 2^-56 in the log (a multipole expansion,
+    after Greengard and Rokhlin, J. Comput. Phys. 73, 1987).  The factors
+    below stay explicit.  Where the far set has no more factors than the
+    series' degree, every factor is explicit: the direct product.  The
+    explicit factors go factor-major through _factor_jet, as BlaschkeDisc's
+    do, and the signs multiply into one constant, prod s_n.
 
     Heights near 2^-1024 make |B'| pass the largest double near z = 0;
     there the jet raises EvaluationError.
@@ -692,15 +654,14 @@ class BlaschkeHalfPlane(MapExpr):
         object.__setattr__(self, "heights", tuple(y.tolist()))
         object.__setattr__(self, "signs", tuple(s.tolist()))
         # sorted by height, so that the factors below a level are a prefix
-        order = np.argsort(y, kind="stable")
-        y, s = y[order], s[order]
+        y = np.sort(y)
         object.__setattr__(self, "_y", y)
-        # complex, so that products with them need no cast; the factors are
-        # formed from iy/2 and z/2, so that iy + z and its reciprocal stay
-        # finite up to the largest double
-        object.__setattr__(self, "_half_iy", 0.5j * y)
-        object.__setattr__(self, "_s", s.astype(complex))
-        object.__setattr__(self, "_minus_s", -self._s)
+        # complex columns, one row per factor, which broadcast against the
+        # points with no cast; the factors are formed from iy/2 and z/2, so
+        # that iy + z and its reciprocal stay finite up to the largest double
+        object.__setattr__(self, "_half_iy", 0.5j * y[:, None])
+        object.__setattr__(self, "_minus_half_iy", -self._half_iy)
+        object.__setattr__(self, "_unit", complex(np.prod(s)))
         # the top level with a table is that of the height with 2K - 1
         # heights above it: its far set outnumbers the series' degree
         terms = _far_terms(len(y))
@@ -712,41 +673,31 @@ class BlaschkeHalfPlane(MapExpr):
         object.__setattr__(self, "_tables", None)
         # past the top level every factor is near
         mirror = 0 if top is None else int(_mirror(y, top))
-        object.__setattr__(self, "_direct", (len(y), np.array([[mirror]])))
+        object.__setattr__(self, "_direct", (len(y), np.array([mirror])))
 
-    def _factor_jets(self, m, p, z, near=None):
-        """Values and derivatives of the first m factors at the column of
-        points z; at each point the first p of them lie below 2^-53 |z|, p
-        being a column of counts, ascending, or a 1 x 1 count for all.  A
-        column near, ascending, makes the factors past each point's own
-        near count units: value 1, derivative 0."""
-        iy = self._half_iy[:m]
-        half_z = 0.5 * z
-        den = iy + half_z
+    def _factor_values(self, z, m, mirror):
+        """The first m factors (iy - z)/(iy + z) at the 1-d points z,
+        without their signs, factor-major as _factor_jet takes them: values,
+        iy/2 - z/2, lead -(iy/2)/den and inv = 1/den, den = iy/2 + z/2.  At
+        each point the first mirror of them lie below 2^-53 |z|, mirror
+        being a row of counts, ascending, or one count for all."""
+        row = z[None]
+        half_z = 0.5 * row
+        den = self._half_iy[:m] + half_z
         # the singular points -iy lie below the real axis
-        _check_factors(den, z, z.imag < 0, "half-plane Blaschke factor", 1)
-        # in place, so that a long product allocates three arrays per block
+        _check_factors(den, z, z.imag < 0, "half-plane Blaschke factor")
         inv = np.reciprocal(den, out=den)
-        vals = iy - half_z
-        vals *= inv
-        ders = iy * inv
-        top = int(p[-1, 0])
+        num = self._half_iy[:m] - half_z
+        vals = num * inv
+        lead = self._minus_half_iy[:m] * inv
+        top = int(mirror[-1])
         if top:
             # those heights lie below 2^-53 |z|, where (iy - z)/den repeats
             # one rounding error factor after factor, while 2 iy/den - 1 is
             # -1 to within |2 iy/den|
-            mirror = np.arange(top) < p
-            np.copyto(vals[:, :top], 2.0 * ders[:, :top] - 1.0, where=mirror)
-        vals *= self._s[:m]
-        # -2 s iy / (iy + z)^2 = -s (iy/2) / den^2, grouped so that huge
-        # heights never overflow
-        ders *= inv
-        ders *= self._minus_s[:m]
-        if near is not None and near[0, 0] < m:
-            unit = np.arange(m) >= near
-            np.copyto(vals, 1.0, where=unit)
-            np.copyto(ders, 0.0, where=unit)
-        return vals, ders
+            mirrored = np.arange(top)[:, None] < mirror
+            np.copyto(vals[:top], -2.0 * lead[:top] - 1.0, where=mirrored)
+        return vals, num, lead, inv
 
     @staticmethod
     def _checked(jet, z, *args):
@@ -765,9 +716,9 @@ class BlaschkeHalfPlane(MapExpr):
 
     def _direct_jet(self, z):
         """Jets at the points z past the top level, every factor explicit."""
-        m, p = self._direct
+        m, mirror = self._direct
         return _product_jet(
-            z, m, lambda block: _block_jet(block[:, None], m, lambda b: self._factor_jets(m, p, b))
+            z, m, lambda part: _factor_jet(*self._factor_values(part, m, mirror), self._unit)
         )[:2]
 
     def _far_jet(self, z, level):
@@ -775,32 +726,34 @@ class BlaschkeHalfPlane(MapExpr):
         factors below the level of its far-field table, level[i],
         explicitly, times that table's series for the rest.  The points go
         in order of level, in blocks of at most _BLOCK factors; a block
-        forms the near sets up to its largest, with unit factors past a
-        point's own, summed left to right so that a point rounds alike
-        alone and in any block."""
-        _, near, mirror, sign, step, coef = self._tables
+        forms the near sets up to its largest, with unit factors (value 1,
+        log-derivative 0) past a point's own, which leave every bit of the
+        point's own product as _tree forms it alone."""
+        _, near, mirror, step, coef = self._tables
         order = np.argsort(level, kind="stable")
         z, level = z[order], level[order]
         n, p = near[level], mirror[level]
         value, derivative = np.empty_like(z), np.empty_like(z)
         lo = 0
         while lo < len(z):
-            # n ascends, so a block takes rows while rows * n stays in _BLOCK
+            # n ascends, so a block takes points while points * n stays in _BLOCK
             k = len(z) - lo
             if k * n[-1] > _BLOCK:
                 sizes = np.arange(1, k + 1) * n[lo:]
                 k = max(1, int(np.searchsorted(sizes, _BLOCK, side="right")))
-            rows, m = slice(lo, lo + k), int(n[lo + k - 1])
+            part, m = slice(lo, lo + k), int(n[lo + k - 1])
             lo += k
             if not m:
-                value[rows], derivative[rows] = 1.0, 0.0
+                value[part], derivative[part] = self._unit, 0.0
                 continue
-            value[rows], derivative[rows] = _block_jet(
-                z[rows, None],
-                m,
-                lambda block: self._factor_jets(m, p[rows, None], block, n[rows, None]),
-                _running_sum,
-            )
+            vals, num, lead, inv = self._factor_values(z[part], m, p[part])
+            if n[part.start] < m:
+                # a point's factors past its near set have y >= 2|z|, so num
+                # is not 0 there and lead 0 makes their log-derivative 0
+                unit = np.arange(m)[:, None] >= n[part]
+                np.copyto(vals, 1.0, where=unit)
+                np.copyto(lead, 0.0, where=unit)
+            value[part], derivative[part] = _factor_jet(vals, num, lead, inv, self._unit)
         # the far sets' series, each at its point's level: w^0, w^2, ... row
         # by row, from w^0 since w^1 / w would be 0/0 at z = 0, and summed
         # smallest terms first, the order that rounds the sums best
@@ -823,7 +776,7 @@ class BlaschkeHalfPlane(MapExpr):
                 out=sums[:, part],
             )
         dlog, log = sums
-        far = sign[level] * np.exp(w * log)
+        far = np.exp(w * log)
         dlog *= -2.0 * s
         out = np.empty_like(value), np.empty_like(derivative)
         out[0][order], out[1][order] = value * far, (derivative + value * dlog) * far
@@ -836,7 +789,7 @@ class BlaschkeHalfPlane(MapExpr):
         if self._tables is None:
             # built for the first batch that reaches them, so that a product
             # only evaluated above its top level never pays for them
-            tables = _far_field(self._y, self._s.real, self._far_terms, self._top)
+            tables = _far_field(self._y, self._far_terms, self._top)
             object.__setattr__(self, "_tables", tables)
         level = np.searchsorted(self._tables[0], az)
         past = level == len(self._tables[0])

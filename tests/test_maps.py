@@ -647,6 +647,14 @@ class TestBlaschke:
         assert calls == [64, 64]
 
 
+def _half_plane_points(heights, rng, n):
+    """n random points of the closed upper half-plane whose moduli spread
+    evenly in log from below the lowest height's level to past the top
+    one, where no factor is far."""
+    lo, hi = math.log2(min(heights)) - 3, math.log2(max(heights)) + 6
+    return np.exp2(rng.uniform(lo, hi, n)) * np.exp(1j * math.pi * rng.random(n))
+
+
 SQUARES = tuple(float(k * k) for k in range(1, 151))
 # each family with its points: z = 0, the real axis, both sides of level
 # boundaries (the far-field tables' reaches among them) and points past
@@ -657,6 +665,11 @@ FAR_FIELD_CASES = {
         None,
         [0j, 0.3 + 0j, -7.0 + 0j, 1000.0 + 0j, -2.0**8 + 0j, 3.0 + 5e-4j, 7e4j, 4.5e4 + 1.0j]
         + _level_boundaries(SQUARES),
+    ),
+    "squares-150-random": (
+        SQUARES,
+        None,
+        list(_half_plane_points(SQUARES, np.random.default_rng(150), 120)),
     ),
     "signed-powers-41": (
         *_signed_powers(41),
@@ -693,17 +706,42 @@ def _disc_points(rng, n):
     return z
 
 
-def _near_zeros(zeros, rng):
-    """Each zero itself and points 1e-12 to 9e-9 from it, in a shuffled
-    batch with ordinary points."""
+def _near_zeros(zeros, rng, turn=2.0, ordinary=_disc_points):
+    """Each zero itself and points 1e-12 to 9e-9 from it, at angles up to
+    turn pi, in a shuffled batch with 60 ordinary points."""
     near = [
-        a + d * cmath.exp(2j * math.pi * rng.random())
+        a + d * cmath.exp(1j * turn * math.pi * rng.random())
         for a in zeros
         for d in (0.0, 1e-12, 3e-9, 9e-9)
     ]
-    z = np.concatenate([near, _disc_points(rng, 60)])
+    z = np.concatenate([near, ordinary(rng, 60)])
     rng.shuffle(z)
     return z
+
+
+def _batch_points(f, batch):
+    """The points of a batch on the Blaschke product f, seeded by its
+    number of zeros: random ones across its domain, or its zeros with
+    points near them."""
+    if isinstance(f, BlaschkeDisc):
+        zeros, ordinary, turn = f.zeros, _disc_points, 2.0
+    else:
+        zeros, turn = [1j * y for y in f.heights], 1.0
+        ordinary = lambda rng, n: _half_plane_points(f.heights, rng, n)
+    rng = np.random.default_rng(len(zeros) + len(batch))
+    return _near_zeros(zeros, rng, turn, ordinary) if batch == "near-zeros" else ordinary(
+        rng, int(batch)
+    )
+
+
+# the disc's products, and two half-plane ones whose batches span every
+# far-field level, the direct product past the top and, near the zeros,
+# blocks that pad the near sets with unit factors
+BATCH_PRODUCTS = {
+    **{name: BlaschkeDisc(zeros) for name, zeros in BATCH_ZEROS.items()},
+    "half-plane-squares-1000": SQUARES_1000,
+    "half-plane-signed-powers-41": BlaschkeHalfPlane(*_signed_powers(41)),
+}
 
 
 def _words(values):
@@ -712,16 +750,15 @@ def _words(values):
 
 
 class TestFactorMajorBlaschke:
-    """BlaschkeDisc evaluates factor-major and reduces over the factors by
-    an elementwise tree: every point rounds alike alone and in a batch."""
+    """Both Blaschke products evaluate factor-major and reduce over the
+    factors by an elementwise tree: every point rounds alike alone and in a
+    batch."""
 
     @pytest.mark.parametrize("batch", ["1001", "4096", "near-zeros"])
-    @pytest.mark.parametrize("name", BATCH_ZEROS)
+    @pytest.mark.parametrize("name", BATCH_PRODUCTS)
     def test_a_point_rounds_alike_alone_and_in_a_batch(self, name, batch):
-        zeros = BATCH_ZEROS[name]
-        f = BlaschkeDisc(zeros)
-        rng = np.random.default_rng(len(zeros) + len(batch))
-        z = _near_zeros(zeros, rng) if batch == "near-zeros" else _disc_points(rng, int(batch))
+        f = BATCH_PRODUCTS[name]
+        z = _batch_points(f, batch)
         value, derivative, _ = evaluate(f, z)
         alone = [evaluate(f, complex(p)) for p in z]
         assert np.array_equal(_words([j.value for j in alone]), _words(value))

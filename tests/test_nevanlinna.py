@@ -880,23 +880,35 @@ class TestChoppedSeries:
         assert np.all(np.abs(dec.quotient_at(pts) - want) <= 1e-14 * np.abs(want))
         assert all(r <= 1e-14 for r in dec.residuals(f))
 
+    # the largest quotient residual: koebe-shifted's is 3.8e-14 with every
+    # coefficient kept; 256 samples do not resolve Shift(-0.9)'s boundary
+    # data, whose aliasing leaves 2e-8 with or without the chop
     @pytest.mark.parametrize(
-        "f, oracle, zeros, poles",
+        "f, oracle, zeros, poles, residual",
         [
-            (Compose(Koebe(), Shift(0.25)), Rational([-0.25], [0.75, 0.75]), [-0.25], [0.75, 0.75]),
-            (Shift(-0.9), Rational([0.9]), [0.9], []),
+            (
+                Compose(Koebe(), Shift(0.25)),
+                Rational([-0.25], [0.75, 0.75]),
+                [-0.25],
+                [0.75, 0.75],
+                1e-13,
+            ),
+            (Shift(-0.9), Rational([0.9]), [0.9], [], None),
         ],
         ids=["koebe-shifted", "shift"],
     )
     def test_chopped_sides_lie_within_the_bound_of_a_30_digit_reference(
-        self, f, oracle, zeros, poles
+        self, f, oracle, zeros, poles, residual
     ):
         # both maps drop true coefficients, not only rounding noise; the
         # reference keeps every coefficient, and 16 eps of each side is
-        # rounding, of the float coefficients and of their sum
+        # rounding, of the float coefficients and of their sum.  They drop
+        # only coefficients on the rounding plateau, so the chop leaves
+        # f0/finf as close to f as the full series
         dec = fatou_decompose(f, 256)
         assert dec.boundary_samples == 256
         assert max(dec._chop_bound) > 0.0
+        assert residual is None or dec.residuals(f)[1] <= residual
         pts = self._points(np.random.default_rng(3), zeros + poles)
         for at, want, bound in zip(
             (dec.f0_at, dec.finf_at), _dft_sides(oracle, zeros, poles, 256, pts), dec._chop_bound
