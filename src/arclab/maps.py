@@ -387,55 +387,51 @@ class LogMap(MapExpr):
 
 
 def _tree(op, rows):
-    """rows[0] op rows[1] op ... over the rows of a 2-d array, by a
-    pairwise tree of elementwise calls.  n rows are the first n of 2^L
-    slots, the slots past them units, and each level takes slot i op slot
-    half + i for the first half of the slots in one call, a unit partner
-    leaving slot i as it is, so that n rows take L calls.  numpy reduces a
-    complex axis in an order that depends on the length of the other axis,
-    and rounds an in-place product of one element without the fused
-    multiply-add of its array loops; the tree uses neither, so a point
-    rounds alike alone and in any batch.  Rows of units (1 for a product,
-    0 for a sum) appended past the rows fill slots that held units, and
-    past 2^L add levels that pair every slot with a unit, so they leave
-    every bit of the result as it is.  One row comes back as a view."""
-    while len(rows) > 1:
-        half = 1 << (len(rows) - 1).bit_length() - 1
-        pairs = op(rows[: len(rows) - half], rows[half:])
-        rows = np.concatenate((pairs, rows[len(pairs) : half])) if len(pairs) < half else pairs
-    return rows[0]
+    """The 2-d arrays in the list rows, alike in shape, each reduced over
+    its rows by a pairwise tree, which overwrites them: op(lower, upper)
+    combines the lists of the lower and the upper slots' rows into a list
+    of rows.  n rows are the first n of 2^L slots, the rest units; each
+    level combines slot i with slot half + i for the first half of the
+    slots in one call, and where units partner the rest it writes the
+    combined rows over the first rows rather than concatenate them.  numpy
+    reduces a complex axis in an order that depends on the length of the
+    other axis, and rounds an in-place product of one element without the
+    fused multiply-add of its array loops; the tree uses neither, so a point
+    rounds alike alone and in any batch, and unit rows appended past the
+    rows, which meet only units or leave their partners as they are, change
+    no bit of the result.  Returns the reduced row of each array."""
+    n = len(rows[0])
+    while n > 1:
+        half = 1 << (n - 1).bit_length() - 1
+        k = n - half
+        pairs = op([r[:k] for r in rows], [r[half:n] for r in rows])
+        if k < half:
+            for r, p in zip(rows, pairs):
+                r[:k] = p
+        else:
+            rows = pairs
+        n = half
+    return [r[0] for r in rows]
 
 
-def _factor_jet(vals, num, lead, inv, unit):
-    """Value and derivative, at each column of factor-major factors num/den
-    with derivatives c/den^2, of unit times their product: the product
-    times the sum of the log-derivatives lead/num, lead = c/den, both
-    reduced over the factors by _tree.  vals holds the factors' values and
-    inv = 1/den.  A column with a factor within 1e-8 of zero splits it off,
-    so that the sum stays tame, and a second exact zero makes value and
-    derivative vanish; each column takes that branch on its own.  vals,
-    num and lead are changed in place: a fresh array per call costs a long
-    product more than the division itself, and numpy's complex division,
-    unlike its product, rounds one element in place as in a batch."""
-    size = np.abs(vals)
-    split = np.flatnonzero(size.min(axis=0) < 1e-8) if size.min(initial=1.0) < 1e-8 else ()
-    if len(split):
-        k = np.argmin(size[:, split], axis=0)
-        vk, dk = vals[k, split], lead[k, split] * inv[k, split]
-        vals[k, split] = num[k, split] = 1.0
-        double = split[np.any(vals[:, split] == 0, axis=0)]
-        vals[:, double] = num[:, double] = 1.0
-    terms = np.divide(lead, num, out=lead)
-    if len(split):
-        terms[k, split] = 0.0
-    s = _tree(np.add, terms)
-    value = unit * _tree(np.multiply, vals)
-    derivative = value * s
-    if len(split):
-        derivative[split] = value[split] * (dk + vk * s[split])
-        value[split] = vk * value[split]
-        value[double] = derivative[double] = 0.0
-    return value, derivative
+def _product(lower, upper):
+    """Values times values, for _tree."""
+    return [lower[0] * upper[0]]
+
+
+def _product_rule(lower, upper):
+    """Jets (u, u') times jets (v, v'), for _tree: (1, 0) is the unit."""
+    (u, du), (v, dv) = lower, upper
+    return [u * v, du * v + u * dv]
+
+
+def _factor_jet(vals, ders, unit):
+    """Value and derivative of unit times the product of factor-major
+    factors, values vals and derivatives ders, at each column, by the
+    product rule on _tree: nothing divides by a factor's value, so a point
+    at or near a zero, single or double, takes no branch of its own."""
+    value, derivative = _tree(_product_rule, [vals, ders])
+    return unit * value, unit * derivative
 
 
 def _point_blocks(count, n):
@@ -460,14 +456,12 @@ def _product_jet(z, n, block_jet):
     return value, derivative, _finite(z)
 
 
-def _check_factors(den, z, maybe, what):
+def _check_factors(den, z, what):
     """Raise at the first of the points z where a factor's denominator
-    vanishes, den holding one row per factor; only points where maybe holds
-    can have one."""
-    if maybe.any():
-        hit = np.any(den == 0, axis=0)
-        if hit.any():
-            raise EvaluationError(f"{what} singular at {complex(z[hit][0])}")
+    vanishes, den holding the factors' rows, the points along its last axis."""
+    if not den.all():
+        hit = ~den.reshape(-1, len(z)).all(axis=0)
+        raise EvaluationError(f"{what} singular at {complex(z[hit][0])}")
 
 
 @dataclass(frozen=True)
@@ -513,26 +507,17 @@ class BlaschkeDisc(MapExpr):
         object.__setattr__(self, "_norm", norm)
         object.__setattr__(self, "_unit", complex(np.prod(norm)))
 
-    def _factor_values(self, z, factors=slice(None)):
-        """(a - z)/(1 - conj(a) z), a - z and 1/(1 - conj(a) z) at the 1-d
-        points z for the zeros a that the slice factors picks, factor-major:
-        one row per factor, the points along the contiguous last axis."""
+    def _block_jet(self, z):
+        """Value and derivative at the 1-d points z of the factors
+        (a - z)/(1 - conj(a) z), with derivatives (|a|^2 - 1)/(1 - conj(a) z)^2."""
         # a row, as the columns are 2-d: numpy rounds a product of one
         # element broadcast to a new axis without the fused multiply-add of
         # its array loops
         row = z[None]
-        den = 1.0 - self._conj_a[factors] * row
-        # the singular points 1/conj(a) lie outside the unit disc
-        _check_factors(den, z, np.abs(z) > 1.0, "Blaschke factor")
+        den = 1.0 - self._conj_a * row
+        _check_factors(den, z, "Blaschke factor")
         inv = np.reciprocal(den, out=den)
-        diff = self._a[factors] - row
-        return diff * inv, diff, inv
-
-    def _block_jet(self, z):
-        """Value and derivative at the 1-d points z: the factors' derivative
-        is (|a|^2 - 1)/(1 - conj(a) z)^2."""
-        vals, diff, inv = self._factor_values(z)
-        return _factor_jet(vals, diff, self._drop * inv, inv, self._unit)
+        return _factor_jet((self._a - row) * inv, self._drop * inv * inv, self._unit)
 
     def _jet(self, z):
         return _product_jet(z, len(self._a), self._block_jet)
@@ -677,18 +662,16 @@ class BlaschkeHalfPlane(MapExpr):
 
     def _factor_values(self, z, m, mirror):
         """The first m factors (iy - z)/(iy + z) at the 1-d points z,
-        without their signs, factor-major as _factor_jet takes them: values,
-        iy/2 - z/2, lead -(iy/2)/den and inv = 1/den, den = iy/2 + z/2.  At
-        each point the first mirror of them lie below 2^-53 |z|, mirror
-        being a row of counts, ascending, or one count for all."""
+        without their signs, factor-major: values (iy/2 - z/2)/den and
+        derivatives lead/den, den = iy/2 + z/2, lead = -(iy/2)/den.  At each
+        point the first mirror of them lie below 2^-53 |z|, mirror being a
+        row of counts, ascending, or one count for all."""
         row = z[None]
         half_z = 0.5 * row
         den = self._half_iy[:m] + half_z
-        # the singular points -iy lie below the real axis
-        _check_factors(den, z, z.imag < 0, "half-plane Blaschke factor")
+        _check_factors(den, z, "half-plane Blaschke factor")
         inv = np.reciprocal(den, out=den)
-        num = self._half_iy[:m] - half_z
-        vals = num * inv
+        vals = (self._half_iy[:m] - half_z) * inv
         lead = self._minus_half_iy[:m] * inv
         top = int(mirror[-1])
         if top:
@@ -697,7 +680,7 @@ class BlaschkeHalfPlane(MapExpr):
             # -1 to within |2 iy/den|
             mirrored = np.arange(top)[:, None] < mirror
             np.copyto(vals[:top], -2.0 * lead[:top] - 1.0, where=mirrored)
-        return vals, num, lead, inv
+        return vals, lead * inv
 
     @staticmethod
     def _checked(jet, z, *args):
@@ -727,7 +710,7 @@ class BlaschkeHalfPlane(MapExpr):
         explicitly, times that table's series for the rest.  The points go
         in order of level, in blocks of at most _BLOCK factors; a block
         forms the near sets up to its largest, with unit factors (value 1,
-        log-derivative 0) past a point's own, which leave every bit of the
+        derivative 0) past a point's own, which leave every bit of the
         point's own product as _tree forms it alone."""
         _, near, mirror, step, coef = self._tables
         order = np.argsort(level, kind="stable")
@@ -746,14 +729,13 @@ class BlaschkeHalfPlane(MapExpr):
             if not m:
                 value[part], derivative[part] = self._unit, 0.0
                 continue
-            vals, num, lead, inv = self._factor_values(z[part], m, p[part])
+            vals, ders = self._factor_values(z[part], m, p[part])
             if n[part.start] < m:
-                # a point's factors past its near set have y >= 2|z|, so num
-                # is not 0 there and lead 0 makes their log-derivative 0
+                # a point's factors past its near set are units
                 unit = np.arange(m)[:, None] >= n[part]
                 np.copyto(vals, 1.0, where=unit)
-                np.copyto(lead, 0.0, where=unit)
-            value[part], derivative[part] = _factor_jet(vals, num, lead, inv, self._unit)
+                np.copyto(ders, 0.0, where=unit)
+            value[part], derivative[part] = _factor_jet(vals, ders, self._unit)
         # the far sets' series, each at its point's level: w^0, w^2, ... row
         # by row, from w^0 since w^1 / w would be 0/0 at z = 0, and summed
         # smallest terms first, the order that rounds the sums best
@@ -796,7 +778,8 @@ class BlaschkeHalfPlane(MapExpr):
         value, derivative = np.empty_like(z), np.empty_like(z)
         below = ~past
         value[below], derivative[below] = self._checked(self._far_jet, z[below], level[below])
-        value[past], derivative[past] = self._checked(self._direct_jet, z[past])
+        if past.any():
+            value[past], derivative[past] = self._checked(self._direct_jet, z[past])
         return value, derivative, _finite(z)
 
 

@@ -42,11 +42,14 @@ from .errors import (
 # checks that this module's binding of it is the wrapped geodesics one
 from .geodesics import AREA_DEFAULT, QuadConfig, _on_circles, adaptive_integrate  # noqa: F401
 from .maps import (
+    _DISC_RADIUS,
     BlaschkeDisc,
     MapExpr,
     _cancelled,
     _check_domain,
+    _check_factors,
     _point_blocks,
+    _product,
     _tree,
     evaluate,
 )
@@ -216,11 +219,10 @@ def _power_series(blocks, z):
     return out
 
 
-def _shaped(z, values):
-    """The 1-d values at the points z in the shape of z, a complex at a
-    point.  Every operation runs on arrays, where numpy rounds a point
-    alike alone and in a batch, and Python's complex division does not."""
-    shape = np.shape(z)
+def _shaped(values, shape):
+    """The 1-d values in the given shape, a complex at a point.  Every
+    operation runs on arrays, where numpy rounds a point alike alone and in
+    a batch, and Python's complex division does not."""
     return values.reshape(shape) if shape else complex(values[0])
 
 
@@ -256,11 +258,11 @@ class Decomposition:
 
     def __post_init__(self):
         # built once (non-field attributes stay out of equality and repr):
-        # one Blaschke product on b0's zeros and then finf's poles, whose
-        # constructor checks the points, with the ends of each side's
-        # factors; the scales, with the sides' normalisers and exp(c_0); and
         # the chopped series less c_0 in blocks of _K coefficients, one
-        # (2, J, _K) array, with the blocks each side needs, 0 for c_0 alone
+        # (2, J, _K) array, with the blocks each side needs, 0 for c_0 alone;
+        # one Blaschke product on b0's zeros and then finf's poles, whose
+        # constructor checks the points; the scales, with the sides'
+        # normalisers and exp(c_0); and the factors' columns
         sides = [np.asarray(getattr(self, name), dtype=complex) for name in _SIDES]
         coeffs = np.zeros((2, max(1, *map(len, sides))), dtype=complex)
         for name, row, side in zip(_SIDES, coeffs, sides):
@@ -286,42 +288,56 @@ class Decomposition:
         units = [np.prod(b._norm[lo:hi]) for lo, hi in zip(ends, ends[1:])]
         units[0] *= cmath.exp(1j * self.quotient_phase)
         object.__setattr__(self, "_scales", 0.5 * np.array(units) * np.exp(coeffs[:, 0]))
-        object.__setattr__(self, "_blaschke", b)
-        object.__setattr__(self, "_ends", ends)
+        # each side's factors (p - q z)[0] / (p - q z)[1], p = (a, 1) and
+        # q = (1, conj(a)), in rows, the sides side by side; the side with
+        # fewer rows, or none, is padded with units, p = (1, 1) and q = 0
+        factors = [b.zeros[lo:hi] for lo, hi in zip(ends, ends[1:])]
+        object.__setattr__(self, "_rows", tuple(max(1, len(f)) for f in factors))
+        pad = [(1, 1, 0, 0)] * max(self._rows)
+        columns = [[(a, 1, 1, a.conjugate()) for a in f] + pad[len(f) :] for f in factors]
+        columns = np.array(columns, dtype=complex).T
+        object.__setattr__(self, "_columns", columns.reshape(2, 2, -1, 2, 1))
 
     def _at(self, z, sides):
         """Values at the points z, flattened, of the sides that the slice
-        sides picks from (f0, finf), one row per side.  The Blaschke values
-        come without derivatives, the sides' factors in one factor-major
-        pass and one tree product per side, then, when a side keeps more
-        than c_0, one power-series call and one exp serve all the sides.
-        Points off the closed disc raise DomainError."""
-        flat = np.asarray(z, dtype=complex).reshape(-1)
-        _check_domain(MetricId.HYPERBOLIC_DISC, flat)
-        ends = self._ends[sides.start : sides.stop + 1]
-        first, last = ends[0], ends[-1]
-        vals = np.ones((len(ends) - 1, len(flat)), dtype=complex)
-        for part in _point_blocks(len(flat), last - first) if last > first else ():
-            factors = self._blaschke._factor_values(flat[part], slice(first, last))[0]
-            for out, lo, hi in zip(vals, ends, ends[1:]):
-                if hi > lo:
-                    out[part] = _tree(np.multiply, factors[lo - first : hi - first])
+        sides picks from (f0, finf), one row per side, and the shape of z:
+        each factor's value (a - z)/(1 - conj(a) z) in one division, one
+        tree product over the picked sides' factors side by side, and, when
+        a side keeps more than c_0, one power-series call and one exp.
+        Points off the closed disc raise DomainError, and points at a
+        factor's pole 1/conj(a), within the disc's slack, EvaluationError;
+        one |z| tells whether either check runs."""
+        zs = np.asarray(z, dtype=complex)
+        flat = zs.reshape(-1)
+        top = np.abs(flat).max(initial=0.0)
+        if top > _DISC_RADIUS:
+            _check_domain(MetricId.HYPERBOLIC_DISC, flat)
+        p, q = self._columns[:, :, : max(self._rows[sides]), sides]
+        vals = np.empty((sides.stop - sides.start, len(flat)), dtype=complex)
+        for part in _point_blocks(len(flat), p.size // 2):
+            num, den = p - q * flat[part]
+            if top > 1.0:
+                _check_factors(den, flat[part], "Blaschke factor")
+            vals[:, part] = _tree(_product, [num / den])[0]
         vals = self._scales[sides, None] * vals
         depth = max(self._depths[sides])
-        return vals * np.exp(_power_series(self._blocks[sides, :depth], flat)) if depth else vals
+        vals = vals * np.exp(_power_series(self._blocks[sides, :depth], flat)) if depth else vals
+        return vals, zs.shape
 
     def f0_at(self, z):
         """f0 at a point or, elementwise, at an array of points."""
-        return _shaped(z, self._at(z, slice(0, 1))[0])
+        (f0,), shape = self._at(z, slice(0, 1))
+        return _shaped(f0, shape)
 
     def finf_at(self, z):
         """finf at a point or, elementwise, at an array of points."""
-        return _shaped(z, self._at(z, slice(1, 2))[0])
+        (finf,), shape = self._at(z, slice(1, 2))
+        return _shaped(finf, shape)
 
     def quotient_at(self, z):
         """f0/finf at a point or, elementwise, at an array of points."""
-        f0, finf = self._at(z, slice(0, 2))
-        return _shaped(z, f0 / finf)
+        (f0, finf), shape = self._at(z, slice(0, 2))
+        return _shaped(f0 / finf, shape)
 
     def residuals(self, f: MapExpr):
         """(pythagoras, quotient, origin) residuals of this decomposition of
@@ -332,7 +348,7 @@ class Decomposition:
         zeros, _, origin = _gate(f)
         circle = _circle(self.boundary_samples)
         w, _, pole = jets = evaluate(f, circle)
-        v0, vinf = self._at(circle, slice(0, 2))
+        (v0, vinf), _ = self._at(circle, slice(0, 2))
         pyth = np.max(np.abs(np.abs(v0) ** 2 + np.abs(vinf) ** 2 - 1.0), initial=0.0)
         keep = ~pole
         quot = np.max(np.abs(v0[keep] / vinf[keep] - w[keep]), initial=0.0)

@@ -313,6 +313,19 @@ class TestDivisor:
             PowerSeries((0, 0)).polar_divisor()
 
 
+# Blaschke products with zeros to pass close by: single zeros, and double
+# ones at 0.5 and at 5i and 60i; the half-plane zeros 3i and 5i lie at
+# far-field levels, 50i and 60i past the top level
+NEAR_ZERO_PRODUCTS = {
+    "disc": (BlaschkeDisc((0.5 + 0j, 0.3j, -0.2 + 0.1j)), (0.5 + 0j, 0.3j)),
+    "disc-double": (BlaschkeDisc((0.5 + 0j, 0.5 + 0j, 0.3j)), (0.5 + 0j,)),
+    "half-plane": (
+        BlaschkeHalfPlane(tuple(float(k) for k in range(1, 81)) + (5.0, 60.0)),
+        (3j, 5j, 50j, 60j),
+    ),
+}
+
+
 class TestProductsAndQuotients:
     def test_product_tags(self):
         p = Product(BlaschkeDisc((0.5 + 0j,)), BlaschkeDisc((0.2j,)))
@@ -335,17 +348,59 @@ class TestProductsAndQuotients:
         assert jet.derivative == pytest.approx(1.0)
 
     def test_product_near_zero_split_accuracy(self):
-        # one factor passes within 1e-9 of zero: the log-derivative sum
-        # must not blow up
+        # one factor passes within 1e-9 of zero: the derivative must stay
+        # tame
         b = BlaschkeDisc((0.5 + 0j, 0.3j, -0.2 + 0.1j))
         z = 0.5 + 1e-9 + 0j
         jet = evaluate(b, z)
         assert jet.derivative == pytest.approx(fd_derivative(b, z, 1e-5), rel=1e-6)
 
+    @pytest.mark.parametrize("f, zeros", NEAR_ZERO_PRODUCTS.values(), ids=NEAR_ZERO_PRODUCTS)
+    def test_product_near_zero_matches_mpmath(self, f, zeros):
+        # 1e-12 to 1e-6 from a zero, single or double, and at it: value and
+        # derivative against the 40-digit product rule, exactly 0 where the
+        # reference is
+        mpmath = pytest.importorskip("mpmath")
+        for a in zeros:
+            for d in (0.0, 1e-12, 1e-10, 1e-8, 1e-6):
+                z = a + d * cmath.exp(0.7j)
+                jet = evaluate(f, z)
+                with mpmath.workdps(40):
+                    refs = _mp_product_jet(mpmath, f, z)
+                for got, ref in zip((jet.value, jet.derivative), refs):
+                    assert abs(mpmath.mpc(got) - ref) <= 1e-13 * abs(ref), (a, d, got)
+
     def test_product_exact_double_zero(self):
         b = BlaschkeDisc((0.5 + 0j, 0.5 + 0j))
         jet = evaluate(b, 0.5 + 0j)
         assert jet.value == 0 and jet.derivative == 0
+
+
+def _mp_product_jet(mpmath, f, z):
+    """Value and derivative of the Blaschke product f at z in mpmath: the
+    factors and their derivatives, multiplied by the product rule through
+    prefix and suffix products, so that an exact zero needs no care."""
+    w = mpmath.mpc(z.real, z.imag)
+    if isinstance(f, BlaschkeDisc):
+        factors = []
+        for a in f.zeros:
+            a = mpmath.mpc(a.real, a.imag)
+            unit = abs(a) / a if a else 1
+            den = 1 - mpmath.conj(a) * w
+            factors.append((unit * (a - w) / den, unit * (abs(a) ** 2 - 1) / den**2))
+    else:
+        factors = [
+            (s * (1j * y - w) / (1j * y + w), -2j * s * y / (1j * y + w) ** 2)
+            for y, s in zip(map(mpmath.mpf, f.heights), f.signs)
+        ]
+    prefix = [mpmath.mpc(1)]
+    for v, _ in factors:
+        prefix.append(prefix[-1] * v)
+    derivative, suffix = mpmath.mpc(0), mpmath.mpc(1)
+    for k in range(len(factors) - 1, -1, -1):
+        derivative += prefix[k] * factors[k][1] * suffix
+        suffix *= factors[k][0]
+    return prefix[-1], derivative
 
 
 def inv(center):

@@ -10,6 +10,7 @@ from arclab.errors import (
     BoundarySingularityError,
     DataError,
     DomainError,
+    EvaluationError,
     NormalizationError,
     ResolutionError,
     StructureError,
@@ -783,6 +784,23 @@ class TestOnePassEvaluator:
             for z in (1.5, mixed):
                 with pytest.raises(DomainError, match=r"\(1\.5\+0j\) is outside the closed unit disc"):
                     at(z)
+
+    def test_a_factor_pole_inside_the_slack_raises(self):
+        # 1/conj(a) lies within the closed disc's slack for a = 1 - 2^-33:
+        # past the domain check, the factor is singular there
+        a = 1.0 - 2.0**-33
+        dec = Decomposition(
+            b0_zeros=(a,), binf_poles=(), u0_fourier=(0j,), uinf_fourier=(0j,),
+            boundary_samples=256, quotient_phase=0.0,
+        )
+        for z in (1.0 / a, np.array([0.5, 1.0 / a])):
+            with pytest.raises(EvaluationError, match=r"Blaschke factor singular at \(1\.0+"):
+                dec.f0_at(z)
+        with pytest.raises(DomainError, match=r"\(1\.5\+0j\) is outside the closed unit disc"):
+            dec.f0_at(1.5)
+        # the domain check comes first
+        with pytest.raises(DomainError):
+            dec.f0_at(np.array([1.0 / a, 1.5]))
 
     @pytest.mark.parametrize("n_zeros,n_poles", [(0, 1), (1, 0), (1, 1), (2, 3), (4, 2)])
     def test_a_lone_point_agrees_with_the_batch(self, n_zeros, n_poles):
