@@ -33,7 +33,8 @@ theorem gives
     A(r) = int_0^{2 pi} 2 Re(z f'(z) dPhi/dw(f(z))) dtheta  [+ 4 pi n(r, inf)]
 
 the bracket for the sphere, n(r, inf) the poles in |z| < r.  Every other
-radius takes the nested route, _nested.  One circle rule (_circle_rule)
+radius takes the nested route, _nested: radial windows of width 5, whose
+bound carries its circles' tolerance.  One circle rule (_circle_rule)
 takes the boundary integrals and the nested route's inner
 theta-integrals, and certifies each circle on the Fourier tail of its
 samples; a circle it cannot certify within _MAX_PANELS points raises
@@ -114,11 +115,13 @@ _MAX_PANELS = 1 << 14
 # times the map's number of zeros and poles if more, and doubles
 _FIRST_POINTS = 64
 # rounding allowed per sample, relative to the size of the terms it is made of
-_ROUNDOFF = 16 * np.finfo(float).eps
+_ROUNDOFF = 16 * float(np.finfo(float).eps)
 # the share by which _circle_rule's reduced form must be the smaller
 _FORM_MARGIN = 1e-9
 # divisor points within this relative distance of a circle count as on it
 _ON_CIRCLE = 1e-6
+# the largest absolute tolerance of a circle energy: 1e-13 on its mean
+_CIRCLE_FLOOR = 2.0 * math.pi * 1e-13
 
 
 @dataclass(frozen=True)
@@ -395,10 +398,11 @@ def arc_length_profile(
     return samples
 
 
-def _circle_energies(f, ts, target, rel_tol, max_panels):
+def _circle_energies(f, ts, target, rel_tol, max_panels, abs_tol=_CIRCLE_FLOOR):
     """circle_energy at every radius of the 1-d array ts, as an array: the
     circle rule on |f'|^2 (disc -> target), one form, each circle certified
-    to max(1e-13, rel_tol |mean|) on the mean within max_panels points."""
+    to max(abs_tol, rel_tol |energy|) within max_panels points, abs_tol a
+    number or an array with one per radius."""
     if not (ts >= 0).all():
         raise ValueError("radius must be non-negative")
 
@@ -407,9 +411,8 @@ def _circle_energies(f, ts, target, rel_tol, max_panels):
         h = (n * n)[None, None]
         return h, h
 
-    r, scale = np.tanh(ts / 2.0), 2.0 * math.pi
-    shift, tol = np.zeros((1, len(ts))), scale * 1e-13
-    return _circle_rule(sample, r, scale, shift, tol, rel_tol, _FIRST_POINTS, max_panels)[0][0]
+    r, scale, shift = np.tanh(ts / 2.0), 2.0 * math.pi, np.zeros((1, len(ts)))
+    return _circle_rule(sample, r, scale, shift, abs_tol, rel_tol, _FIRST_POINTS, max_panels)[0][0]
 
 
 def circle_energy(
@@ -647,7 +650,8 @@ def _circle_rule(sample, r, scale, shift, abs_tol, rel_tol, first, cap=_MAX_PANE
     (k, len(r)).  Each circle takes first points, doubling over the
     circles not yet certified in one batch, and is certified once for
     every integrand the top-quarter Fourier tail, times scale, is at most
-    max(abs_tol, rel_tol |value|).  Returns (values, bounds): a bound is
+    max(abs_tol, rel_tol |value|), abs_tol a number or an array with one
+    per circle.  Returns (values, bounds): a bound is
     scale times the tail plus a rounding floor of _ROUNDOFF times the mean
     term size.  A circle that has not certified at cap points raises
     PrecisionError, naming the first such circle in the order of r and its
@@ -655,6 +659,7 @@ def _circle_rule(sample, r, scale, shift, abs_tol, rel_tol, first, cap=_MAX_PANE
     """
     n = first
     live = np.arange(len(r))
+    abs_tol = np.full(len(r), abs_tol)
     forms, forms_size = _circle_samples(sample, r, live, np.arange(n), n)
     moduli = np.abs(forms).sum(axis=-1)
     reduced = moduli[-1] < (1.0 - _FORM_MARGIN) * moduli[0]
@@ -665,7 +670,7 @@ def _circle_rule(sample, r, scale, shift, abs_tol, rel_tol, first, cap=_MAX_PANE
         mean, tail = _spectral_tail(h)
         value = scale * (mean + shift[:, live])
         err = scale * tail
-        ok = err <= np.maximum(abs_tol, rel_tol * np.abs(value))
+        ok = err <= np.maximum(abs_tol[live], rel_tol * np.abs(value))
         done = ok.all(axis=0)
         values[:, live[done]] = value[:, done]
         bounds[:, live[done]] = err[:, done] + scale * _ROUNDOFF * size[:, done] / n
@@ -819,74 +824,66 @@ def _on_circles(f: MapExpr, rs, target: MetricId, cfg: QuadConfig, want=("A",), 
     return out
 
 
-def _scaled(exc, factor):
-    """The PrecisionError or DivergenceError exc anew, its estimate and
-    error bound or its partial sums times factor."""
-    if isinstance(exc, DivergenceError):
-        return DivergenceError(str(exc), [factor * s for s in exc.partial_sums])
-    return PrecisionError(exc.reason, factor * exc.estimate, factor * exc.error_bound)
-
-
 def _nested(f: MapExpr, r: float, target: MetricId, cfg: QuadConfig, quantity: str):
     """The quantity "A" or "T" of _on_circles at the radius r by the
     nested route, as (value, error bound) in the units of S, as are the
     numbers a PrecisionError or DivergenceError carries.
 
-    The outer G7K15 rule integrates sinh v Q(v) over the hyperbolic radius
-    v, Q(v) the circle energy of f, a half-plane map taken to the disc
-    first, certified to a hundredth of cfg's relative tolerance.  For T
-    the integrand carries the kernel log(r / tanh(v/2)), from exchanging
-    the order of integration in int_0^r S(t)/t dt.  At r < 1 it runs over
-    [0, rho], rho the hyperbolic radius of |z| = r; the area keeps its cap,
-    and r past tanh(DISC_RHO_MAX/2) raises ValueError.  At r = 1 the area is
-    summed over radial windows of width 5 with a Cauchy stopping rule, and
-    declared divergent after two consecutive growing increments; the last
-    window's increment is the tail allowance, a heuristic.  A stall inside
-    a window raises PrecisionError with the windows done as the estimate,
-    a lower bound, and bound inf."""
-    if quantity == "A" and math.tanh(DISC_RHO_MAX / 2.0) < r < 1.0:
-        raise ValueError(f"rho must be in (0, {DISC_RHO_MAX}] or infinite")
+    The outer G7K15 rule integrates sinh v Q(v), for T times the kernel
+    log(r / tanh(v/2)) from exchanging the order of int_0^r S(t)/t dt, over
+    windows of width 5 in the hyperbolic radius v; Q(v) is the circle
+    energy of f, a half-plane map taken to the disc first.  The windows end
+    at rho, the hyperbolic radius of |z| = r, or at r = 1 by a Cauchy rule
+    (the last increment is the tail allowance, a heuristic), after two
+    growing increments (DivergenceError) or at DISC_RHO_MAX.  A stall
+    raises PrecisionError with the windows done, a lower bound, and bound
+    inf.  A circle is certified to max(min(_CIRCLE_FLOOR, abs_tol/(5 sinh
+    v)), rel_tol |Q|/100), cfg's tolerances, so a window [lo, hi] adds to
+    its G7K15 bound abs_tol (hi - lo)/5, or abs_tol (pi^2/4)/5 for T, whose
+    kernel integrates to at most pi^2/4 over [0, rho], and (rel_tol/100 +
+    _ROUNDOFF) times the increment, which is at least 0."""
     if f.domain is MetricId.HYPERBOLIC_HALF_PLANE:
         # transport through the disc -> half-plane isometry
         f = Compose(f, inv_cayley_map())
     rel_tol, log_r, unit = 0.01 * cfg.rel_tol, math.log(r), 4.0 * math.pi
 
     def radial(ts):
-        q = np.sinh(ts) * _circle_energies(f, ts, target, rel_tol, _MAX_PANELS)
+        weight = np.sinh(ts)
+        floor = np.minimum(_CIRCLE_FLOOR, cfg.abs_tol / (5.0 * weight))
+        q = weight * _circle_energies(f, ts, target, rel_tol, _MAX_PANELS, floor)
         return q if quantity == "A" else q * (log_r - np.log(np.tanh(ts / 2.0)))
 
-    try:
+    rho = DISC_RHO_MAX if r == 1.0 else math.log1p(r) - math.log1p(-r)
+    total = err = lo = 0.0
+    partials, inc, rising = [], math.inf, 0
+    while lo < rho:
+        hi, prev_inc = min(lo + 5.0, rho), inc
+        try:
+            inc, inc_err = adaptive_integrate(radial, lo, hi, cfg)
+        except PrecisionError as exc:
+            # the windows done are a lower bound: the integrand is >= 0
+            raise PrecisionError(exc.reason, total / unit, math.inf) from None
+        span = math.pi**2 / 4.0 if quantity == "T" else hi - lo
+        total, lo = total + inc, hi
+        err += inc_err + cfg.abs_tol * span / 5.0 + (rel_tol + _ROUNDOFF) * abs(inc)
         if r < 1.0:
-            rho = math.log1p(r) - math.log1p(-r)
-            value, err = adaptive_integrate(radial, 0.0, rho, cfg)
-            return value / unit, err / unit
-        total = err = lo = 0.0
-        partials, prev_inc, rising = [], math.inf, 0
-        while lo < DISC_RHO_MAX:
-            hi = min(lo + 5.0, DISC_RHO_MAX)
-            try:
-                inc, inc_err = adaptive_integrate(radial, lo, hi, cfg)
-            except PrecisionError as exc:
-                # the windows done are a lower bound: the integrand is >= 0
-                raise PrecisionError(exc.reason, estimate=total, error_bound=math.inf) from None
-            total, err, lo = total + inc, err + inc_err, hi
-            partials.append(total)
-            rising = rising + 1 if inc > prev_inc else 0
-            if rising >= 2:
-                raise DivergenceError(
-                    "area increments keep growing; the improper area diverges",
-                    partial_sums=tuple(partials),
-                )
-            if abs(inc) <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-                return total / unit, (err + abs(inc)) / unit
-            prev_inc = inc
-        raise PrecisionError(
-            f"window increments still material at rho = {DISC_RHO_MAX}",
-            estimate=total,
-            error_bound=err + abs(prev_inc),
-        )
-    except (PrecisionError, DivergenceError) as exc:
-        raise _scaled(exc, 1.0 / unit) from None
+            continue
+        partials.append(total / unit)
+        rising = rising + 1 if inc > prev_inc else 0
+        if rising >= 2:
+            raise DivergenceError(
+                "area increments keep growing; the improper area diverges",
+                partial_sums=partials,
+            )
+        if abs(inc) <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+            return total / unit, (err + abs(inc)) / unit
+    if r < 1.0:
+        return total / unit, err / unit
+    raise PrecisionError(
+        f"window increments still material at rho = {DISC_RHO_MAX}",
+        estimate=total / unit,
+        error_bound=(err + abs(inc)) / unit,
+    )
 
 
 def area_with_bound(
@@ -905,8 +902,10 @@ def area_with_bound(
     unit = 4.0 * math.pi
     try:
         value, bound = _on_circles(f, [r], target, config or AREA_DEFAULT)[0][0]
-    except (PrecisionError, DivergenceError) as exc:
-        raise _scaled(exc, unit) from None
+    except DivergenceError as exc:
+        raise DivergenceError(str(exc), [unit * s for s in exc.partial_sums]) from None
+    except PrecisionError as exc:
+        raise PrecisionError(exc.reason, unit * exc.estimate, unit * exc.error_bound) from None
     return unit * value, unit * bound
 
 

@@ -10,7 +10,7 @@ routes, chosen per radius from the divisor alone of f or 1/f: the boundary
 route, one periodic integral on |z| = r (S as the spherical A_S/(4 pi),
 T by the Ahlfors-Shimizu first main theorem), for a disc map with a known
 divisor and no pole or essential point on the circle nor an essential
-point inside; the nested route, one radial quadrature, otherwise.  Both
+point inside; the nested route, over radial windows, otherwise.  Both
 certify each circle by the circle rule of geodesics, or raise
 PrecisionError.  T's samples take a Jensen peel for the poles near the
 circle.  origin_identity_T is T(1) on the boundary route alone.

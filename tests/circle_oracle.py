@@ -55,6 +55,18 @@ class Rational:
             return cls(zeros, poles, scale)
 
     @classmethod
+    def blaschke_level(cls, a, b, w):
+        """B([w]) . B([a, b]), up to a unimodular constant: the Blaschke
+        product whose zeros solve B([a, b])(z) = w, the roots of
+        u (a - z)(b - z) - w (1 - conj(a) z)(1 - conj(b) z), u = (|a|/a)(|b|/b)."""
+        with mpmath.workdps(DPS):
+            a, b, w = mpmath.mpc(a), mpmath.mpc(b), mpmath.mpc(w)
+            u = (abs(a) / a) * (abs(b) / b)
+            ca, cb = mpmath.conj(a), mpmath.conj(b)
+            coeffs = [u - w * ca * cb, w * (ca + cb) - u * (a + b), u * a * b - w]
+            return cls.blaschke(mpmath.polyroots(coeffs, maxsteps=100, extraprec=60))
+
+    @classmethod
     def koebe_scaled(cls, s):
         """z -> k(s z) = s z / (1 - s z)^2."""
         return cls([0], [1 / mpmath.mpf(s)] * 2, 1 / mpmath.mpf(s))

@@ -850,6 +850,55 @@ class TestAreaRoutes:
         assert abs(value - _koebe_area(s * s)) <= bound
 
 
+class TestNestedRoute:
+    """Maps with no known divisor or on the half-plane take the nested
+    route at every radius: B([0.5]) . B([a, -0.4]), whose inner product of
+    two zeros is not Moebius, and the half-plane identity."""
+
+    @staticmethod
+    def _composed(a):
+        return Compose(BlaschkeDisc((0.5,)), BlaschkeDisc((a, -0.4)))
+
+    @pytest.mark.parametrize("rho", [20.0, math.inf])
+    @pytest.mark.parametrize(
+        "turn", [math.pi / 64, 3 * math.pi / 64, math.pi / 128], ids=["pi/64", "3pi/64", "pi/128"]
+    )
+    def test_zeros_near_the_circle(self, turn, rho):
+        # each circle's absolute floor shrinks as 1/sinh t, the outer
+        # weight, and what the circles may miss enters the bound
+        a = 0.99 * cmath.exp(1j * turn)
+        value, bound = area_with_bound(self._composed(a), rho, E)
+        if math.isinf(rho):
+            exact = 2 * math.pi
+        else:
+            exact = Rational.blaschke_level(a, -0.4, 0.5).area(math.tanh(rho / 2), "E")
+        assert bound >= abs(value - exact)
+
+    def test_a_finite_stall_estimates_the_windows_done(self):
+        # a circle near t = 10 stalls in the third window of [0, 12]: the
+        # estimate is the area of the two windows done, 4 pi sinh^2(5)
+        f = Compose(cayley_map(), Identity())
+        with pytest.raises(PrecisionError) as exc_info:
+            area_with_bound(f, 12.0, H)
+        assert exc_info.value.error_bound == math.inf
+        _, bound = area_with_bound(f, 10.0, H)
+        assert abs(exc_info.value.estimate - 4 * math.pi * math.sinh(5.0) ** 2) <= bound
+
+    def test_a_stall_near_a_zero_estimates_an_area(self):
+        # a circle stalls past t = 5: the estimate is the area over
+        # |z| < tanh(5/2), not the energy of the circle that stalled
+        a = 0.9988075016431207 + 0.048576997584143834j
+        with pytest.raises(PrecisionError) as exc_info:
+            area_with_bound(self._composed(a), 12.0, E)
+        assert exc_info.value.error_bound == math.inf
+        exact = Rational.blaschke_level(a, -0.4, 0.5).area(math.tanh(2.5), "E")
+        assert exc_info.value.estimate == pytest.approx(exact, rel=1e-12, abs=0)
+
+    def test_half_plane_map_over_two_windows(self):
+        value, bound = area_with_bound(Compose(cayley_map(), Identity()), 7.0, H)
+        assert bound >= abs(value - 4 * math.pi * math.sinh(3.5) ** 2)
+
+
 class TestArea:
     def test_identity_euclidean_disc_area(self):
         rho = 2.0

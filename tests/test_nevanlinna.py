@@ -123,6 +123,16 @@ class TestShimizuS:
     def test_frozen_identity_value(self):
         assert shimizu_S(Identity(), 0.5, CFG) == pytest.approx(0.2, rel=1e-9)
 
+    def test_nested_radius_past_the_area_cap(self):
+        # |z| = r lies past tanh(DISC_RHO_MAX/2), the last circle of an area
+        # at finite rho; S takes it on the nested route, as T does
+        f = Compose(BlaschkeDisc((0.5,)), BlaschkeDisc((0.3, -0.4)))
+        r, oracle = 0.9999999999999995, Rational.blaschke_level(0.3, -0.4, 0.5)
+        value, bound = _on_circles(f, [r], SPHERICAL, AREA_DEFAULT)[0][0]
+        assert bound >= abs(value - oracle.S(r))
+        assert shimizu_S(f, r) == value
+        assert shimizu_T(f, r) == pytest.approx(oracle.T(r), abs=1e-9)
+
 
 class TestShimizuT:
     def test_identity_frozen_value(self):
