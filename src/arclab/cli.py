@@ -215,7 +215,7 @@ def _cmd_nevanlinna(ns) -> int:
 
 
 def _cmd_decompose(ns) -> int:
-    f = _parsed(ns.func)
+    f = _disc_map(ns, ns.func)
     d = fatou_decompose(f, ns.boundary_samples)
     pyth, quot, origin_gap = d.residuals(f)
     with _output(ns.output) as out:
@@ -239,8 +239,8 @@ def _emit_report(out, report: VerdictReport) -> int:
 def _disc_map(ns, text: str):
     f = _parsed(text)
     if f.domain is MetricId.HYPERBOLIC_HALF_PLANE:
-        # every check probes points of the disc
-        raise ValueError(f"verify {ns.which} needs a map of the disc, not {text!r}")
+        # every check and the decomposition probe points of the disc
+        raise ValueError(f"{getattr(ns, 'which', ns.command)} needs a map of the disc, not {text!r}")
     return f
 
 

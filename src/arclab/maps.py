@@ -126,6 +126,13 @@ def _jet_div(p, q):
     return v, d, pp | zero
 
 
+def _jet_at_pole(t, d):
+    """The jet of the MobiusTransform t at g = infinity, d the derivative of 1/g."""
+    if t.c == 0:
+        return np.zeros_like(d), t.d / t.a * d, np.ones(d.shape, dtype=bool)
+    return np.full_like(d, t.a / t.c), -t.determinant / (t.c * t.c) * d, _finite(d)
+
+
 def _unify(first, second):
     if first is not None and second is not None and first is not second:
         raise TagMismatchError(first, second)
@@ -242,10 +249,10 @@ class Scale(MapExpr):
         return self.factor * z, np.full_like(z, self.factor), _finite(z)
 
     @property
-    def transform(self) -> MobiusTransform:
-        if self.factor == 0:
-            raise StructureError("scale by 0 is not invertible")
-        return MobiusTransform(self.factor, 0, 0, 1)
+    def transform(self):
+        """z -> factor z as a MobiusTransform; None for a scale by 0."""
+        if self.factor != 0:
+            return MobiusTransform(self.factor, 0, 0, 1)
 
     def divisor(self):
         if self.factor == 0:
@@ -332,15 +339,6 @@ class MobiusMap(MapExpr):
         zeros = [-t.b / t.a] if t.a != 0 else []
         poles = [-t.d / t.c] if t.c != 0 else []
         return zeros, poles, []
-
-    def _jet_at_pole(self, chart_derivative):
-        # jet of T(g(z)) where g(z) = infinity and 1/g has the given derivative
-        t = self.transform
-        pole = np.full(chart_derivative.shape, t.c == 0)
-        if t.c != 0:
-            value = np.full_like(chart_derivative, t.a / t.c)
-            return value, -t.determinant / (t.c * t.c) * chart_derivative, pole
-        return np.zeros_like(chart_derivative), t.d / t.a * chart_derivative, pole
 
 
 @dataclass(frozen=True)
@@ -764,6 +762,9 @@ class BlaschkeHalfPlane(MapExpr):
         out[0][order], out[1][order] = value * far, (derivative + value * dlog) * far
         return out
 
+    def divisor(self):
+        return [1j * y for y in self.heights], [-1j * y for y in self.heights], []
+
     def _jet(self, z):
         az = np.abs(z)
         if az.min(initial=math.inf) > self._reach:
@@ -868,7 +869,8 @@ class Quotient(MapExpr):
 
 @dataclass(frozen=True)
 class Compose(MapExpr):
-    """outer after inner: z -> outer(inner(z))."""
+    """outer after inner: z -> outer(inner(z)).  Its Moebius rules read
+    the transform of a node, a MobiusTransform or None where it has none."""
 
     outer: MapExpr
     inner: MapExpr
@@ -894,7 +896,7 @@ class Compose(MapExpr):
         iv, idr, ip = self.inner._jet(z)
         if not ip.any():
             return iv, idr, None
-        if not isinstance(self.outer, MobiusMap):
+        if getattr(self.outer, "transform", None) is None:
             raise EvaluationError(
                 "composition through infinity needs a Moebius outer map"
             )
@@ -917,17 +919,21 @@ class Compose(MapExpr):
             ov, op = np.where(lost, 0.0, ov), op | lost
         od = chained
         if ip is not None:
-            pv, pd, pp = self.outer._jet_at_pole(idr)
+            pv, pd, pp = _jet_at_pole(self.outer.transform, idr)
             ov, od, op = np.where(ip, pv, ov), np.where(ip, pd, od), np.where(ip, pp, op)
         return ov, od, op
 
     def divisor(self):
-        """The outer divisor pulled back through a Moebius inner map t.
+        """The inner divisor under an outer scale, z -> a z, else the outer
+        divisor pulled back through a Moebius inner map t.
 
         t sends -d/c to infinity, so the outer map's order at infinity,
         finite zeros minus finite poles unless it is essential there,
         lands at -d/c; outer points at t(infinity) pull back to infinity.
         """
+        s = getattr(self.outer, "transform", None)
+        if s is not None and s.b == s.c == 0:
+            return self.inner.divisor()
         t = getattr(self.inner, "transform", None)
         if t is None:
             raise StructureError(

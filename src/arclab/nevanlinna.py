@@ -5,21 +5,22 @@ S(r) is the normalised spherical image area A_S/(4 pi) over |z| < r and
 
     T(r) = int_0^r S(t)/t dt.
 
-geodesics._on_circles gives S and T at every radius, each by one of two
-routes, chosen per radius from the divisor alone of f or 1/f: the boundary
-route, one periodic integral on |z| = r (S as the spherical A_S/(4 pi),
-T by the Ahlfors-Shimizu first main theorem), for a disc map with a known
-divisor and no pole or essential point on the circle nor an essential
-point inside; the nested route, over radial windows, otherwise.  Both
-certify each circle by the circle rule of geodesics, or raise
-PrecisionError.  T's samples take a Jensen peel for the poles near the
-circle.  origin_identity_T is T(1) on the boundary route alone.
+geodesics._on_circles gives S and T at every radius, a map of the
+half-plane carried to the disc, each by one of two routes, chosen per
+radius from the divisor alone of f or 1/f: the boundary route, one
+periodic integral on |z| = r (S as the spherical A_S/(4 pi), T by the
+Ahlfors-Shimizu first main theorem), for a known divisor and no pole or
+essential point on the circle nor an essential point inside; the nested
+route, over radial windows, otherwise.  Both certify each circle by the
+circle rule of geodesics, or raise PrecisionError.  T's samples take a
+Jensen peel for the poles near the circle.  origin_identity_T is T(1) on
+the boundary route alone.
 
-The decomposition writes a map f, analytic across the closed disc apart
-from interior zeros and poles, as f0/finf with |f0|^2 + |finf|^2 = 1 on
-the circle: finite Blaschke parts on the zeros and poles, times
-exponentials of the harmonic extensions of log of the chordal distances
-from the boundary values to 0 and to infinity.
+The decomposition writes a map f of the disc, analytic across the closed
+disc apart from interior zeros and poles, as f0/finf with |f0|^2 +
+|finf|^2 = 1 on the circle: finite Blaschke parts on the zeros and
+poles, times exponentials of the harmonic extensions of log of the
+chordal distances from the boundary values to 0 and to infinity.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 from .errors import (
     BoundarySingularityError,
     DataError,
+    DomainError,
     NormalizationError,
     ResolutionError,
     StructureError,
@@ -130,10 +132,12 @@ def _gate(f: MapExpr):
     """Zeros and poles of f inside the unit disc, with multiplicity, less
     the pairs that _cancelled removes, and the Jet of f at 0.
 
-    Raises StructureError when f is not meromorphic somewhere on the
-    closed disc, BoundarySingularityError when a listed zero or pole,
-    cancelled or not, lies on or near the circle, NormalizationError when
-    f(0) is 0 or infinity."""
+    Raises DomainError for a half-plane map, StructureError where f is not
+    meromorphic on the closed disc, BoundarySingularityError when a listed
+    zero or pole, cancelled or not, lies on or near the circle,
+    NormalizationError when f(0) is 0 or infinity."""
+    if f.domain is MetricId.HYPERBOLIC_HALF_PLANE:
+        raise DomainError("the decomposition takes maps of the disc, not of the half-plane")
     zeros, poles, essential = f.divisor()
     for p in essential:
         if not is_infinite(p) and abs(p) <= 1.0 + _BOUNDARY_GAP:

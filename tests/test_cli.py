@@ -395,6 +395,15 @@ class TestDecompose:
             expect = fatou_decompose(f, 512).residuals(f)
             assert [l.split()[2] for l in tail] == [_fmt(r) for r in expect]
 
+    @pytest.mark.parametrize(
+        "func",
+        ["cayley()", "blaschke_hp([2,3])", "cayley() . shift(0.5+0i)", "blaschke_hp([2,3]) . shift(0.5+0i)"],
+    )
+    def test_half_plane_map_exits_three(self, capsys, func):
+        code, out, err = run(capsys, "decompose", "--func", func)
+        assert (code, out) == (3, "")
+        assert err == f"error: decompose needs a map of the disc, not {func!r}\n"
+
     def test_unresolved_boundary_data_exits_one(self, capsys):
         code, out, err = run(
             capsys, "decompose", "--func", "shift(-0.99999+0i)", "--boundary-samples", "256"

@@ -254,6 +254,19 @@ class TestComposeTags:
         assert jet.value == pytest.approx(0j)
         assert jet.derivative == pytest.approx(1.0)
 
+    def test_compose_through_pole_under_any_transform(self):
+        # a scale keeps Koebe's pole, whose chart (1 - z)^2/z has a double
+        # zero at 1; a one-zero Blaschke factor, a Moebius map, sends the
+        # pole of 1/(z - 0.5) to 1/conj(a) = 2; a scale by 0 has no
+        # transform and still raises
+        jet = evaluate(Compose(Scale(2.0), Koebe()), 1.0 + 0j)
+        assert jet.is_pole and jet.derivative == 0
+        inner = MobiusMap(MobiusTransform(0, 1, 1, -0.5))
+        jet = evaluate(Compose(BlaschkeDisc((0.5,)), inner), 0.5 + 0j)
+        assert jet.value == pytest.approx(2.0)
+        with pytest.raises(EvaluationError, match="needs a Moebius outer map"):
+            evaluate(Compose(Scale(0.0), Koebe()), 1.0 + 0j)
+
     def test_mobius_outer_sending_pole_to_pole(self):
         inner = MobiusMap(MobiusTransform(0, 1, 1, -0.5))
         outer = MobiusMap(MobiusTransform(2, 1, 0, 1))  # 2w + 1, fixes infinity
@@ -282,12 +295,29 @@ class TestDivisor:
             "koebe() . mobius(1+0i,-0.3+0i,-0.3+0i,1+0i)",
             "blaschke_disc([0.3+0.2i,-0.5+0i]) * powerseries([1+0i,0+0i,0.2+0i])",
             "exp() . inv_cayley()",
+            "blaschke_hp([1,2,4])",
+            "scale(10+0i) . koebe()",
         ],
     )
     def test_polar_divisor_agrees_with_divisor(self, text):
         f = parse(text)
         zeros, poles, essential = f.divisor()
         assert f.polar_divisor() == (poles, essential, len(zeros) + len(poles))
+
+    def test_outer_scale_keeps_the_inner_divisor(self):
+        # Koebe's divisor, though the inner map is not Moebius
+        assert Compose(Scale(10.0), Koebe()).divisor() == Koebe().divisor()
+        assert Compose(Scale(10.0), BlaschkeDisc((0.3, -0.4))).divisor() == (
+            BlaschkeDisc((0.3, -0.4)).divisor()
+        )
+
+    def test_half_plane_product_divisor(self):
+        # zeros i y, poles -i y; carried to the disc, the zeros (y - 1)/(y + 1)
+        f = BlaschkeHalfPlane((1.0, 2.0, 4.0))
+        assert f.divisor() == ([1j, 2j, 4j], [-1j, -2j, -4j], [])
+        zeros, poles, essential = Compose(f, inv_cayley_map()).divisor()
+        assert zeros == pytest.approx([0.0, 1 / 3, 0.6], abs=1e-15)
+        assert poles == pytest.approx([3.0, 5 / 3], abs=1e-15) and essential == []
 
     @pytest.mark.parametrize("a", [0j, 0.3 + 0j, -0.5 + 0.6j])
     def test_one_zero_blaschke_factor_is_moebius(self, a):

@@ -15,6 +15,7 @@ from arclab.errors import (
     ResolutionError,
     StructureError,
 )
+from arclab.funcspec import parse
 from arclab.geodesics import (
     AREA_DEFAULT,
     QuadConfig,
@@ -24,6 +25,7 @@ from arclab.geodesics import (
 )
 from arclab.maps import (
     BlaschkeDisc,
+    BlaschkeHalfPlane,
     Compose,
     ConstMap,
     ExpMap,
@@ -54,6 +56,14 @@ from arclab.nevanlinna import (
     uniform_characteristic_delta,
 )
 
+# maps of the half-plane: the Cayley map, a half-plane product, and each
+# after a shift
+HALF_PLANE_MAPS = (
+    "cayley()",
+    "blaschke_hp([2,3])",
+    "cayley() . shift(0.5+0i)",
+    "blaschke_hp([2,3]) . shift(0.5+0i)",
+)
 CFG = QuadConfig(abs_tol=1e-10, rel_tol=1e-10, max_depth=40, max_segments=20000)
 SPHERICAL = MetricId.SPHERICAL
 EPS = np.finfo(float).eps
@@ -274,6 +284,14 @@ class TestBoundaryCharacteristic:
                       ExpMobius(1j, 1j, -1, 1), AREA_DEFAULT)
         self._covered(Compose(ExpMap(), Scale(20.0)), [0.9], ExpMobius(20.0, 0, 0, 1),
                       AREA_DEFAULT)
+
+    @pytest.mark.parametrize("heights", [(1.0, 2.0), (1.0, 2.0, 4.0)])
+    def test_half_plane_products(self, heights):
+        # carried to the disc, the factor with zero i y is the disc factor
+        # with zero (y - 1)/(y + 1), turned by the transport's rotation,
+        # which moves neither S nor T
+        oracle = Rational.blaschke([(y - 1) / (y + 1) for y in heights])
+        self._covered(BlaschkeHalfPlane(heights), [0.5], oracle, AREA_DEFAULT)
 
     def test_scale_closed_form(self):
         # T(r) of c z is log(1 + c^2 r^2)/2
@@ -607,6 +625,15 @@ class TestDecomposition:
     def test_map_without_divisor_rejected(self, f):
         with pytest.raises(StructureError):
             fatou_decompose(f)
+
+    @pytest.mark.parametrize("text", HALF_PLANE_MAPS)
+    def test_half_plane_map_rejected(self, text):
+        # the decomposition samples the unit circle, which a map of the
+        # half-plane does not take as its boundary
+        f = parse(text)
+        for call in (fatou_decompose, origin_identity_T):
+            with pytest.raises(DomainError, match="not of the half-plane"):
+                call(f)
 
     def test_array_evaluation_keeps_shape(self):
         f = Quotient(BlaschkeDisc((0.3 + 0.2j, -0.5j)), BlaschkeDisc((0.6 - 0.1j,)))
