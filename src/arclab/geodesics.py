@@ -219,7 +219,9 @@ def _g7k15(g, lo, hi):
     f = np.concatenate(
         [g(ts[k : k + _PANELS_PER_CALL].ravel()) for k in range(0, len(ts), _PANELS_PER_CALL)]
     )
-    sums = _RULES @ f.reshape(ts.shape).T
+    # einsum, not a matrix product: BLAS rounds one panel (gemv) and a
+    # batch (gemm) apart, and a panel's sums must not depend on its batch
+    sums = np.einsum("rk,nk->rn", _RULES, f.reshape(ts.shape))
     kronrod, gauss = sums[0], sums[1]
     vals = (kronrod * h).tolist()
     if not math.isfinite(sum(vals)):
@@ -512,19 +514,19 @@ def _sphere_chart(f: MapExpr, rs, finite_origin: bool, reach: float, origin=None
     served = sum(p is not None for p in routes)
     # a map on the route at some radius is meromorphic at 0
     if served and origin is None:
-        origin = evaluate(f, 0.0)
+        origin = evaluate(f, 0.0, order=0)
     if served == len(rs) and not origin.is_pole:
         return f, origin.value, routes, first, counted
     g = Quotient(ConstMap(1.0), f)
     g_route = _boundary_route(g, rs, MetricId.SPHERICAL, reach)
     if sum(p is not None for p in g_route[0]) > served:
         if origin is None:
-            origin = evaluate(f, 0.0)
+            origin = evaluate(f, 0.0, order=0)
         swap = origin.is_pole or origin.value != 0 or not finite_origin
     else:
         swap = served and origin.is_pole
     if swap:
-        return (g, evaluate(g, np.zeros(1))[0][0], *g_route)
+        return (g, evaluate(g, np.zeros(1), order=0)[0][0], *g_route)
     return f, origin.value if served else None, routes, first, counted
 
 
@@ -764,7 +766,7 @@ def _on_circles(f: MapExpr, rs, target: MetricId, cfg: QuadConfig, want=("A",), 
     if not on:
         return out
     if g0 is None:
-        g0 = evaluate(g, np.zeros(1))[0][0]
+        g0 = evaluate(g, np.zeros(1), order=0)[0][0]
     slope0 = _slope(target, np.array([g0]))[0]
     scale0 = 1.0 + _abs2(g0)
     peeled = [[b for b in counted if abs(abs(b) - rs[i]) < band * rs[i]] for i in on]
@@ -795,7 +797,7 @@ def _on_circles(f: MapExpr, rs, target: MetricId, cfg: QuadConfig, want=("A",), 
         return np.stack((plain, plain - part)), np.stack((size, size + np.abs(part)))
 
     def sample(z, rows):
-        jets = evaluate(g, z)
+        jets = evaluate(g, z, order=int("A" in want))
         terms = [
             _area_terms(jets, z, target, slope0) if q == "A" else log_ratio(jets, z, rows)
             for q in want

@@ -6,9 +6,9 @@ whole array of points at once.  Values live on the Riemann sphere: at a
 pole the jet switches to the chart w -> 1/w and stores the derivative of
 1/f there, which is the right object for spherical geometry.
 
-Each node's _jet takes a 1-d complex array of points and returns three
-arrays of the same length: value, derivative and a pole mask.  Where the
-mask is set the value is 0 and the derivative is that of 1/f.
+Each node's _jet(z, order) returns three arrays as long as the 1-d points
+z: value, derivative (None at order 0) and a pole mask.  Where the mask
+is set the value is 0 and the derivative is that of 1/f.
 
 A product or quotient whose operands are compositions with one outer map,
 the same object or an equal one (B(z+1)/B(z-1) for a long Blaschke
@@ -67,7 +67,7 @@ class Jet:
 
     value is a finite complex number or INFINITY.  derivative is the
     derivative of the finite-chart representative; when value is INFINITY
-    it is the derivative of 1/f instead.
+    it is the derivative of 1/f instead.  It is None at order 0.
     """
 
     value: object
@@ -76,7 +76,8 @@ class Jet:
     def __post_init__(self):
         if not is_infinite(self.value):
             object.__setattr__(self, "value", complex(self.value))
-        object.__setattr__(self, "derivative", complex(self.derivative))
+        if self.derivative is not None:
+            object.__setattr__(self, "derivative", complex(self.derivative))
 
     @property
     def is_pole(self) -> bool:
@@ -92,15 +93,16 @@ def _jet_mul(p, q):
     (pv, pd, pp), (qv, qd, qp) = p, q
     pole = pp | qp
     if not pole.any():
-        return pv * qv, pd * qv + pv * qd, pole
+        return pv * qv, None if pd is None else pd * qv + pv * qd, pole
     one = pp ^ qp
     fin = np.where(pp, qv, pv)  # the finite factor where exactly one is a pole
     if np.any(one & (fin == 0)):
         raise IndeterminateFormError("product of a pole and a zero")
-    # chart 1/(lr) = (1/l)/r at one pole; (1/l)(1/r) has a double zero at two
-    chart = np.where(pp, pd, qd) / np.where(one, fin, 1.0)
-    d = np.where(one, chart, np.where(pole, 0.0, pd * qv + pv * qd))
-    return np.where(pole, 0.0, pv * qv), d, pole
+    if pd is not None:
+        # chart 1/(lr) = (1/l)/r at one pole; (1/l)(1/r) has a double zero at two
+        chart = np.where(pp, pd, qd) / np.where(one, fin, 1.0)
+        pd = np.where(one, chart, np.where(pole, 0.0, pd * qv + pv * qd))
+    return np.where(pole, 0.0, pv * qv), pd, pole
 
 
 def _jet_div(p, q):
@@ -109,28 +111,22 @@ def _jet_div(p, q):
     special = pp | qp | zero
     if not special.any():
         v = pv / qv
-        return v, (pd - v * qd) / qv, special
+        return v, None if pd is None else (pd - v * qd) / qv, special
     if np.any(pp & qp):
         raise IndeterminateFormError("quotient of two poles")
     if np.any(zero & (pv == 0)):
         raise IndeterminateFormError("structural 0/0")
     safe = np.where(special, 1.0, qv)
     v = np.where(special, 0.0, pv / safe)
-    # at a pole of l the chart r * (1/l) vanishes; at a pole of r, l * (1/r)
-    # is finite with value 0; at a zero of r the chart r/l of the new pole
-    d = np.select(
-        [pp, qp, zero],
-        [qv * pd, pv * qd, qd / np.where(zero, pv, 1.0)],
-        (pd - v * qd) / safe,
-    )
-    return v, d, pp | zero
-
-
-def _jet_at_pole(t, d):
-    """The jet of the MobiusTransform t at g = infinity, d the derivative of 1/g."""
-    if t.c == 0:
-        return np.zeros_like(d), t.d / t.a * d, np.ones(d.shape, dtype=bool)
-    return np.full_like(d, t.a / t.c), -t.determinant / (t.c * t.c) * d, _finite(d)
+    if pd is not None:
+        # at a pole of l the chart r * (1/l) vanishes; at a pole of r, l * (1/r)
+        # is finite with value 0; at a zero of r the chart r/l of the new pole
+        pd = np.select(
+            [pp, qp, zero],
+            [qv * pd, pv * qd, qd / np.where(zero, pv, 1.0)],
+            (pd - v * qd) / safe,
+        )
+    return v, pd, pp | zero
 
 
 def _unify(first, second):
@@ -145,8 +141,21 @@ class MapExpr:
     domain = None
     codomain = None
 
-    def _jet(self, z: np.ndarray):
+    def _jet(self, z: np.ndarray, order=1):
         raise NotImplementedError
+
+    @property
+    def _at_infinity(self):
+        """(value, factor, pole) at w = infinity of an outer map of Compose:
+        the value there, 0 at a pole, and the factor from the derivative of
+        1/w to that of the map, or of its 1/f chart at a pole; None where
+        the map has no Moebius transform."""
+        t = getattr(self, "transform", None)
+        if t is None:
+            return None
+        if t.c == 0:
+            return 0.0, t.d / t.a, True
+        return t.a / t.c, -t.determinant / (t.c * t.c), False
 
     def divisor(self):
         """(zeros, poles, essential): the zeros and poles of the map in the
@@ -193,30 +202,32 @@ def _check_domain(dom: MetricId, flat):
         raise DomainError(f"{complex(flat[bad][0])} is outside the {where}")
 
 
-def evaluate(f: MapExpr, z):
+def evaluate(f: MapExpr, z, order=1):
     """Evaluate the jet of f at a finite point z, or at an array of them.
 
     A scalar z gives a Jet.  An array gives the arrays (value, derivative,
     pole) of its shape; where pole is set, value is 0 and derivative is
-    that of 1/f.  Points must lie in the closure of f's tagged domain
-    (boundary sampling is a legitimate use); untagged maps accept any
-    finite z.
+    that of 1/f.  order=0 gives values alone, derivative None.  Points
+    must lie in the closure of f's tagged domain (boundary sampling is a
+    legitimate use); untagged maps accept any finite z.
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.reshape(-1)
     _check_domain(f.domain, flat)
-    value, derivative, pole = f._jet(flat)
+    value, derivative, pole = f._jet(flat, order)
     if zs.ndim:
-        return value.reshape(zs.shape), derivative.reshape(zs.shape), pole.reshape(zs.shape)
-    return Jet(INFINITY if pole[0] else value[0], derivative[0])
+        if derivative is not None:
+            derivative = derivative.reshape(zs.shape)
+        return value.reshape(zs.shape), derivative, pole.reshape(zs.shape)
+    return Jet(INFINITY if pole[0] else value[0], None if derivative is None else derivative[0])
 
 
 @dataclass(frozen=True)
 class Identity(MapExpr):
     transform = MobiusTransform(1, 0, 0, 1)
 
-    def _jet(self, z):
-        return z, np.ones_like(z), _finite(z)
+    def _jet(self, z, order=1):
+        return z, np.ones_like(z) if order else None, _finite(z)
 
     def divisor(self):
         return [0j], [], []
@@ -229,8 +240,8 @@ class ConstMap(MapExpr):
     def __post_init__(self):
         object.__setattr__(self, "value", complex(self.value))
 
-    def _jet(self, z):
-        return np.full_like(z, self.value), np.zeros_like(z), _finite(z)
+    def _jet(self, z, order=1):
+        return np.full_like(z, self.value), np.zeros_like(z) if order else None, _finite(z)
 
     def divisor(self):
         if self.value == 0:
@@ -245,8 +256,8 @@ class Scale(MapExpr):
     def __post_init__(self):
         object.__setattr__(self, "factor", complex(self.factor))
 
-    def _jet(self, z):
-        return self.factor * z, np.full_like(z, self.factor), _finite(z)
+    def _jet(self, z, order=1):
+        return self.factor * z, np.full_like(z, self.factor) if order else None, _finite(z)
 
     @property
     def transform(self):
@@ -267,8 +278,8 @@ class Shift(MapExpr):
     def __post_init__(self):
         object.__setattr__(self, "offset", complex(self.offset))
 
-    def _jet(self, z):
-        return z + self.offset, np.ones_like(z), _finite(z)
+    def _jet(self, z, order=1):
+        return z + self.offset, np.ones_like(z) if order else None, _finite(z)
 
     @property
     def transform(self) -> MobiusTransform:
@@ -292,13 +303,22 @@ class PowerSeries(MapExpr):
             raise ConstructionError("power series needs at least one coefficient")
         object.__setattr__(self, "coeffs", cs)
 
-    def _jet(self, z):
+    def _jet(self, z, order=1):
         val = np.zeros_like(z)
-        der = np.zeros_like(z)
+        der = np.zeros_like(z) if order else None
         for c in reversed(self.coeffs):
-            der = der * z + val
+            der = der * z + val if order else None
             val = val * z + c
         return val, der, _finite(z)
+
+    @property
+    def _at_infinity(self):
+        # a pole of order n >= 1, whose 1/f chart has derivative 1/c_1 of
+        # that of 1/w for n = 1 and 0 past it; the constant for n = 0
+        n = max((n for n, c in enumerate(self.coeffs) if c), default=0)
+        if n == 0:
+            return self.coeffs[0], 0.0, False
+        return 0.0, 1.0 / self.coeffs[1] if n == 1 else 0.0, True
 
     def divisor(self):
         if not any(self.coeffs):
@@ -322,16 +342,17 @@ class MobiusMap(MapExpr):
     domain: object = None
     codomain: object = None
 
-    def _jet(self, z):
+    def _jet(self, z, order=1):
         t = self.transform
         num = t.a * z + t.b
         den = t.c * z + t.d
         pole = den == 0
         den[pole] = 1.0
-        value, derivative = num / den, t.determinant / (den * den)
+        value, derivative = num / den, t.determinant / (den * den) if order else None
         # at a pole the chart (cz+d)/(az+b) takes over
         value[pole] = 0.0
-        derivative[pole] = -t.determinant / (num[pole] * num[pole])
+        if order:
+            derivative[pole] = -t.determinant / (num[pole] * num[pole])
         return value, derivative, pole
 
     def divisor(self):
@@ -348,14 +369,15 @@ class Koebe(MapExpr):
     domain = MetricId.HYPERBOLIC_DISC
     codomain = MetricId.EUCLIDEAN
 
-    def _jet(self, z):
+    def _jet(self, z, order=1):
         # z = 1 is a pole; its chart (1-z)^2 / z has a double zero there
         pole = z == 1.0
         w = 1.0 - z
         w[pole] = 1.0
         w2 = w * w
-        value, derivative = z / w2, (1.0 + z) / (w2 * w)
-        value[pole] = derivative[pole] = 0.0
+        value, derivative = z / w2, (1.0 + z) / (w2 * w) if order else None
+        for part in (value, derivative)[: 1 + order]:
+            part[pole] = 0.0
         return value, derivative, pole
 
     def divisor(self):
@@ -364,11 +386,11 @@ class Koebe(MapExpr):
 
 @dataclass(frozen=True)
 class ExpMap(MapExpr):
-    def _jet(self, z):
+    def _jet(self, z, order=1):
         # where e^z overflows, 1/f = e^{-z} with derivative -e^{-z}
         pole = z.real > _LOG_MAX
         w = np.exp(np.where(pole, -z, z))
-        return np.where(pole, 0.0, w), np.where(pole, -w, w), pole
+        return np.where(pole, 0.0, w), np.where(pole, -w, w) if order else None, pole
 
     def divisor(self):
         return [], [], [INFINITY]
@@ -378,10 +400,10 @@ class ExpMap(MapExpr):
 class LogMap(MapExpr):
     """Principal branch of the logarithm; needed by covering-map scenarios."""
 
-    def _jet(self, z):
+    def _jet(self, z, order=1):
         if np.any(z == 0):
             raise EvaluationError("log is singular at 0")
-        return np.log(z), 1.0 / z, _finite(z)
+        return np.log(z), 1.0 / z if order else None, _finite(z)
 
 
 def _tree(op, rows):
@@ -428,8 +450,16 @@ def _factor_jet(vals, ders, unit):
     factors, values vals and derivatives ders, at each column, by the
     product rule on _tree: nothing divides by a factor's value, so a point
     at or near a zero, single or double, takes no branch of its own."""
+    if ders is None:
+        return unit * _tree(_product, [vals])[0], None
     value, derivative = _tree(_product_rule, [vals, ders])
     return unit * value, unit * derivative
+
+
+def _put(jet, where, part):
+    """Write the (value, derivative) part into the arrays jet at where."""
+    for a, b in zip(jet, part if jet[1] is not None else part[:1]):
+        a[where] = b
 
 
 def _point_blocks(count, n):
@@ -439,19 +469,19 @@ def _point_blocks(count, n):
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def _product_jet(z, n, block_jet):
-    """Jets at the points z of a product of n factors; block_jet(block)
-    gives the value and derivative at a block of the points, each block
-    of at most _BLOCK point-factor elements."""
+def _product_jet(z, n, block_jet, order):
+    """Jets at the points z of a product of n factors; block_jet(block,
+    order) gives the value and derivative at a block of the points, each
+    block of at most _BLOCK point-factor elements."""
     if n == 0:
-        return np.ones_like(z), np.zeros_like(z), _finite(z)
+        return np.ones_like(z), np.zeros_like(z) if order else None, _finite(z)
     parts = _point_blocks(len(z), n)
     if len(parts) == 1:
-        return (*block_jet(z), _finite(z))
-    value, derivative = np.empty_like(z), np.empty_like(z)
+        return (*block_jet(z, order), _finite(z))
+    jet = np.empty_like(z), np.empty_like(z) if order else None
     for part in parts:
-        value[part], derivative[part] = block_jet(z[part])
-    return value, derivative, _finite(z)
+        _put(jet, part, block_jet(z[part], order))
+    return (*jet, _finite(z))
 
 
 def _check_factors(den, z, what):
@@ -505,7 +535,7 @@ class BlaschkeDisc(MapExpr):
         object.__setattr__(self, "_norm", norm)
         object.__setattr__(self, "_unit", complex(np.prod(norm)))
 
-    def _block_jet(self, z):
+    def _block_jet(self, z, order):
         """Value and derivative at the 1-d points z of the factors
         (a - z)/(1 - conj(a) z), with derivatives (|a|^2 - 1)/(1 - conj(a) z)^2."""
         # a row, as the columns are 2-d: numpy rounds a product of one
@@ -515,10 +545,11 @@ class BlaschkeDisc(MapExpr):
         den = 1.0 - self._conj_a * row
         _check_factors(den, z, "Blaschke factor")
         inv = np.reciprocal(den, out=den)
-        return _factor_jet((self._a - row) * inv, self._drop * inv * inv, self._unit)
+        ders = self._drop * inv * inv if order else None
+        return _factor_jet((self._a - row) * inv, ders, self._unit)
 
-    def _jet(self, z):
-        return _product_jet(z, len(self._a), self._block_jet)
+    def _jet(self, z, order=1):
+        return _product_jet(z, len(self._a), self._block_jet, order)
 
     @property
     def transform(self):
@@ -658,7 +689,7 @@ class BlaschkeHalfPlane(MapExpr):
         mirror = 0 if top is None else int(_mirror(y, top))
         object.__setattr__(self, "_direct", (len(y), np.array([mirror])))
 
-    def _factor_values(self, z, m, mirror):
+    def _factor_values(self, z, m, mirror, order):
         """The first m factors (iy - z)/(iy + z) at the 1-d points z,
         without their signs, factor-major: values (iy/2 - z/2)/den and
         derivatives lead/den, den = iy/2 + z/2, lead = -(iy/2)/den.  At each
@@ -678,7 +709,7 @@ class BlaschkeHalfPlane(MapExpr):
             # -1 to within |2 iy/den|
             mirrored = np.arange(top)[:, None] < mirror
             np.copyto(vals[:top], -2.0 * lead[:top] - 1.0, where=mirrored)
-        return vals, lead * inv
+        return vals, lead * inv if order else None
 
     @staticmethod
     def _checked(jet, z, *args):
@@ -688,21 +719,21 @@ class BlaschkeHalfPlane(MapExpr):
         # warnings, then checked
         with np.errstate(over="ignore", invalid="ignore"):
             value, derivative = jet(z, *args)
-        bad = ~(np.isfinite(value) & np.isfinite(derivative))
+        bad = ~(np.isfinite(value) & np.isfinite(value if derivative is None else derivative))
         if bad.any():
             raise EvaluationError(
                 f"half-plane Blaschke derivative overflows at {complex(z[bad][0])}"
             )
         return value, derivative
 
-    def _direct_jet(self, z):
+    def _direct_jet(self, z, order):
         """Jets at the points z past the top level, every factor explicit."""
-        m, mirror = self._direct
-        return _product_jet(
-            z, m, lambda part: _factor_jet(*self._factor_values(part, m, mirror), self._unit)
-        )[:2]
+        return _product_jet(z, self._direct[0], self._direct_block, order)[:2]
 
-    def _far_jet(self, z, level):
+    def _direct_block(self, z, order):
+        return _factor_jet(*self._factor_values(z, *self._direct, order), self._unit)
+
+    def _far_jet(self, z, level, order):
         """Jets at the points z below the top level: at each point the
         factors below the level of its far-field table, level[i],
         explicitly, times that table's series for the rest.  The points go
@@ -711,10 +742,10 @@ class BlaschkeHalfPlane(MapExpr):
         derivative 0) past a point's own, which leave every bit of the
         point's own product as _tree forms it alone."""
         _, near, mirror, step, coef = self._tables
-        order = np.argsort(level, kind="stable")
-        z, level = z[order], level[order]
+        perm = np.argsort(level, kind="stable")
+        z, level = z[perm], level[perm]
         n, p = near[level], mirror[level]
-        value, derivative = np.empty_like(z), np.empty_like(z)
+        jet = value, derivative = np.empty_like(z), np.empty_like(z) if order else None
         lo = 0
         while lo < len(z):
             # n ascends, so a block takes points while points * n stays in _BLOCK
@@ -725,15 +756,16 @@ class BlaschkeHalfPlane(MapExpr):
             part, m = slice(lo, lo + k), int(n[lo + k - 1])
             lo += k
             if not m:
-                value[part], derivative[part] = self._unit, 0.0
+                _put(jet, part, (self._unit, 0.0))
                 continue
-            vals, ders = self._factor_values(z[part], m, p[part])
+            vals, ders = self._factor_values(z[part], m, p[part], order)
             if n[part.start] < m:
                 # a point's factors past its near set are units
                 unit = np.arange(m)[:, None] >= n[part]
                 np.copyto(vals, 1.0, where=unit)
-                np.copyto(ders, 0.0, where=unit)
-            value[part], derivative[part] = _factor_jet(vals, ders, self._unit)
+                if order:
+                    np.copyto(ders, 0.0, where=unit)
+            _put(jet, part, _factor_jet(vals, ders, self._unit))
         # the far sets' series, each at its point's level: w^0, w^2, ... row
         # by row, from w^0 since w^1 / w would be 0/0 at z = 0, and summed
         # smallest terms first, the order that rounds the sums best
@@ -757,18 +789,18 @@ class BlaschkeHalfPlane(MapExpr):
             )
         dlog, log = sums
         far = np.exp(w * log)
-        dlog *= -2.0 * s
-        out = np.empty_like(value), np.empty_like(derivative)
-        out[0][order], out[1][order] = value * far, (derivative + value * dlog) * far
-        return out
+        if order:
+            derivative = (derivative + value * (dlog * (-2.0 * s))) * far
+        _put(jet, perm, (value * far, derivative))
+        return jet
 
     def divisor(self):
         return [1j * y for y in self.heights], [-1j * y for y in self.heights], []
 
-    def _jet(self, z):
+    def _jet(self, z, order=1):
         az = np.abs(z)
         if az.min(initial=math.inf) > self._reach:
-            return (*self._checked(self._direct_jet, z), _finite(z))
+            return (*self._checked(self._direct_jet, z, order), _finite(z))
         if self._tables is None:
             # built for the first batch that reaches them, so that a product
             # only evaluated above its top level never pays for them
@@ -776,12 +808,12 @@ class BlaschkeHalfPlane(MapExpr):
             object.__setattr__(self, "_tables", tables)
         level = np.searchsorted(self._tables[0], az)
         past = level == len(self._tables[0])
-        value, derivative = np.empty_like(z), np.empty_like(z)
+        jet = np.empty_like(z), np.empty_like(z) if order else None
         below = ~past
-        value[below], derivative[below] = self._checked(self._far_jet, z[below], level[below])
+        _put(jet, below, self._checked(self._far_jet, z[below], level[below], order))
         if past.any():
-            value[past], derivative[past] = self._checked(self._direct_jet, z[past])
-        return value, derivative, _finite(z)
+            _put(jet, past, self._checked(self._direct_jet, z[past], order))
+        return (*jet, _finite(z))
 
 
 def _shared_outer(left, right):
@@ -799,24 +831,24 @@ def _shared_outer(left, right):
     return pickle.dumps(a_fields) == pickle.dumps(b_fields)
 
 
-def _operand_jets(shared, left, right, z):
+def _operand_jets(shared, left, right, z, order):
     """The jets of a binary node's operands at the points z.  Where they
     share an outer map, it is evaluated once, at the inner values of both;
     the jets are those of two evaluations, and an error is raised by two
     evaluations, so that it names the point they would."""
     if shared:
         try:
-            inner_l, inner_r = left._inner_jet(z), right._inner_jet(z)
-            outer = left.outer._jet(np.concatenate((inner_l[0], inner_r[0])))
+            inner_l, inner_r = left._inner_jet(z, order), right._inner_jet(z, order)
+            outer = left.outer._jet(np.concatenate((inner_l[0], inner_r[0])), order)
         except EvaluationError:
             pass
         else:
             n = len(z)
             return (
-                left._chain(inner_l, [a[:n] for a in outer]),
-                right._chain(inner_r, [a[n:] for a in outer]),
+                left._chain(inner_l, [a if a is None else a[:n] for a in outer]),
+                right._chain(inner_r, [a if a is None else a[n:] for a in outer]),
             )
-    return left._jet(z), right._jet(z)
+    return left._jet(z, order), right._jet(z, order)
 
 
 @dataclass(frozen=True)
@@ -835,8 +867,8 @@ class Product(MapExpr):
             self, "codomain", MetricId.HYPERBOLIC_DISC if both_disc else None
         )
 
-    def _jet(self, z):
-        return _jet_mul(*_operand_jets(self._shared_outer, self.left, self.right, z))
+    def _jet(self, z, order=1):
+        return _jet_mul(*_operand_jets(self._shared_outer, self.left, self.right, z, order))
 
     def divisor(self):
         zl, pl, el = self.left.divisor()
@@ -858,8 +890,8 @@ class Quotient(MapExpr):
         )
         object.__setattr__(self, "codomain", MetricId.SPHERICAL)
 
-    def _jet(self, z):
-        return _jet_div(*_operand_jets(self._shared_outer, self.numerator, self.denominator, z))
+    def _jet(self, z, order=1):
+        return _jet_div(*_operand_jets(self._shared_outer, self.numerator, self.denominator, z, order))
 
     def divisor(self):
         zn, pn, en = self.numerator.divisor()
@@ -886,17 +918,17 @@ class Compose(MapExpr):
         )
         object.__setattr__(self, "codomain", self.outer.codomain)
 
-    def _jet(self, z):
-        inner = self._inner_jet(z)
-        return self._chain(inner, self.outer._jet(inner[0]))
+    def _jet(self, z, order=1):
+        inner = self._inner_jet(z, order)
+        return self._chain(inner, self.outer._jet(inner[0], order))
 
-    def _inner_jet(self, z):
+    def _inner_jet(self, z, order):
         """The inner jet at the points z, with None for its pole mask
         where no point is a pole."""
-        iv, idr, ip = self.inner._jet(z)
+        iv, idr, ip = self.inner._jet(z, order)
         if not ip.any():
             return iv, idr, None
-        if getattr(self.outer, "transform", None) is None:
+        if self.outer._at_infinity is None:
             raise EvaluationError(
                 "composition through infinity needs a Moebius outer map"
             )
@@ -906,21 +938,24 @@ class Compose(MapExpr):
         """The jet of outer after inner from _inner_jet and the outer jet at
         the inner values."""
         (iv, idr, ip), (ov, od, op) = inner, outer
-        # chain rule holds in either chart of the outer jet
-        with np.errstate(over="ignore", invalid="ignore"):
-            chained = od * idr
-        lost = ~np.isfinite(chained)
-        if lost.any():
-            # the chained derivative overflowed: where |f| > 1 the point goes
-            # to the 1/f chart, whose derivative -f'/f^2 is representable
-            lost &= np.abs(ov) > 1.0
-            big = np.where(lost, ov, 1.0)
-            chained = np.where(lost, -(od / big) / big * idr, chained)
-            ov, op = np.where(lost, 0.0, ov), op | lost
-        od = chained
+        # order 0 keeps the finite value where order 1 takes the 1/f chart below
+        if od is not None:
+            # chain rule holds in either chart of the outer jet
+            with np.errstate(over="ignore", invalid="ignore"):
+                chained = od * idr
+            lost = ~np.isfinite(chained)
+            if lost.any():
+                # the chained derivative overflowed: where |f| > 1 the point goes
+                # to the 1/f chart, whose derivative -f'/f^2 is representable
+                lost &= np.abs(ov) > 1.0
+                big = np.where(lost, ov, 1.0)
+                chained = np.where(lost, -(od / big) / big * idr, chained)
+                ov, op = np.where(lost, 0.0, ov), op | lost
+            od = chained
         if ip is not None:
-            pv, pd, pp = _jet_at_pole(self.outer.transform, idr)
-            ov, od, op = np.where(ip, pv, ov), np.where(ip, pd, od), np.where(ip, pp, op)
+            value, factor, pole = self.outer._at_infinity
+            ov, op = np.where(ip, value, ov), np.where(ip, pole, op)
+            od = od if od is None else np.where(ip, factor * idr, od)
         return ov, od, op
 
     def divisor(self):
@@ -987,7 +1022,7 @@ def symmetry_check(f: MapExpr, samples=64) -> float:
     else:
         pts = [complex(z) for z in samples]
     z = np.array(pts, dtype=complex)
-    value, _, pole = evaluate(f, np.concatenate((-z.conj(), z)))
+    value, _, pole = evaluate(f, np.concatenate((-z.conj(), z)), order=0)
     (left, right), (left_pole, right_pole) = np.split(value, 2), np.split(pole, 2)
     if np.any(left_pole != right_pole):
         return float("inf")

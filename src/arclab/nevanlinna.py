@@ -130,7 +130,7 @@ def characteristic_curve(
 
 def _gate(f: MapExpr):
     """Zeros and poles of f inside the unit disc, with multiplicity, less
-    the pairs that _cancelled removes, and the Jet of f at 0.
+    the pairs that _cancelled removes, and the Jet of f at 0, order 0.
 
     Raises DomainError for a half-plane map, StructureError where f is not
     meromorphic on the closed disc, BoundarySingularityError when a listed
@@ -147,7 +147,7 @@ def _gate(f: MapExpr):
             raise BoundarySingularityError(
                 f"zero or pole at {p} is too close to the unit circle"
             )
-    origin = evaluate(f, 0.0)
+    origin = evaluate(f, 0.0, order=0)
     if origin.is_pole or origin.value == 0:
         raise NormalizationError("f(0) must be neither 0 nor infinity")
     zeros, poles = _cancelled(zeros, poles)
@@ -351,7 +351,7 @@ class Decomposition:
         |f0(0)|^2 + |finf(0)|^2 = exp(-2 T(1))."""
         zeros, _, origin = _gate(f)
         circle = _circle(self.boundary_samples)
-        w, _, pole = jets = evaluate(f, circle)
+        w, _, pole = jets = evaluate(f, circle, order=0)
         (v0, vinf), _ = self._at(circle, slice(0, 2))
         pyth = np.max(np.abs(np.abs(v0) ** 2 + np.abs(vinf) ** 2 - 1.0), initial=0.0)
         keep = ~pole
@@ -393,7 +393,7 @@ def _boundary_data(f: MapExpr, boundary_samples: int):
     if m < 256 or m & (m - 1):
         raise ValueError("boundary_samples must be a power of two, at least 256")
     while True:
-        c0, cinf = (np.fft.rfft(u) / m for u in _log_chordal(evaluate(f, _circle(m))))
+        c0, cinf = (np.fft.rfft(u) / m for u in _log_chordal(evaluate(f, _circle(m), order=0)))
         if _tail_ok(c0, m) and _tail_ok(cinf, m):
             return m, c0, cinf
         m *= 2
@@ -450,7 +450,7 @@ def uniform_characteristic_delta(f, probe_points, boundary_samples: int = 4096):
         dec = fatou_decompose(f, boundary_samples)
         a, b = dec.f0_at(pts), dec.finf_at(pts)
     else:
-        (a, _, a_pole), (b, _, b_pole) = (evaluate(g, pts) for g in f)
+        (a, _, a_pole), (b, _, b_pole) = (evaluate(g, pts, order=0) for g in f)
         if np.any(a_pole | b_pole):
             raise DataError("pair members must be analytic at the probes")
     return float(np.min(np.hypot(np.abs(a), np.abs(b))))

@@ -443,7 +443,7 @@ def scenario_symmetric_blaschke(
     samples = arc_length_profile(product, arc, grid, MetricId.SPHERICAL, config)
 
     sym_dev = symmetry_check(product, 64)
-    axis_values, _, _ = evaluate(product, 1j * np.exp(grid))
+    axis_values, _, _ = evaluate(product, 1j * np.exp(grid), order=0)
     real_dev = float(np.max(np.abs(axis_values.imag)))
     fit = growth_fit(samples, GrowthModel.POWER_LAW)
     ok = sym_dev < 1e-10 and real_dev < 1e-10 and 0.85 <= fit.exponent <= 1.15
@@ -484,7 +484,7 @@ def scenario_blaschke_quotient(n_max: int = 40, config: QuadConfig = None):
     product = BlaschkeHalfPlane(np.arange(1.0, n_factors + 1) ** 2)
     f = Quotient(Compose(product, Shift(1.0)), Compose(product, Shift(-1.0)))
 
-    axis_values, _, axis_poles = evaluate(f, 1j * np.geomspace(1.0, y_top, 100))
+    axis_values, _, axis_poles = evaluate(f, 1j * np.geomspace(1.0, y_top, 100), order=0)
     modulus_dev = (
         math.inf if axis_poles.any() else float(np.max(np.abs(np.abs(axis_values) - 1.0)))
     )

@@ -35,6 +35,7 @@ from arclab.maps import (
     BlaschkeHalfPlane,
     Compose,
     ConstMap,
+    ExpMap,
     Identity,
     Koebe,
     MobiusMap,
@@ -345,6 +346,23 @@ class TestArcLength:
             direct = arc_length(f, disc_arc(s.rho), E, CFG)
             assert s.length == pytest.approx(direct, rel=1e-9)
 
+    @pytest.mark.parametrize("f, rho", [
+        (Compose(Koebe(), Scale(0.9)), 0.7),
+        (Compose(Koebe(), Scale(0.9)), 0.4),
+        (Compose(ExpMap(), Scale(0.7)), 1.3),
+        (Compose(ExpMap(), Scale(0.7)), 0.4),
+        (PowerSeries((0.1, 1.0, 0.3 + 0.1j)), 1.3),
+        (PowerSeries((0.1, 1.0, 0.3 + 0.1j)), 2.1),
+    ])
+    def test_first_profile_sample_is_the_lone_length_bitwise(self, f, rho):
+        # the profile's first piece shares its G7K15 calls with the second,
+        # the lone length does not: a panel's sums must not depend on how
+        # many panels go through the rule together (each case differed in
+        # its last bit when the sums were one matrix product)
+        arc = disc_arc(rho + 1.0, 0.3)
+        first = arc_length_profile(f, arc, [rho, rho + 1.0], E)[0].length
+        assert first == arc_length(f, disc_arc(rho, 0.3), E)
+
     def test_profile_requires_increasing_rhos(self):
         with pytest.raises(ValueError):
             arc_length_profile(Identity(), disc_arc(4.0), (2.0, 1.0), E, CFG)
@@ -382,9 +400,9 @@ def _counting_evaluate(monkeypatch):
     sizes = []
     inner = geodesics.evaluate
 
-    def evaluate(f, z):
+    def evaluate(f, z, order=1):
         sizes.append(np.size(z))
-        return inner(f, z)
+        return inner(f, z, order)
 
     monkeypatch.setattr(geodesics, "evaluate", evaluate)
     return sizes
@@ -754,6 +772,14 @@ class TestAreaRoutes:
             for target, exact in ((E, sheets * math.pi), (S, 2 * sheets * math.pi)):
                 value, bound = area_with_bound(f, math.inf, target)
                 assert bound >= abs(value - exact)
+
+    def test_power_series_outer_through_an_inner_pole(self):
+        # 1 + z/(1 - z) = 1/(1 - z) sends the disc onto Re w > 1/2, which
+        # covers (1 - 1/sqrt 5)/2 of the sphere; the circle r = 1 meets the
+        # inner pole at its sample z = 1, a simple pole of the sum
+        f = Compose(PowerSeries((1.0, 1.0)), MobiusMap(MobiusTransform(1, 0, -1, 1)))
+        value, bound = area_with_bound(f, math.inf, S)
+        assert bound >= abs(value - 2 * math.pi * (1 - 1 / math.sqrt(5)))
 
     @pytest.mark.parametrize("rho", [7.0, 12.0, 15.0])
     def test_half_plane_identity_covers_a_ball(self, rho):

@@ -267,6 +267,31 @@ class TestComposeTags:
         with pytest.raises(EvaluationError, match="needs a Moebius outer map"):
             evaluate(Compose(Scale(0.0), Koebe()), 1.0 + 0j)
 
+    def test_power_series_outer_through_an_inner_pole(self):
+        # g = 1/(z - 1/2), whose 1/g chart has derivative 1 at z = 1/2: a
+        # constant outer gives its constant, degree 1 a pole whose 1/f chart
+        # has derivative 1/c_1, degree 2 and past a pole of 1/f with a
+        # double zero; trailing zero coefficients do not count
+        inner = MobiusMap(MobiusTransform(0, 1, 1, -0.5))
+        cases = [
+            ((3.0 + 1j, 0.0), False, 3.0 + 1j, 0.0),
+            ((5.0, 2.0 - 1j), True, 0.0, 1.0 / (2.0 - 1j)),
+            ((5.0, 2.0, -1j, 0.0), True, 0.0, 0.0),
+        ]
+        z = np.array([0.1j, 0.5 + 0j, -0.3 + 0.2j])
+        for coeffs, is_pole, value, derivative in cases:
+            f = Compose(PowerSeries(coeffs), inner)
+            jet = evaluate(f, 0.5 + 0j)
+            assert jet.is_pole == is_pole
+            assert jet.derivative == derivative
+            assert is_pole or jet.value == value
+            # the other points of a batch by the chain rule
+            got = evaluate(f, z)
+            iv, idr, _ = evaluate(inner, z)
+            ov, od, _ = evaluate(PowerSeries(coeffs), iv)
+            assert _bits([got[0][::2], got[1][::2]]) == _bits([ov[::2], (od * idr)[::2]])
+            assert got[2].tolist() == [False, is_pole, False]
+
     def test_mobius_outer_sending_pole_to_pole(self):
         inner = MobiusMap(MobiusTransform(0, 1, 1, -0.5))
         outer = MobiusMap(MobiusTransform(2, 1, 0, 1))  # 2w + 1, fixes infinity
@@ -582,6 +607,107 @@ def _axis_quotient(product):
     return Quotient(Compose(product, Shift(1.0)), Compose(product, Shift(-1.0)))
 
 
+# with BATCH_CASES, every node kind at points that reach its branches:
+# poles and the 1/f charts, both paths of BlaschkeHalfPlane, a product
+# split into point blocks, a quotient at a pole, at zeros of either side
+# and through a shared outer map, compositions through an inner pole
+ORDER_CASES = {
+    **BATCH_CASES,
+    "identity": (Identity(), [0j, 0.3 - 0.2j]),
+    "const": (ConstMap(2.0 - 1j), [0j, 0.3 - 0.2j]),
+    "scale": (Scale(0.5j), [0j, 0.3 - 0.2j]),
+    "shift": (Shift(-0.25), [0j, 0.3 - 0.2j]),
+    "power-series": (PowerSeries((0.1, 0.5, -0.2, 0.05j)), [0j, 0.3 - 0.2j, 4.0 + 1j]),
+    "mobius": (MobiusMap(MobiusTransform(1, 0.2, 1, 0.5)), [-0.5 + 0j, 0.23 - 0.17j]),
+    "koebe": (Koebe(), [1.0 + 0j, 0.3 + 0.1j, -0.99 + 0j]),
+    "exp": (ExpMap(), [709 + 0j, 710 + 1j, 1e9 + 0j, 0.3 - 2j]),
+    "log": (LogMap(), [-1 + 0j, 0.5j, 3.0 + 0j]),
+    "blaschke-disc-blocks": (
+        BlaschkeDisc(tuple(0.9 * cmath.exp(0.01j * k) for k in range(1000))),
+        [0.9 + 0j, 0.1 + 0.2j] + list(0.95 * np.exp(1j * np.linspace(0.0, 6.0, 9))),
+    ),
+    "quotient-at-zeros": (
+        Quotient(BlaschkeDisc((0.5 + 0j,)), BlaschkeDisc((0.3 + 0j, 0.1j))),
+        [0.5 + 0j, 0.3 + 0j, 0.1j, 0.2 - 0.4j],
+    ),
+    "quotient-shared-outer": (
+        _axis_quotient(SQUARES_1000),
+        [0.5j, 1.0 + 3j, -30 + 2j, 4e6 + 1j, 81j - 1.0],
+    ),
+    "compose-power-series-through-pole": (
+        Compose(PowerSeries((5.0, 2.0 - 1j)), inv(0.5)),
+        [0.5 + 0j, 0.1j, -0.3 + 0.2j],
+    ),
+    "product-power-series-through-poles": (
+        Product(Compose(PowerSeries((1.0, 0.0, 1j)), inv(0.5)), inv(0.3)),
+        [0.5 + 0j, 0.3 + 0j, -0.3 + 0.2j],
+    ),
+}
+
+
+class TestOrderZero:
+    """evaluate(f, z, order=0) forms no derivative; its values and pole
+    masks are bitwise those of order 1, and so are its errors."""
+
+    @pytest.mark.parametrize("case", ORDER_CASES)
+    def test_values_and_poles_are_those_of_order_one(self, case):
+        f, points = ORDER_CASES[case]
+        z = np.array(points)
+        for batch in (z, *z[:, None]):
+            value, derivative, pole = evaluate(f, batch, order=0)
+            want = evaluate(f, batch)
+            assert derivative is None
+            assert _bits([value, pole]) == _bits([want[0], want[2]]), batch
+        for point in points:
+            jet = evaluate(f, point, order=0)
+            assert jet.derivative is None and jet.value == evaluate(f, point).value
+
+    def test_half_plane_paths(self):
+        # the long product's batch cases hold points below its top table and
+        # past it; each path is taken here on its own too
+        f = LONG_HALF_PLANE
+        far, direct = np.array([1j, 4j + 3e-9j, 7.0 + 0.5j]), np.array([3e7j, 5e7 + 1j])
+        for z in (far, direct):
+            value, _, pole = evaluate(f, z, order=0)
+            assert _bits([value, pole]) == _bits(evaluate(f, z)[::2])
+        reach = f._tables[0]
+        assert np.all(np.searchsorted(reach, np.abs(far)) < len(reach))
+        assert np.all(np.searchsorted(reach, np.abs(direct)) == len(reach))
+
+    @pytest.mark.parametrize("f, bad", [
+        (Product(inv(0.5), BlaschkeDisc((0.5 + 0j,))), 0.5 + 0j),
+        (Quotient(BlaschkeDisc((0.5 + 0j,)), BlaschkeDisc((0.5 + 0j, 0.1j))), 0.5 + 0j),
+        (Quotient(inv(0.2), inv(0.2)), 0.2 + 0j),
+        (Compose(BlaschkeDisc((0.5 + 0j,)), inv(0.0)), 0.5 + 0j),
+        (Compose(ExpMap(), inv(0.2)), 0.2 + 0j),
+        (Compose(Scale(0.0), Koebe()), 1.0 + 0j),
+        (LogMap(), 0j),
+        (BlaschkeDisc((0.5 + 0j,)), 1.5 + 0j),
+    ], ids=["pole-times-zero", "zero-over-zero", "pole-over-pole", "factor-singular",
+            "exp-through-pole", "zero-scale-through-pole", "log-at-zero", "domain"])
+    def test_errors_are_those_of_order_one(self, f, bad):
+        for points in ([bad, 0.1 + 0.3j], [0.1 + 0.3j, -0.4j, bad]):
+            with pytest.raises(Exception) as one:
+                evaluate(f, np.array(points))
+            with pytest.raises(type(one.value), match=re.escape(str(one.value))):
+                evaluate(f, np.array(points), order=0)
+
+    def test_chained_overflow_keeps_the_finite_value(self):
+        # the one place the orders part: e^705 koebe'(z) overflows, so
+        # order 1 takes the point to the 1/f chart, while order 0 forms no
+        # derivative and keeps e^705 in the finite chart
+        c = 705.0
+        z = np.array([((2 * c + 1) - math.sqrt(4 * c + 1)) / (2 * c) + 0j, 0.3 + 0.1j])
+        f = Compose(ExpMap(), Koebe())
+        value, _, pole = evaluate(f, z)
+        assert pole.tolist() == [True, False] and value[0] == 0
+        value0, derivative0, pole0 = evaluate(f, z, order=0)
+        assert derivative0 is None and not pole0.any()
+        inner = evaluate(Koebe(), z)[0]
+        assert value0[0] == evaluate(ExpMap(), inner, order=0)[0][0] == cmath.exp(inner[0])
+        assert value0[1] == value[1]
+
+
 class TestSharedOuter:
     """A product or quotient of compositions with one outer map evaluates
     it once, with the jets and errors of two separate evaluations."""
@@ -627,7 +753,9 @@ class TestSharedOuter:
         calls = []
         jet = BlaschkeHalfPlane._jet
         monkeypatch.setattr(
-            BlaschkeHalfPlane, "_jet", lambda self, z: calls.append(len(z)) or jet(self, z)
+            BlaschkeHalfPlane,
+            "_jet",
+            lambda self, z, order=1: calls.append(len(z)) or jet(self, z, order),
         )
         evaluate(f, np.array([1j, 2j, 0.5 + 3j]))
         evaluate(f, 2j)
@@ -726,10 +854,13 @@ class TestBlaschke:
         two_calls = float(np.max(np.abs(left - right.conj())))
         calls = []
         one = maps.evaluate
-        monkeypatch.setattr(maps, "evaluate", lambda f, w: calls.append(len(w)) or one(f, w))
+        monkeypatch.setattr(
+            maps, "evaluate", lambda f, w, order=1: calls.append((len(w), order)) or one(f, w, order)
+        )
         assert symmetry_check(b, 32) == two_calls
         assert symmetry_check(b, list(z)) == two_calls
-        assert calls == [64, 64]
+        # values alone, which are bitwise those of order 1
+        assert calls == [(64, 0), (64, 0)]
 
 
 def _half_plane_points(heights, rng, n):
@@ -934,6 +1065,8 @@ class TestHalfPlaneFarField:
                 evaluate(f, np.array(points))
         with pytest.raises(EvaluationError, match=r"overflows at 0j"):
             evaluate(f, 0j)
+        # order 0 forms no derivative: B(0) is the product of the signs
+        assert evaluate(f, 0j, order=0).value == -1.0
         # one height away from overflow the derivative 2i/y is exact
         assert evaluate(BlaschkeHalfPlane((2.0**-1022,)), 0j).derivative == 2j * 2.0**1022
 

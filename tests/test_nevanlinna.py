@@ -175,6 +175,17 @@ class TestShimizuT:
         vals = [shimizu_T(f, r, CFG) for r in (0.2, 0.4, 0.6, 0.8)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    def test_degree_two_outer_through_an_inner_pole(self):
+        # c0 + c1 g + c2 g^2 with g = z/(0.5 - z): the circle |z| = 0.5 runs
+        # through g's pole at its sample z = 0.5, a double pole of the sum
+        c = (0.5, 1.0, 0.3 + 0.2j)
+        f = Compose(PowerSeries(c), MobiusMap(MobiusTransform(1, 0, -1, 0.5)))
+        top = [c[0] - c[1] + c[2], 0.5 * c[1] - c[0], 0.25 * c[0]]
+        oracle = Rational(np.roots(top), [0.5, 0.5], top[0])
+        for r in (0.5, 0.7):
+            value, bound = _on_circles(f, [r], MetricId.SPHERICAL, AREA_DEFAULT, ("T",))[0][0]
+            assert abs(value - oracle.T(r)) <= bound
+
 
 KOEBE_HALF = Compose(Koebe(), Scale(0.5))
 KOEBE_HALF_ORACLE = Rational.koebe_scaled(0.5)
@@ -515,7 +526,9 @@ class TestDecomposition:
         f, _, _ = _criterion_10(3, 2)
         points = []
         for module in (nevanlinna, geodesics):
-            spy = lambda g, z, one=module.evaluate: points.append(np.ndim(z)) or one(g, z)
+            spy = lambda g, z, order=1, one=module.evaluate: (
+                points.append(np.ndim(z)) or one(g, z, order)
+            )
             monkeypatch.setattr(module, "evaluate", spy)
         origin_identity_T(f)
         assert points.count(0) == 1
