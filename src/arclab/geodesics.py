@@ -37,7 +37,8 @@ radius takes the nested route, _nested: radial windows of width 5, whose
 bound carries its circles' tolerance.  One circle rule (_circle_rule)
 takes the boundary integrals and the nested route's inner
 theta-integrals, and certifies each circle on the Fourier tail of its
-samples; a circle it cannot certify within _MAX_PANELS points raises
+samples plus their rounding floor; a circle whose floor alone exceeds its
+tolerance, or that it cannot certify within _MAX_PANELS points, raises
 PrecisionError with its best estimate, and no route falls back to the
 other.
 """
@@ -45,6 +46,7 @@ other.
 from __future__ import annotations
 
 import cmath
+import functools
 import heapq
 import math
 import numbers
@@ -564,23 +566,37 @@ def _slope(target: MetricId, w):
     return 0.5 * lam * (np.conj(w) if target is MetricId.HYPERBOLIC_DISC else 1j)
 
 
-def _area_terms(jets, z, target, slope0):
+def _area_terms(jets, z, target, slope0, h, size):
     """The Green's-theorem integrand 2 Re(z f' dPhi/dw(f)) of an image area
-    from f's jets on a circle in two forms, stacked: as it stands, and less
-    2 Re(z f' slope0), slope0 = dPhi/dw at f(0), a part of mean 0 and of
-    order r; and the sizes of the terms that form each sample of the two.
-    The mean over the circle |z| = r, times 2 pi, is the area over
-    |z| < r, less 4 pi per pole inside for the sphere."""
+    from f's jets on a circle, written into h[0] as it stands and into h[1]
+    less 2 Re(z f' slope0), slope0 = dPhi/dw at f(0), a part of mean 0 and
+    of order r; size[0] and size[1] get the sizes of the terms that form
+    each sample of the two.  h and size have shape (2,) + z.shape.  The
+    mean over the circle |z| = r, times 2 pi, is the area over |z| < r,
+    less 4 pi per pole inside for the sphere."""
     value, derivative, pole = jets
     if pole.any():
         raise EvaluationError(f"map has a pole at {complex(z[pole][0])} on the circle")
     zd = z * derivative
     slope = _slope(target, value)
-    size = 2.0 * np.abs(zd) * np.abs(slope)
-    return (
-        np.stack((2.0 * (zd * slope).real, 2.0 * (zd * (slope - slope0)).real)),
-        np.stack((size, size + 2.0 * np.abs(zd) * abs(slope0))),
-    )
+    np.multiply(2.0, (zd * slope).real, out=h[0])
+    np.multiply(2.0, (zd * (slope - slope0)).real, out=h[1])
+    twice = 2.0 * np.abs(zd)
+    np.multiply(twice, np.abs(slope), out=size[0])
+    np.add(size[0], twice * abs(slope0), out=size[1])
+
+
+@functools.cache
+def _roots(n: int):
+    """The n points e^{2 pi i k / n} of the unit circle, read-only and made
+    once per n, which must be a power of two: the circle rule asks for 64
+    to _MAX_PANELS points, and the doubling's new points are the view
+    [1::2]; the boundary sampling of nevanlinna for 256 to 65536."""
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"the number of circle points must be a power of two, got {n}")
+    z = np.exp(2j * np.pi * np.arange(n) / n)
+    z.setflags(write=False)
+    return z
 
 
 def _spectral_tail(h):
@@ -597,16 +613,16 @@ def _spectral_tail(h):
     tail = np.empty(len(rows))
     for lo in range(0, len(rows), step):
         tail[lo : lo + step] = np.abs(np.fft.rfft(rows[lo : lo + step])[:, n // 4 :]).sum(axis=-1)
-    return h.mean(axis=-1), 2.0 * tail.reshape(h.shape[:-1]) / n
+    # the bits of h.mean(axis=-1), without its Python wrapper
+    return np.add.reduce(h, axis=-1) / n, 2.0 * tail.reshape(h.shape[:-1]) / n
 
 
-def _circle_samples(sample, r, live, k, n):
-    """sample on the circles r[live] at the points r_i e^{2 pi i k / n}: the
-    integrands h in all forms, of shape (forms, integrands, len(live), len(k)),
-    and their term sizes summed over the points.  Each call takes at most
+def _circle_samples(sample, r, live, unit):
+    """sample on the circles r[live] at the points r_i unit: the integrands
+    h in all forms, of shape (forms, integrands, len(live), len(unit)), and
+    their term sizes summed over the points.  Each call takes at most
     _CHUNK points, splitting the circles and, past _CHUNK points, the
     angles too."""
-    unit = np.exp(2j * np.pi * k / n)
     step = max(1, _CHUNK // len(unit))
     h = size = None
     for lo in range(0, len(live), step):
@@ -614,20 +630,25 @@ def _circle_samples(sample, r, live, k, n):
         for col in range(0, len(unit), _CHUNK):
             z = r[rows, None] * unit[col : col + _CHUNK]
             part, part_size = sample(z, rows)
-            bad = ~np.isfinite(part).all(axis=(0, 1))
-            if bad.any():
+            if not np.isfinite(part).all():
+                bad = ~np.isfinite(part).all(axis=(0, 1))
                 raise EvaluationError(f"circle integrand is not finite at {complex(z[bad][0])}")
             if h is None:
                 h = np.empty(part.shape[:2] + (len(live), len(unit)))
                 size = np.zeros(h.shape[:3])
             h[..., lo : lo + step, col : col + _CHUNK] = part
-            size[..., lo : lo + step] += part_size.sum(axis=-1)
+            size[..., lo : lo + step] += np.add.reduce(part_size, axis=-1)
     return h, size
 
 
 def _pick(h, size, reduced):
     """The samples and term sizes of the form each (integrand, circle) uses:
-    the last where reduced holds, else the first."""
+    the last where reduced holds, else the first; views of h and size when
+    all use one form."""
+    if reduced.all():
+        return h[-1], size[-1]
+    if not reduced.any():
+        return h[0], size[0]
     return np.where(reduced[..., None], h[-1], h[0]), np.where(reduced, size[-1], size[0])
 
 
@@ -647,21 +668,22 @@ def _circle_rule(sample, r, scale, shift, abs_tol, rel_tol, first, cap=_MAX_PANE
     and the second form's rounding noise would cost doublings.
 
     The values are scale * (mean of h + shift), shift of shape
-    (k, len(r)).  Each circle takes first points, doubling over the
-    circles not yet certified in one batch, and is certified once for
-    every integrand the top-quarter Fourier tail, times scale, is at most
-    max(abs_tol, rel_tol |value|), abs_tol a number or an array with one
-    per circle.  Returns (values, bounds): a bound is
-    scale times the tail plus a rounding floor of _ROUNDOFF times the mean
-    term size.  A circle that has not certified at cap points raises
-    PrecisionError, naming the first such circle in the order of r and its
-    first uncertified integrand.
+    (k, len(r)).  A bound is scale times the top-quarter Fourier tail plus
+    the rounding floor, scale times _ROUNDOFF times the mean term size.
+    Each circle takes first points, doubling over the circles not yet
+    certified in one batch, and is certified once for every integrand its
+    bound is at most max(abs_tol, rel_tol |value|), abs_tol a number or an
+    array with one per circle.  Returns (values, bounds).  Doubling does
+    not lower the floor, so a circle whose floor alone exceeds that
+    tolerance raises PrecisionError at once, as does a circle that has not
+    certified at cap points, each naming the first such circle in the
+    order of r and its first such integrand, with its value and bound.
     """
     n = first
     live = np.arange(len(r))
     abs_tol = np.full(len(r), abs_tol)
-    forms, forms_size = _circle_samples(sample, r, live, np.arange(n), n)
-    moduli = np.abs(forms).sum(axis=-1)
+    forms, forms_size = _circle_samples(sample, r, live, _roots(n))
+    moduli = np.add.reduce(np.abs(forms), axis=-1)
     reduced = moduli[-1] < (1.0 - _FORM_MARGIN) * moduli[0]
     h, size = _pick(forms, forms_size, reduced)
     values = np.empty(shift.shape)
@@ -669,27 +691,31 @@ def _circle_rule(sample, r, scale, shift, abs_tol, rel_tol, first, cap=_MAX_PANE
     while True:
         mean, tail = _spectral_tail(h)
         value = scale * (mean + shift[:, live])
-        err = scale * tail
-        ok = err <= np.maximum(abs_tol[live], rel_tol * np.abs(value))
+        floor = scale * _ROUNDOFF * size / n
+        bound = scale * tail + floor
+        tol = np.maximum(abs_tol[live], rel_tol * np.abs(value))
+        ok = bound <= tol
         done = ok.all(axis=0)
         values[:, live[done]] = value[:, done]
-        bounds[:, live[done]] = err[:, done] + scale * _ROUNDOFF * size[:, done] / n
+        bounds[:, live[done]] = bound[:, done]
         if done.all():
             return values, bounds
-        if n >= cap:
-            i = np.flatnonzero(~done)[0]
-            j = np.flatnonzero(~ok[:, i])[0]
+        stuck = floor > tol
+        if stuck.any() or n >= cap:
+            bad = stuck if stuck.any() else ~ok
+            i = np.flatnonzero(bad.any(axis=0))[0]
+            j = np.flatnonzero(bad[:, i])[0]
+            why = ": its rounding floor exceeds the tolerance" if stuck.any() else f" within {n} points"
             raise PrecisionError(
-                f"circle integral did not certify at r = {r[live[i]]} within {n} points",
+                f"circle integral did not certify at r = {r[live[i]]}{why}",
                 estimate=value[j, i].item(),
-                error_bound=err[j, i].item(),
+                error_bound=bound[j, i].item(),
             )
-        keep = ~done
-        live, h, size, reduced = live[keep], h[:, keep], size[:, keep], reduced[:, keep]
+        if done.any():
+            keep = ~done
+            live, h, size, reduced = live[keep], h[:, keep], size[:, keep], reduced[:, keep]
         n *= 2
-        new, new_size = _pick(
-            *_circle_samples(sample, r, live, np.arange(1, n, 2), n), reduced
-        )
+        new, new_size = _pick(*_circle_samples(sample, r, live, _roots(n)[1::2]), reduced)
         merged = np.empty(h.shape[:2] + (n,))
         merged[..., 0::2], merged[..., 1::2] = h, new
         h, size = merged, size + new_size
@@ -773,38 +799,42 @@ def _on_circles(f: MapExpr, rs, target: MetricId, cfg: QuadConfig, want=("A",), 
     linear = np.array([not routes[i] and not near for i, near in zip(on, peeled)])
     peeling = any(peeled)
 
-    def log_ratio(jets, z, rows):
+    order, big_g0, log_scale0 = int("A" in want), abs(g0), math.log(scale0)
+
+    def log_ratio(jets, z, rows, h, size):
         w = jets[0]
         diff = w - g0
         # log1p of (|g|^2 - |g0|^2)/(1 + |g0|^2), exact to rounding near g0
         ratio = (diff * np.conj(w + g0)).real / scale0
-        plain = np.log1p(ratio)
-        size = np.abs(diff) * (np.abs(w) + abs(g0)) / (1.0 + _abs2(w)) + np.abs(plain)
+        plain, plain_size = np.log1p(ratio, out=h[0]), size[0]
+        np.add(np.abs(diff) * (np.abs(w) + big_g0) / (1.0 + _abs2(w)), np.abs(plain), out=plain_size)
         # where |g| is well below |g0|, which needs |g0| > 1, log1p would
         # swell the rounding of the ratio up to 1 + |g0|^2 times: there the
         # two logs go apart
         if scale0 > 2.0:
             low = ratio < -0.5
             logs = np.log1p(_abs2(w[low]))
-            plain[low], size[low] = logs - math.log(scale0), logs + math.log(scale0)
+            plain[low], plain_size[low] = logs - log_scale0, logs + log_scale0
         if peeling:
             for k, j in enumerate(rows):
                 for b in peeled[j]:
                     term = np.log(_abs2(z[k] - b))
                     plain[k] += term
-                    size[k] += np.abs(term)
+                    plain_size[k] += np.abs(term)
         part = np.where(linear[rows, None], 2.0 * (slope0 * diff).real, 0.0)
-        return np.stack((plain, plain - part)), np.stack((size, size + np.abs(part)))
+        np.subtract(plain, part, out=h[1])
+        np.add(plain_size, np.abs(part), out=size[1])
 
     def sample(z, rows):
-        jets = evaluate(g, z, order=int("A" in want))
-        terms = [
-            _area_terms(jets, z, target, slope0) if q == "A" else log_ratio(jets, z, rows)
-            for q in want
-        ]
-        if len(terms) == 1:
-            return terms[0][0][:, None], terms[0][1][:, None]
-        return np.stack([h for h, _ in terms], axis=1), np.stack([m for _, m in terms], axis=1)
+        jets = evaluate(g, z, order=order)
+        h = np.empty((2, len(want)) + z.shape)
+        size = np.empty(h.shape)
+        for k, q in enumerate(want):
+            if q == "A":
+                _area_terms(jets, z, target, slope0, h[:, k], size[:, k])
+            else:
+                log_ratio(jets, z, rows, h[:, k], size[:, k])
+        return h, size
 
     def t_shift(j, i):
         jensen = [-math.log(max(rs[i], abs(b))) for b in peeled[j]]

@@ -26,7 +26,6 @@ chordal distances from the boundary values to 0 and to infinity.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +41,7 @@ from .errors import (
 )
 # adaptive_integrate is not called here; perfbench's tracer self-test
 # checks that this module's binding of it is the wrapped geodesics one
-from .geodesics import AREA_DEFAULT, QuadConfig, _on_circles, adaptive_integrate  # noqa: F401
+from .geodesics import AREA_DEFAULT, QuadConfig, _on_circles, _roots, adaptive_integrate  # noqa: F401
 from .maps import (
     _DISC_RADIUS,
     BlaschkeDisc,
@@ -156,16 +155,6 @@ def _gate(f: MapExpr):
         [p for p in poles if abs(p) < 1.0],
         origin,
     )
-
-
-@functools.cache
-def _circle(m: int):
-    """The m equispaced sample points exp(2 pi i j / m) of the unit circle,
-    read-only and made once per m: the boundary sampling asks only for
-    powers of two from 256 to 65536, so the cache stays small."""
-    z = np.exp(2j * np.pi * np.arange(m) / m)
-    z.setflags(write=False)
-    return z
 
 
 def _log_chordal(jets):
@@ -350,7 +339,7 @@ class Decomposition:
         of f, and the gap in the origin identity
         |f0(0)|^2 + |finf(0)|^2 = exp(-2 T(1))."""
         zeros, _, origin = _gate(f)
-        circle = _circle(self.boundary_samples)
+        circle = _roots(self.boundary_samples)
         w, _, pole = jets = evaluate(f, circle, order=0)
         (v0, vinf), _ = self._at(circle, slice(0, 2))
         pyth = np.max(np.abs(np.abs(v0) ** 2 + np.abs(vinf) ** 2 - 1.0), initial=0.0)
@@ -393,7 +382,7 @@ def _boundary_data(f: MapExpr, boundary_samples: int):
     if m < 256 or m & (m - 1):
         raise ValueError("boundary_samples must be a power of two, at least 256")
     while True:
-        c0, cinf = (np.fft.rfft(u) / m for u in _log_chordal(evaluate(f, _circle(m), order=0)))
+        c0, cinf = (np.fft.rfft(u) / m for u in _log_chordal(evaluate(f, _roots(m), order=0)))
         if _tail_ok(c0, m) and _tail_ok(cinf, m):
             return m, c0, cinf
         m *= 2

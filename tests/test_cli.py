@@ -329,6 +329,18 @@ class TestArea:
         assert 0 < float(estimates[0].split(": ")[1]) <= 2 * math.pi * (1 + 1e-9)
         assert "error bound inf" in err
 
+    def test_a_rounding_floor_over_the_tolerance_exits_one(self, capsys):
+        # z + 1e8 in E: the circle's rounding floor alone is over abs_tol
+        code, out, err = run(
+            capsys, "area", "--func", "shift(1e8+0i)", "--rho", "2", "--target", "E",
+            "--abs-tol", "1e-7",
+        )
+        assert (code, out) == (1, "")
+        assert "rounding floor" in err
+        estimates = [l for l in err.splitlines() if l.startswith("best estimate: ")]
+        assert len(estimates) == 1
+        assert float(estimates[0].split(": ")[1]) == pytest.approx(math.pi * math.tanh(1.0) ** 2)
+
     def test_divergent_improper_exits_one(self, capsys):
         code, out, err = run(
             capsys, "area", "--func", "z()", "--target", "H", "--rho", "inf"

@@ -531,9 +531,9 @@ class TestCircleRuleForms:
         points = []
         samples = geodesics._circle_samples
 
-        def spy(sample, r, live, k, n):
-            points.append(len(live) * len(k))
-            return samples(sample, r, live, k, n)
+        def spy(sample, r, live, unit):
+            points.append(len(live) * len(unit))
+            return samples(sample, r, live, unit)
 
         monkeypatch.setattr(geodesics, "_circle_samples", spy)
         # origin_identity_T's tolerances, 1e-12 on T
@@ -547,6 +547,62 @@ class TestCircleRuleForms:
             2 * w0 / math.sqrt(1 + w0 * w0)
         ) - 0.5 * math.log(2)
         assert abs(value - expect) <= bound
+
+
+class TestCircleRule:
+    def test_roots_are_read_only_and_the_exponentials_bit_for_bit(self):
+        # the rule takes 64 to _MAX_PANELS points and a doubling's new
+        # points are the odd ones; the boundary sampling 256 to 65536
+        for n in (1 << j for j in range(17)):
+            z = geodesics._roots(n)
+            assert z is geodesics._roots(n) and not z.flags.writeable
+            with pytest.raises(ValueError):
+                z[0] = 0j
+            assert z.tobytes() == np.exp(2j * np.pi * np.arange(n) / n).tobytes()
+            odd = np.exp(2j * np.pi * np.arange(1, n, 2) / n)
+            assert z[1::2].tobytes() == odd.tobytes()
+
+    def test_roots_hold_only_powers_of_two(self):
+        held = geodesics._roots.cache_info().currsize
+        for n in (0, 3, 96, 1000, -64):
+            with pytest.raises(ValueError, match="power of two"):
+                geodesics._roots(n)
+        assert geodesics._roots.cache_info().currsize == held
+
+    @pytest.mark.parametrize(
+        "f,radii,target,want",
+        [
+            (BlaschkeDisc((0.3 + 0.2j, -0.5j)), [0.3, 0.7, 0.95, 1.0], E, "A"),
+            (Compose(Koebe(), Scale(0.5)), [0.2, 0.5, 0.8, 1.0], S, "A"),
+            (BlaschkeDisc((0.3 + 0.2j,)), [0.3, 0.7, 0.95], H, "A"),
+            # the pole at 0.5 - 0.1i is inside the two outer circles
+            (Quotient(BlaschkeDisc((0.3 + 0.2j,)), BlaschkeDisc((0.5 - 0.1j,))),
+             [0.2, 0.5, 0.8, 0.95], S, "T"),
+            # the pole at 0.9 is peeled on the two middle circles
+            (MobiusMap(MobiusTransform(1, 0, 1, -0.9)), [0.5, 0.899, 0.9005, 0.95], S, "T"),
+        ],
+        ids=["E", "S", "D", "T-pole-inside", "T-peeled"],
+    )
+    def test_a_radius_alone_is_its_entry_in_a_batch(self, f, radii, target, want):
+        batch = geodesics._on_circles(f, radii, target, AREA_DEFAULT, (want,))[0]
+        for r, entry in zip(radii, batch):
+            alone = geodesics._on_circles(f, [r], target, AREA_DEFAULT, (want,))[0][0]
+            assert [x.hex() for x in alone] == [x.hex() for x in entry]
+
+    def test_a_floor_over_the_tolerance_raises(self):
+        # z + c in E: the samples are terms of size |c| r that cancel to an
+        # area of order r^2, so the rounding floor grows with c, and
+        # doubling does not lower it
+        r = math.tanh(1.0)
+        value, bound = area_with_bound(Shift(1e6), 2.0, E)
+        assert bound <= AREA_DEFAULT.abs_tol
+        assert abs(value - math.pi * r * r) <= bound
+        for c in (1e7, 1e8):
+            with pytest.raises(PrecisionError, match="rounding floor") as exc_info:
+                area_with_bound(Shift(c), 2.0, E)
+            exc = exc_info.value
+            assert exc.error_bound > AREA_DEFAULT.abs_tol
+            assert abs(exc.estimate - math.pi * r * r) <= exc.error_bound
 
 
 def _koebe_area(x):

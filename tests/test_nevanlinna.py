@@ -20,6 +20,7 @@ from arclab.geodesics import (
     AREA_DEFAULT,
     QuadConfig,
     _on_circles,
+    _roots,
     adaptive_integrate,
     area_with_bound,
 )
@@ -44,7 +45,6 @@ from arclab.metrics import INFINITY, MetricId, MobiusTransform, chordal
 from arclab.nevanlinna import (
     CharacteristicCurve,
     Decomposition,
-    _circle,
     _log_chordal,
     _power_series,
     characteristic_curve,
@@ -787,7 +787,7 @@ class TestDecomposition:
         # complex values equal in every bit to rfft(u)/m without the Nyquist term
         dec = fatou_decompose(f, 256)
         m = dec.boundary_samples
-        u0, uinf = _log_chordal(evaluate(f, _circle(m)))
+        u0, uinf = _log_chordal(evaluate(f, _roots(m)))
         for got, u in ((dec.u0_fourier, u0), (dec.uinf_fourier, uinf)):
             want = (np.fft.rfft(u) / m)[:-1]
             assert len(got) == len(want) == m // 2
