@@ -64,7 +64,7 @@ from .errors import (
     StructureError,
 )
 from .maps import Compose, ConstMap, MapExpr, Quotient, Scale, _cancelled, evaluate, inv_cayley_map
-from .metrics import MetricId, _abs2, density, is_infinite, norm_from_jet
+from .metrics import MetricId, _abs2, _density, is_infinite, norm_from_jet
 
 # 15-point Kronrod nodes on [-1, 1] (symmetric half) and weights, with the
 # embedded 7-point Gauss weights sitting at the odd-index nodes.
@@ -110,7 +110,7 @@ HALF_PLANE_RHO_MAX = 700.0
 # an integrand call and a circle-energy evaluate take at most this many
 # points, which bounds the memory of a batch of many panels or radii
 _CHUNK = 2048
-_PANELS_PER_CALL = _CHUNK // len(_NODES)
+_NODES_PER_CALL = _CHUNK // len(_NODES) * len(_NODES)
 # a circle that has not certified at this many points raises PrecisionError
 _MAX_PANELS = 1 << 14
 # the circle rule starts at this many points, on the boundary route at four
@@ -183,9 +183,9 @@ class RadialArc:
     def point(self, t):
         """The point at parameter t, or the array of points at an array t."""
         ts = np.asarray(t, dtype=float)
-        bad = ~((0.0 <= ts) & (ts <= self.rho_max))
-        if bad.any():
-            raise ValueError(f"arc parameter {ts[bad][0]} outside [0, {self.rho_max}]")
+        inside = (0.0 <= ts) & (ts <= self.rho_max)
+        if np.count_nonzero(inside) < inside.size:
+            raise ValueError(f"arc parameter {ts[~inside][0]} outside [0, {self.rho_max}]")
         if self.domain is MetricId.HYPERBOLIC_DISC:
             z = np.tanh(ts / 2.0) * cmath.exp(1j * self.theta)
         else:
@@ -213,17 +213,16 @@ class GrowthSample:
 def _g7k15(g, lo, hi):
     """The G7K15 rule on the panels [lo_i, hi_i]: (values, error estimates)
     as two lists of floats.  g gets the nodes of whole panels, at most
-    _PANELS_PER_CALL of them per call."""
+    _NODES_PER_CALL per call, and its values fill one preallocated array."""
     # 0.5 (lo + hi) and 0.5 (hi - lo), each rounded once as 0.5 * (a + b) is
-    ch = _HALVES @ np.array((lo, hi), dtype=float)
-    c, h = ch[0], ch[1]
-    ts = c[:, None] + h[:, None] * _NODES
-    f = np.concatenate(
-        [g(ts[k : k + _PANELS_PER_CALL].ravel()) for k in range(0, len(ts), _PANELS_PER_CALL)]
-    )
+    c, h = _HALVES @ np.array((lo, hi), dtype=float)
+    ts = (c[:, None] + h[:, None] * _NODES).ravel()
+    f = np.empty(len(ts))
+    for k in range(0, len(ts), _NODES_PER_CALL):
+        f[k : k + _NODES_PER_CALL] = g(ts[k : k + _NODES_PER_CALL])
     # einsum, not a matrix product: BLAS rounds one panel (gemv) and a
     # batch (gemm) apart, and a panel's sums must not depend on its batch
-    sums = np.einsum("rk,nk->rn", _RULES, f.reshape(ts.shape))
+    sums = np.einsum("rk,nk->rn", _RULES, f.reshape(len(h), len(_NODES)))
     kronrod, gauss = sums[0], sums[1]
     vals = (kronrod * h).tolist()
     if not math.isfinite(sum(vals)):
@@ -254,28 +253,30 @@ def _integrate(g, pieces, cfg: QuadConfig):
     lo = [e for edges in pieces for e in edges[:-1]]
     hi = [e for edges in pieces for e in edges[1:]]
     vals, errs = _g7k15(g, lo, hi)
-    heaps, counters, totals, total_errs = [], [], [], []
-    k = 0
+    start, spans, totals, total_errs = 0, [], [], []
     for edges in pieces:
-        heap = []
+        span = range(start, start + len(edges) - 1)
+        start = span.stop
         total = total_err = 0.0
-        for j in range(len(edges) - 1):
+        for k in span:
             total += vals[k]
             total_err += errs[k]
-            heap.append((-errs[k], j, lo[k], hi[k], vals[k], errs[k], 0))
-            k += 1
-        # counters are unique keys, so a heapified list pops as pushes would
-        heapq.heapify(heap)
-        heaps.append(heap)
-        counters.append(len(heap))
+        spans.append(span)
         totals.append(total)
         total_errs.append(total_err)
 
     def tolerance(i):
         return max(cfg.abs_tol, cfg.rel_tol * abs(totals[i]))
 
-    stalls = [None] * len(pieces)
     live = [i for i in range(len(pieces)) if total_errs[i] > tolerance(i)]
+    if not live:  # the first panels certified every piece: no heap is needed
+        return list(zip(totals, total_errs))
+    # counters are unique keys, so a heapified list pops as pushes would
+    heaps = [[(-errs[k], j, lo[k], hi[k], vals[k], errs[k], 0) for j, k in enumerate(s)] for s in spans]
+    for heap in heaps:
+        heapq.heapify(heap)
+    counters = [len(span) for span in spans]
+    stalls = [None] * len(pieces)
     while live:
         popped, lo, hi = [], [], []
         for i in live:
@@ -387,7 +388,7 @@ def arc_length_profile(
     grid = [float(r) for r in rhos]
     if not grid:
         return []
-    if grid[0] <= 0 or any(n <= p for p, n in zip(grid, grid[1:])):
+    if grid[0] <= 0 or any(map(float.__ge__, grid, grid[1:])):
         raise ValueError("rho grid must be positive and strictly increasing")
     if grid[-1] > arc.rho_max:
         raise ValueError("rho grid exceeds the arc's rho_max")
@@ -560,10 +561,21 @@ def _slope(target: MetricId, w):
         u = np.where(big, 1.0 / np.where(big, w, 1.0), np.conj(w))
         return u / (1.0 + _abs2(u))
     try:
-        lam = density(target, w)
+        lam = _density(target, w)
     except DomainError as exc:
         raise RangeError(f"value {exc}") from None
     return 0.5 * lam * (np.conj(w) if target is MetricId.HYPERBOLIC_DISC else 1j)
+
+
+def _slope_at(target: MetricId, w):
+    """_slope at the one value w, bit for bit, in scalars: numpy's for the
+    sphere, whose complex division Python's rounds otherwise."""
+    if target is MetricId.EUCLIDEAN:
+        return complex(0.25) * w.conjugate()
+    if target is not MetricId.SPHERICAL:
+        return _slope(target, np.array([w]))[0]
+    u = complex(1.0 / np.complex128(w)) if abs(w) > 1.0 else w.conjugate()
+    return complex(np.complex128(u) / (1.0 + _abs2(u)))
 
 
 def _area_terms(jets, z, target, slope0, h, size):
@@ -793,7 +805,7 @@ def _on_circles(f: MapExpr, rs, target: MetricId, cfg: QuadConfig, want=("A",), 
         return out
     if g0 is None:
         g0 = evaluate(g, np.zeros(1), order=0)[0][0]
-    slope0 = _slope(target, np.array([g0]))[0]
+    slope0 = _slope_at(target, g0)
     scale0 = 1.0 + _abs2(g0)
     peeled = [[b for b in counted if abs(abs(b) - rs[i]) < band * rs[i]] for i in on]
     linear = np.array([not routes[i] and not near for i, near in zip(on, peeled)])

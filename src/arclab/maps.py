@@ -59,6 +59,7 @@ _LOG_MAX = math.log(sys.float_info.max)
 _BLOCK = 1 << 12
 # error of the truncated far-field series of a half-plane product's log
 _FAR_TOL = 2.0**-56
+_chained = np.errstate(over="ignore", invalid="ignore")(np.multiply)  # inf, nan: no warning
 
 
 @dataclass(frozen=True)
@@ -198,7 +199,7 @@ def _check_domain(dom: MetricId, flat):
         bad, where = flat.imag < -_HALF_PLANE_SLACK, "closed upper half-plane"
     else:
         return
-    if bad.any():
+    if np.count_nonzero(bad):
         raise DomainError(f"{complex(flat[bad][0])} is outside the {where}")
 
 
@@ -257,7 +258,10 @@ class Scale(MapExpr):
         object.__setattr__(self, "factor", complex(self.factor))
 
     def _jet(self, z, order=1):
-        return self.factor * z, np.full_like(z, self.factor) if order else None, _finite(z)
+        derivative = np.empty_like(z) if order else None
+        if order:
+            derivative.fill(self.factor)  # np.full_like without its Python wrapper
+        return self.factor * z, derivative, _finite(z)
 
     @property
     def transform(self):
@@ -349,10 +353,10 @@ class MobiusMap(MapExpr):
         pole = den == 0
         den[pole] = 1.0
         value, derivative = num / den, t.determinant / (den * den) if order else None
-        # at a pole the chart (cz+d)/(az+b) takes over
-        value[pole] = 0.0
-        if order:
-            derivative[pole] = -t.determinant / (num[pole] * num[pole])
+        if np.count_nonzero(pole):  # at a pole the chart (cz+d)/(az+b) takes over
+            value[pole] = 0.0
+            if order:
+                derivative[pole] = -t.determinant / (num[pole] * num[pole])
         return value, derivative, pole
 
     def divisor(self):
@@ -926,7 +930,7 @@ class Compose(MapExpr):
         """The inner jet at the points z, with None for its pole mask
         where no point is a pole."""
         iv, idr, ip = self.inner._jet(z, order)
-        if not ip.any():
+        if not np.count_nonzero(ip):
             return iv, idr, None
         if self.outer._at_infinity is None:
             raise EvaluationError(
@@ -941,13 +945,12 @@ class Compose(MapExpr):
         # order 0 keeps the finite value where order 1 takes the 1/f chart below
         if od is not None:
             # chain rule holds in either chart of the outer jet
-            with np.errstate(over="ignore", invalid="ignore"):
-                chained = od * idr
-            lost = ~np.isfinite(chained)
-            if lost.any():
+            chained = _chained(od, idr)
+            finite = np.isfinite(chained)
+            if np.count_nonzero(finite) < finite.size:
                 # the chained derivative overflowed: where |f| > 1 the point goes
                 # to the 1/f chart, whose derivative -f'/f^2 is representable
-                lost &= np.abs(ov) > 1.0
+                lost = ~finite & (np.abs(ov) > 1.0)
                 big = np.where(lost, ov, 1.0)
                 chained = np.where(lost, -(od / big) / big * idr, chained)
                 ov, op = np.where(lost, 0.0, ov), op | lost
