@@ -64,7 +64,7 @@ from .errors import (
     StructureError,
 )
 from .maps import Compose, ConstMap, MapExpr, Quotient, Scale, _cancelled, evaluate, inv_cayley_map
-from .metrics import MetricId, _abs2, _density, is_infinite, norm_from_jet
+from .metrics import MetricId, _abs2, density, is_infinite, norm_from_jet
 
 # 15-point Kronrod nodes on [-1, 1] (symmetric half) and weights, with the
 # embedded 7-point Gauss weights sitting at the odd-index nodes.
@@ -219,7 +219,8 @@ def _g7k15(g, lo, hi):
     ts = (c[:, None] + h[:, None] * _NODES).ravel()
     f = np.empty(len(ts))
     for k in range(0, len(ts), _NODES_PER_CALL):
-        f[k : k + _NODES_PER_CALL] = g(ts[k : k + _NODES_PER_CALL])
+        t = ts[k : k + _NODES_PER_CALL]
+        f[k : k + len(t)] = np.asarray(g(t)).reshape(len(t))  # a value per node, no broadcast
     # einsum, not a matrix product: BLAS rounds one panel (gemv) and a
     # batch (gemm) apart, and a panel's sums must not depend on its batch
     sums = np.einsum("rk,nk->rn", _RULES, f.reshape(len(h), len(_NODES)))
@@ -255,13 +256,11 @@ def _integrate(g, pieces, cfg: QuadConfig):
     vals, errs = _g7k15(g, lo, hi)
     start, spans, totals, total_errs = 0, [], [], []
     for edges in pieces:
-        span = range(start, start + len(edges) - 1)
-        start = span.stop
+        spans.append(range(start, start := start + len(edges) - 1))
         total = total_err = 0.0
-        for k in span:
+        for k in spans[-1]:
             total += vals[k]
             total_err += errs[k]
-        spans.append(span)
         totals.append(total)
         total_errs.append(total_err)
 
@@ -388,7 +387,7 @@ def arc_length_profile(
     grid = [float(r) for r in rhos]
     if not grid:
         return []
-    if grid[0] <= 0 or any(map(float.__ge__, grid, grid[1:])):
+    if grid[0] <= 0 or any(n <= p for p, n in zip(grid, grid[1:])):
         raise ValueError("rho grid must be positive and strictly increasing")
     if grid[-1] > arc.rho_max:
         raise ValueError("rho grid exceeds the arc's rho_max")
@@ -561,21 +560,18 @@ def _slope(target: MetricId, w):
         u = np.where(big, 1.0 / np.where(big, w, 1.0), np.conj(w))
         return u / (1.0 + _abs2(u))
     try:
-        lam = _density(target, w)
+        lam = density(target, w)
     except DomainError as exc:
         raise RangeError(f"value {exc}") from None
     return 0.5 * lam * (np.conj(w) if target is MetricId.HYPERBOLIC_DISC else 1j)
 
 
 def _slope_at(target: MetricId, w):
-    """_slope at the one value w, bit for bit, in scalars: numpy's for the
-    sphere, whose complex division Python's rounds otherwise."""
-    if target is MetricId.EUCLIDEAN:
-        return complex(0.25) * w.conjugate()
+    """_slope at the one numpy complex w, bit for bit, in numpy's scalars."""
     if target is not MetricId.SPHERICAL:
-        return _slope(target, np.array([w]))[0]
-    u = complex(1.0 / np.complex128(w)) if abs(w) > 1.0 else w.conjugate()
-    return complex(np.complex128(u) / (1.0 + _abs2(u)))
+        return _slope(target, np.asarray(w))
+    u = 1.0 / w if np.abs(w) > 1.0 else w.conjugate()
+    return u / (1.0 + _abs2(u))
 
 
 def _area_terms(jets, z, target, slope0, h, size):
@@ -805,7 +801,7 @@ def _on_circles(f: MapExpr, rs, target: MetricId, cfg: QuadConfig, want=("A",), 
         return out
     if g0 is None:
         g0 = evaluate(g, np.zeros(1), order=0)[0][0]
-    slope0 = _slope_at(target, g0)
+    slope0 = _slope_at(target, np.complex128(g0))
     scale0 = 1.0 + _abs2(g0)
     peeled = [[b for b in counted if abs(abs(b) - rs[i]) < band * rs[i]] for i in on]
     linear = np.array([not routes[i] and not near for i, near in zip(on, peeled)])

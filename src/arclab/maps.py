@@ -258,10 +258,7 @@ class Scale(MapExpr):
         object.__setattr__(self, "factor", complex(self.factor))
 
     def _jet(self, z, order=1):
-        derivative = np.empty_like(z) if order else None
-        if order:
-            derivative.fill(self.factor)  # np.full_like without its Python wrapper
-        return self.factor * z, derivative, _finite(z)
+        return self.factor * z, np.full_like(z, self.factor) if order else None, _finite(z)
 
     @property
     def transform(self):

@@ -64,9 +64,6 @@ def _abs2(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
 
 
-_abs2_or_inf = np.errstate(over="ignore")(_abs2)  # inf where |z|^2 overflows, no warning
-
-
 def density(metric: MetricId, z):
     """Conformal density lambda(z) of the metric at z, or elementwise at an
     array of points.
@@ -80,29 +77,26 @@ def density(metric: MetricId, z):
             return 0.0
         raise DomainError(f"infinity is not a point of {metric.value}")
     zs = np.asarray(z, dtype=complex)
-    lam = np.ones(zs.shape) if metric is MetricId.EUCLIDEAN else _density(metric, zs)
-    return lam if zs.ndim else float(lam)
-
-
-def _density(metric: MetricId, zs):
-    """density at the complex array zs; in the plane the float 1.0, which
-    multiplies as an array of ones would, without forming one."""
     if metric is MetricId.EUCLIDEAN:
-        return 1.0
-    if metric is MetricId.HYPERBOLIC_HALF_PLANE:
+        lam = np.ones(zs.shape)
+    elif metric is MetricId.HYPERBOLIC_HALF_PLANE:
         bad = zs.imag <= 0.0
         if np.count_nonzero(bad):
             raise DomainError(f"{complex(zs[bad][0])} is not in the upper half-plane")
-        return 1.0 / zs.imag
-    r2 = _abs2_or_inf(zs)
-    if metric is MetricId.SPHERICAL:
-        return 2.0 / (1.0 + r2)
-    if metric is not MetricId.HYPERBOLIC_DISC:
-        raise ValueError(f"unknown metric {metric!r}")
-    bad = r2 >= 1.0
-    if np.count_nonzero(bad):
-        raise DomainError(f"{complex(zs[bad][0])} is not inside the unit disc")
-    return 2.0 / (1.0 - r2)
+        lam = 1.0 / zs.imag
+    else:
+        with np.errstate(over="ignore"):  # |z|^2 of a huge point is inf
+            r2 = _abs2(zs)
+        if metric is MetricId.SPHERICAL:
+            lam = 2.0 / (1.0 + r2)
+        elif metric is MetricId.HYPERBOLIC_DISC:
+            bad = r2 >= 1.0
+            if np.count_nonzero(bad):
+                raise DomainError(f"{complex(zs[bad][0])} is not inside the unit disc")
+            lam = 2.0 / (1.0 - r2)
+        else:
+            raise ValueError(f"unknown metric {metric!r}")
+    return lam if zs.ndim else float(lam)
 
 
 def chordal(w, wp) -> float:
@@ -151,11 +145,14 @@ def distance(metric: MetricId, z1, z2) -> float:
     z1, z2 = complex(z1), complex(z2)
     if metric is MetricId.EUCLIDEAN:
         return abs(z1 - z2)
-    density(metric, z1), density(metric, z2)  # domain checks; ValueError past D and H
     if metric is MetricId.HYPERBOLIC_DISC:
+        density(metric, z1), density(metric, z2)  # domain checks
         u = abs((z1 - z2) / (1.0 - z2.conjugate() * z1))
-    else:
+    elif metric is MetricId.HYPERBOLIC_HALF_PLANE:
+        density(metric, z1), density(metric, z2)
         u = abs((z1 - z2) / (z1 - z2.conjugate()))
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
     if u >= 1.0:
         raise DomainError("points too close to the boundary to separate")
     # log((1+u)/(1-u)) = 2 artanh u, stable form
@@ -177,7 +174,7 @@ def norm_from_jet(jet, z, source: MetricId, target: MetricId):
         jet, z = ([0j if jet.is_pole else jet.value], [jet.derivative], [jet.is_pole]), [z]
     value, derivative, pole = map(np.asarray, jet)
     z = np.asarray(z, dtype=complex)
-    lam_a = _density(source, z)
+    lam_a = 1.0 if source is MetricId.EUCLIDEAN else density(source, z)  # 1.0: no array of ones
     d = np.abs(derivative)
     if target is MetricId.SPHERICAL:
         # 2|f'| / (1 + |f|^2), taken through 1/f where |f| > 1 so that
@@ -193,7 +190,7 @@ def norm_from_jet(jet, z, source: MetricId, target: MetricId):
                 f"map has a pole at {complex(z[pole][0])}; target {target.value} excludes it"
             )
         try:
-            lam_b = _density(target, value)
+            lam_b = 1.0 if target is MetricId.EUCLIDEAN else density(target, value)
         except DomainError as exc:
             raise RangeError(f"value {exc}") from None
         n = d * lam_b / lam_a

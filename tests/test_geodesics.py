@@ -153,6 +153,14 @@ class TestAdaptiveIntegrate:
             adaptive_integrate(lambda t: np.full_like(t, np.nan), 0.0, 1.0, CFG)
 
     @pytest.mark.parametrize(
+        "g", [lambda t: 1.0, lambda t: np.ones(1), lambda t: t[:-1], lambda t: np.append(t, t)]
+    )
+    def test_integrand_without_a_value_per_node_rejected(self, g):
+        # no value is spread over the nodes, and too many is no answer either
+        with pytest.raises(ValueError):
+            adaptive_integrate(g, 0.0, 1.0, CFG)
+
+    @pytest.mark.parametrize(
         "a, b", [(0.0, math.inf), (0.0, math.nan), (-math.inf, 0.0), (math.nan, 1.0)]
     )
     def test_non_finite_bounds_rejected_before_any_call(self, a, b):

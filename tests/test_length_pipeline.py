@@ -217,26 +217,33 @@ def same_bits(a, b):
 
 
 class TestSlopeAt:
+    """_on_circles passes f(0) as a numpy complex, as evaluate returns it,
+    so each point goes in as one."""
+
     @pytest.mark.parametrize("target", [E, D, H, S])
     def test_scalar_slope_is_the_array_slope_bit_for_bit(self, target):
         rng = np.random.default_rng(7)
         big = 10.0 ** rng.uniform(-300, 300, 4000) * np.exp(2j * np.pi * rng.uniform(size=4000))
         inside = rng.uniform(0, 1, 4000) ** 0.1 * np.exp(2j * np.pi * rng.uniform(size=4000))
+        # |w| within a few ulps of 1, where the sphere's two forms meet: the
+        # scalar path must take the branch the array path takes
+        unit = (1.0 + rng.normal(0, 1e-15, 4000)) * np.exp(2j * np.pi * rng.uniform(size=4000))
         edges = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1 + 0j,
                  -1j, complex(3, -0.0), complex(-0.0, 5), 0.6 + 0.8j, 1e-320 + 2j, 1e300 - 1e300j]
-        points = [complex(w) for w in (*big, *inside, *edges)]
+        points = [complex(w) for w in (*big, *inside, *unit, *edges)]
         if target is D:
             points = [w for w in points if w.real * w.real + w.imag * w.imag < 1.0]
         if target is H:
             points = [w for w in points if w.imag > 0.0]
         with np.errstate(over="ignore"):
             for w in points:
-                assert same_bits(_slope_at(target, w), _slope(target, np.array([w]))[0]), w
+                scalar = _slope_at(target, np.complex128(w))
+                assert same_bits(scalar, _slope(target, np.array([w]))[0]), w
 
     @pytest.mark.parametrize("target, w", [(D, 0.6 + 0.8j), (D, 2j), (H, 1 + 0j), (H, -2j)])
     def test_a_value_outside_the_target_raises_as_the_array_path(self, target, w):
         with pytest.raises(RangeError) as scalar:
-            _slope_at(target, w)
+            _slope_at(target, np.complex128(w))
         with pytest.raises(RangeError) as array:
             _slope(target, np.array([w]))
         assert str(scalar.value) == str(array.value)
