@@ -417,8 +417,10 @@ def build_parser() -> _Cli:
         # alpha_growth_check picks its own area tolerances
         lambda f, ns: alpha_growth_check(f, ns.alpha, ns.delta),
         "koebe() . scale(0.9+0i)",
-        "Tail of the area integral weighted by 1/(t - delta)^alpha converging, then "
-        "L(rho)/rho^(alpha/2) decreasing on rho = 8, 10, 12. INAPPLICABLE otherwise.",
+        "Tail of the area integral weighted by 1/(t - delta)^alpha: convergent, in "
+        "closed form, when the whole-disc image area is finite; then L(rho)/rho^(alpha/2) "
+        "decreasing on rho = 8, 10, 12. INAPPLICABLE when that area diverges or does "
+        "not resolve.",
         tolerances=False,
         **{
             "--alpha": dict(type=_positive_float, required=True),

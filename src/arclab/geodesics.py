@@ -625,6 +625,10 @@ def _spectral_tail(h):
     return np.add.reduce(h, axis=-1) / n, 2.0 * tail.reshape(h.shape[:-1]) / n
 
 
+# an overflow in sample gives a non-finite sample, which raises
+# EvaluationError below, or a non-finite term size, whose circle never
+# certifies: PrecisionError
+@np.errstate(over="ignore", invalid="ignore")
 def _circle_samples(sample, r, live, unit):
     """sample on the circles r[live] at the points r_i unit: the integrands
     h in all forms, of shape (forms, integrands, len(live), len(unit)), and

@@ -44,10 +44,6 @@ class _Infinity:
 #: The unique point at infinity.  Never encoded as a huge float.
 INFINITY = _Infinity()
 
-#: A point on the Riemann sphere: a python complex or INFINITY.
-SpherePoint = "complex | _Infinity"
-
-
 def is_infinite(w) -> bool:
     return isinstance(w, _Infinity)
 

@@ -374,6 +374,10 @@ class Decomposition:
         return "\n".join(lines) + "\n"
 
 
+# where f overflows or vanishes to double precision, the logs or the
+# transform are not finite, and their tails never pass _tail_ok: the loop
+# ends in ResolutionError
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _boundary_data(f: MapExpr, boundary_samples: int):
     """(m, c0, cinf): the rfft / m of log k(f, 0) and of log k(f, infinity)
     at m circle points, m doubling from boundary_samples until both

@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import DataError, DivergenceError, PrecisionError, ResolutionError
 from .geodesics import (
-    AREA_DEFAULT,
-    DISC_RHO_MAX,
     GrowthSample,
     QuadConfig,
     arc_length,
@@ -135,15 +133,16 @@ def default_probe_grid(
 
 
 def _whole_disc_area(name, label, f, target, config):
-    """(area of f(D), None), or (None, an INAPPLICABLE report) when that
-    area diverges or does not resolve: then no verdict either way."""
+    """(area of f(D), its error bound, None), or (None, None, an
+    INAPPLICABLE report) when that area diverges or does not resolve: then
+    no verdict either way."""
     try:
-        return area_with_bound(f, math.inf, target, config)[0], None
+        return *area_with_bound(f, math.inf, target, config), None
     except DivergenceError:
         reason = (("reason", f"{label} diverges"),)
     except PrecisionError as exc:
         reason = (("reason", f"{label} did not resolve"), ("estimate", exc.estimate))
-    return None, VerdictReport(name, "INAPPLICABLE", math.nan, None, reason)
+    return None, None, VerdictReport(name, "INAPPLICABLE", math.nan, None, reason)
 
 
 def check_area_derivative_bound(
@@ -157,7 +156,7 @@ def check_area_derivative_bound(
         raise ValueError("bound applies to Euclidean or hyperbolic disc targets")
     name = f"area_derivative_bound[{target.name.lower()}]"
     pts = list(grid) if grid is not None else default_probe_grid()
-    total_area, inapplicable = _whole_disc_area(name, "image area", f, target, config)
+    total_area, _, inapplicable = _whole_disc_area(name, "image area", f, target, config)
     if inapplicable:
         return inapplicable
     n = deriv_norm(f, np.asarray(pts, dtype=complex), target)
@@ -185,18 +184,15 @@ def check_localized_bound(
         domain=MetricId.HYPERBOLIC_DISC,
         codomain=MetricId.HYPERBOLIC_DISC,
     )
-    try:
-        local_area, _ = area_with_bound(
-            Compose(f, recenter), math.inf, MetricId.EUCLIDEAN, config
-        )
-    except (DivergenceError, PrecisionError):
-        return VerdictReport(
-            "localized_area_bound",
-            "INAPPLICABLE",
-            math.nan,
-            z_o,
-            (("reason", "local image area did not resolve"), ("delta", delta)),
-        )
+    local_area, _, inapplicable = _whole_disc_area(
+        "localized_area_bound",
+        "local image area",
+        Compose(f, recenter),
+        MetricId.EUCLIDEAN,
+        config,
+    )
+    if inapplicable:
+        return inapplicable
     lhs = r_o * deriv_norm(f, z_o, MetricId.EUCLIDEAN)
     rhs = math.sqrt(local_area / (4.0 * math.pi))
     worst = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
@@ -220,7 +216,7 @@ def check_spherical_bound(
     explicit, so the check reports the empirical constant and requires it
     to be stable under grid refinement."""
     name = "small_spherical_area_bound"
-    a_s, inapplicable = _whole_disc_area(name, "A_S", f, MetricId.SPHERICAL, config)
+    a_s, _, inapplicable = _whole_disc_area(name, "A_S", f, MetricId.SPHERICAL, config)
     if inapplicable:
         return inapplicable
     if a_s >= 2.0 * math.pi:
@@ -288,69 +284,31 @@ def check_sqrt_trend(
     )
 
 
-def alpha_growth_check(f, alpha: float, delta: float, config: QuadConfig = None):
-    """Cauchy-convergence probe of the weighted area tail integral
+def alpha_growth_check(f: MapExpr, alpha: float, delta: float, config: QuadConfig = None):
+    """Convergence of the weighted area tail integral
 
-        int (delta/tanh(delta/2)) A(t)/(t - delta)^alpha dt
+        int_{delta+1}^inf (delta/tanh(delta/2)) A(t)/(t - delta)^alpha dt,
 
-    over successive windows, plus (for map inputs, when convergent) an
-    eventually-decreasing check of L(rho)/rho^(alpha/2).
-
-    f is a MapExpr, or a callable t -> A(t) for synthetic area profiles.
-    """
+    A(t) the Euclidean image area of the hyperbolic disc of radius t, and,
+    when it converges, an eventually-decreasing check of L(rho)/rho^(alpha/2)
+    on rho = 8, 10, 12.  A(t) grows towards the whole-disc area A, so a
+    finite A, certified to its bound, makes the tail converge, at most
+    tail_bound = (delta/tanh(delta/2)) (A + bound)/(alpha - 1).  Where A
+    diverges or does not resolve, the report is INAPPLICABLE."""
     if alpha <= 1.0:
         raise ValueError("alpha must exceed 1")
     if delta <= 0 or delta > 25.0:
         raise ValueError("delta must lie in (0, 25]")
+    if not isinstance(f, MapExpr):
+        raise TypeError("alpha_growth_check takes a MapExpr")
     name = "alpha_tail_growth"
-    coef = delta / math.tanh(delta / 2.0)
-    area_cache = {}
-    is_map = isinstance(f, MapExpr)
     area_cfg = config or QuadConfig(abs_tol=1e-6, rel_tol=1e-7)
-
-    def a_of(t):
-        if t not in area_cache:
-            if is_map:
-                area_cache[t] = area_with_bound(f, t, MetricId.EUCLIDEAN, area_cfg)[0]
-            else:
-                v = float(f(t))
-                if v < 0:
-                    raise DataError("area profile must be nonnegative")
-                area_cache[t] = v
-        return area_cache[t]
-
-    def weighted(t):
-        return coef * a_of(t) / (t - delta) ** alpha
-
-    t0 = delta + 1.0
-    width = (DISC_RHO_MAX - t0) / 10.0
-
-    def window_increment(k):
-        a, b = t0 + k * width, t0 + (k + 1) * width
-        mid = 0.5 * (a + b)
-        return (b - a) / 6.0 * (weighted(a) + 4.0 * weighted(mid) + weighted(b))
-
-    def classify(chunk):
-        head, tail = chunk[0], chunk[-1]
-        if head <= 0:
-            return "convergent", 0.0
-        r = tail / head
-        if r < 0.4:
-            return "convergent", r
-        if r > 0.9:
-            return "divergent", r
-        return "inconclusive", r
-
-    kind, ratio = classify([window_increment(k) for k in range(5)])
-    if kind == "inconclusive":
-        kind, ratio = classify([window_increment(k) for k in range(5, 10)])
-    details = [("classification", kind), ("window_ratio", ratio)]
-
-    if kind != "convergent":
-        return VerdictReport(name, "INAPPLICABLE", ratio, alpha, tuple(details))
-    if not is_map:
-        details.append(("trend", "not checked for synthetic area profiles"))
-        return VerdictReport(name, "PASS", ratio, alpha, tuple(details))
+    total_area, bound, inapplicable = _whole_disc_area(
+        name, "image area", f, MetricId.EUCLIDEAN, area_cfg
+    )
+    if inapplicable:
+        return inapplicable
+    tail_bound = delta / math.tanh(delta / 2.0) * (total_area + bound) / (alpha - 1.0)
 
     grid = (4.0, 6.0, 8.0, 10.0, 12.0)
     samples = arc_length_profile(
@@ -359,9 +317,14 @@ def alpha_growth_check(f, alpha: float, delta: float, config: QuadConfig = None)
     powers = [s.length / s.rho ** (alpha / 2.0) for s in samples]
     tail = powers[-3:]
     decreasing = all(b < a for a, b in zip(tail, tail[1:]))
-    details.append(("power_ratios", tuple(powers)))
+    details = (
+        ("classification", "convergent"),
+        ("whole_disc_area", total_area),
+        ("tail_bound", tail_bound),
+        ("power_ratios", tuple(powers)),
+    )
     return VerdictReport(
-        name, "PASS" if decreasing else "FAIL", ratio, alpha, tuple(details)
+        name, "PASS" if decreasing else "FAIL", tail_bound, alpha, details
     )
 
 

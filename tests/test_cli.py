@@ -462,10 +462,19 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "alpha")
         assert code == 3
 
-    def test_alpha_convergent_map(self, capsys):
-        code, out, _ = run(capsys, "verify", "alpha", "--alpha", "2")
-        assert code == 0
-        assert "# classification = convergent" in out
+    @pytest.mark.parametrize(
+        "argv, code, line",
+        [
+            ((), 0, "# classification = convergent"),
+            # the pole on the circle: the whole-disc area does not resolve
+            (("--func", "koebe()"), 2, "# reason = image area did not resolve"),
+        ],
+        ids=["default", "koebe"],
+    )
+    def test_alpha_exit_codes(self, capsys, argv, code, line):
+        got, out, _ = run(capsys, "verify", "alpha", "--alpha", "2", *argv)
+        assert got == code
+        assert line in out.splitlines()
 
     def test_every_check_has_a_description(self, capsys):
         for verb in CHECKS:
@@ -616,6 +625,8 @@ class TestErrors:
             ),
             ("verify", "alpha", "--alpha", "2", "--func", "blaschke_hp([1,4])"),
             ("verify", "thm43", "--f0", "blaschke_hp([1,4])"),
+            ("area", "--func", "z()", "--rho", "0"),
+            ("nevanlinna", "--func", "z()", "--radii", "a,b"),
         ],
         ids=lambda argv: "-".join(a for a in argv[:2] if not a.startswith("--")),
     )

@@ -13,6 +13,7 @@ from arclab.errors import (
     EvaluationError,
     PrecisionError,
     RangeError,
+    ResolutionError,
 )
 from arclab.geodesics import (
     _CHUNK,
@@ -48,6 +49,7 @@ from arclab.maps import (
     inv_cayley_map,
 )
 from arclab.metrics import MetricId, MobiusTransform
+from arclab.nevanlinna import fatou_decompose, shimizu_T
 
 H = MetricId.HYPERBOLIC_DISC
 HP = MetricId.HYPERBOLIC_HALF_PLANE
@@ -611,6 +613,50 @@ class TestCircleRule:
             exc = exc_info.value
             assert exc.error_bound > AREA_DEFAULT.abs_tol
             assert abs(exc.estimate - math.pi * r * r) <= exc.error_bound
+
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            *(
+                (lambda f=f: area_with_bound(f, 1.0, E), EvaluationError, "not finite")
+                for f in (
+                    Compose(ExpMap(), Scale(1000)),
+                    Scale(1e200),
+                    PowerSeries((0, 0, 0, 1e300)),
+                )
+            ),
+            # exp(2000 r) is inf at the sample z = r: a pole to the jets
+            (lambda: area_with_bound(Compose(ExpMap(), Scale(2000)), 1.0, E),
+             EvaluationError, r"map has a pole at \(0.46\d*\+0j\) on the circle"),
+            # finite samples whose term sizes sum to inf
+            (lambda: area_with_bound(Compose(ExpMap(), Scale(700)), math.inf, S),
+             PrecisionError, "did not certify"),
+            *(
+                (lambda f=f: shimizu_T(f, 0.46), EvaluationError, "not finite")
+                for f in (
+                    Compose(ExpMap(), Scale(1000)),
+                    Scale(1e200),
+                    PowerSeries((0, 0, 0, 1e300)),
+                )
+            ),
+            # |f|^2 overflows on the circle, where T is 0 to double precision
+            (lambda: shimizu_T(Shift(1e200), 0.46), None, None),
+            # f is 0 or inf on most of the circle: its log never resolves
+            (lambda: fatou_decompose(Compose(ExpMap(), Scale(1000)), 256),
+             ResolutionError, "65536"),
+        ],
+        ids=[
+            "A-exp", "A-scale", "A-powerseries", "A-pole", "S-sizes",
+            "T-exp", "T-scale", "T-powerseries", "T-huge-origin", "decompose",
+        ],
+    )
+    def test_overflow_raises_its_typed_error_without_a_warning(self, call, error, match):
+        # the suite turns a RuntimeWarning into an error
+        if error is None:
+            assert call() == 0.0
+        else:
+            with pytest.raises(error, match=match):
+                call()
 
 
 def _koebe_area(x):

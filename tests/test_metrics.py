@@ -98,6 +98,10 @@ class TestChordal:
     def test_symmetric(self):
         assert chordal(3 + 4j, -1j) == pytest.approx(chordal(-1j, 3 + 4j), rel=1e-15)
 
+    def test_both_points_off_the_disc(self):
+        # both go through w -> 1/w: k(1/3, i/4) = 2|3 + 4i|/sqrt(170)
+        assert chordal(3, -4j) == pytest.approx(2.0 * abs(3 + 4j) / math.sqrt(170.0), rel=1e-15)
+
     def test_infinity_detection(self):
         assert is_infinite(INFINITY)
         assert not is_infinite(2.0 + 0j)

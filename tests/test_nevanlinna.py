@@ -385,6 +385,11 @@ class TestCharacteristicCurve:
         with pytest.raises(DataError):
             characteristic_curve(Identity(), (0.5, 1.5), CFG)
 
+    @pytest.mark.parametrize("S", [(0.2, 0.1), (-0.1, 0.1)], ids=["decreasing", "negative"])
+    def test_values_validation(self, S):
+        with pytest.raises(DataError, match="S values must be"):
+            CharacteristicCurve((0.2, 0.5), S, (0.0, 0.1))
+
 
 class TestDecomposition:
     def test_single_blaschke_factor(self):
@@ -729,6 +734,11 @@ class TestDecomposition:
         with pytest.raises(ResolutionError, match="65536"):
             fatou_decompose(Shift(-0.99999), 256)
 
+    @pytest.mark.parametrize("m", [300, 128])
+    def test_samples_must_be_a_power_of_two_from_256(self, m):
+        with pytest.raises(ValueError, match="power of two, at least 256"):
+            fatou_decompose(BlaschkeDisc((0.5,)), m)
+
     def test_manifest_lists_zeros_and_fourier_data(self):
         f = BlaschkeDisc((0.5 + 0j,))
         dec = fatou_decompose(f)
@@ -1055,6 +1065,10 @@ class TestUniformDelta:
         f = BlaschkeDisc((0.5 + 0j,))
         with pytest.raises(ValueError):
             uniform_characteristic_delta(f, ())
+
+    def test_pair_with_a_pole_at_a_probe_rejected(self):
+        with pytest.raises(DataError, match="analytic at the probes"):
+            uniform_characteristic_delta((Koebe(), ConstMap(1.0)), [1])
 
     def test_pair_input_accepted(self):
         pair = (

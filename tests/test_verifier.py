@@ -4,7 +4,7 @@ import pytest
 
 from arclab import verifier
 from arclab.errors import DataError, DivergenceError, PrecisionError, ResolutionError
-from arclab.geodesics import GrowthSample, QuadConfig
+from arclab.geodesics import GrowthSample, QuadConfig, area_with_bound
 from arclab.maps import (
     BlaschkeDisc,
     Compose,
@@ -133,8 +133,11 @@ class TestAreaDerivativeBound:
         (lambda: check_area_derivative_bound(Identity(), H),
          "area_derivative_bound[hyperbolic_disc]", "image area"),
         (lambda: check_spherical_bound(Identity()), "small_spherical_area_bound", "A_S"),
+        (lambda: alpha_growth_check(Identity(), 2.0, 1.0), "alpha_tail_growth", "image area"),
+        (lambda: check_localized_bound(Identity(), 0.3j, 1.0),
+         "localized_area_bound", "local image area"),
     ],
-    ids=("prop21", "prop22", "prop23"),
+    ids=("prop21", "prop22", "prop23", "alpha", "localized"),
 )
 def test_whole_disc_area_failures_are_inapplicable(monkeypatch, check, name, label):
     def diverges(*args):
@@ -221,16 +224,39 @@ class TestSqrtTrend:
 
 
 class TestAlphaGrowth:
-    def test_synthetic_divergent_profile(self):
-        alpha = 2.0
-        report = alpha_growth_check(lambda t: t**alpha, alpha, 1.0)
-        assert report.status == "INAPPLICABLE"
-        assert dict(report.details)["classification"] == "divergent"
+    @pytest.mark.parametrize(
+        "f, status",
+        [
+            (Scale(0.5), "PASS"),
+            (Compose(Koebe(), Scale(0.9)), "PASS"),
+            # bounded, so its whole-disc area 1.15e8 is finite and the tail converges
+            (Compose(Koebe(), Scale(0.99)), "PASS"),
+            # the pole on the circle: the area does not resolve, no verdict
+            (Koebe(), "INAPPLICABLE"),
+            # the tail converges, but L = 0 does not decrease
+            (ConstMap(0.5), "FAIL"),
+        ],
+        ids=("scale", "koebe-0.9", "koebe-0.99", "koebe", "const"),
+    )
+    def test_verdicts(self, f, status):
+        report = alpha_growth_check(f, 2.0, 1.0)
+        assert report.status == status
+        if status != "INAPPLICABLE":
+            details = dict(report.details)
+            assert details["classification"] == "convergent"
+            assert report.worst_ratio == details["tail_bound"]
 
-    def test_synthetic_convergent_profile(self):
-        report = alpha_growth_check(lambda t: 3.0, 2.0, 1.0)
-        assert report.status == "PASS"
-        assert dict(report.details)["classification"] == "convergent"
+    def test_tail_bound_in_closed_form(self):
+        # A(t) <= A(inf) = pi/4, and int_2^inf dt/(t - 1)^2 = 1
+        report = alpha_growth_check(Scale(0.5), 2.0, 1.0)
+        details = dict(report.details)
+        area, bound = area_with_bound(
+            Scale(0.5), math.inf, E, QuadConfig(abs_tol=1e-6, rel_tol=1e-7)
+        )
+        assert details["whole_disc_area"] == area == pytest.approx(math.pi / 4, rel=1e-15)
+        assert details["tail_bound"] == pytest.approx(
+            (area + bound) / math.tanh(0.5), rel=1e-15
+        )
 
     def test_bounded_map_converges_and_trends(self):
         report = alpha_growth_check(Compose(Koebe(), Scale(0.9)), 2.0, 1.0)
@@ -240,15 +266,27 @@ class TestAlphaGrowth:
         powers = details["power_ratios"]
         assert powers[-1] < powers[-2]
 
+    def test_one_whole_disc_area(self, monkeypatch):
+        calls = []
+
+        def counting(f, rho, *args):
+            calls.append(rho)
+            return area_with_bound(f, rho, *args)
+
+        monkeypatch.setattr(verifier, "area_with_bound", counting)
+        alpha_growth_check(Compose(Koebe(), Scale(0.9)), 2.0, 1.0)
+        assert calls == [math.inf]
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            alpha_growth_check(lambda t: 1.0, 1.0, 1.0)
+            alpha_growth_check(Scale(0.5), 1.0, 1.0)
         with pytest.raises(ValueError):
-            alpha_growth_check(lambda t: 1.0, 2.0, 0.0)
+            alpha_growth_check(Scale(0.5), 2.0, 0.0)
 
-    def test_negative_profile_rejected(self):
-        with pytest.raises(DataError):
-            alpha_growth_check(lambda t: -1.0, 2.0, 1.0)
+    def test_non_map_rejected(self):
+        # an area profile t -> A(t) carries no certified bound
+        with pytest.raises(TypeError):
+            alpha_growth_check(lambda t: 3.0, 2.0, 1.0)
 
 
 class TestScenarios:
